@@ -60,10 +60,10 @@ def _parse_domains(spec_text: str | None, problem) -> DomainSpec:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            if "=" not in chunk:
-                print(f"error: bad domain spec {chunk!r}", file=sys.stderr)
+            name, sep, size = chunk.partition("=")
+            if not sep or not size.strip().isdecimal() or int(size) < 1:
+                print(f"error: bad domain spec {chunk!r}, expected sort=size with size >= 1", file=sys.stderr)
                 raise SystemExit(EXIT_IO)
-            name, _, size = chunk.partition("=")
             named[name.strip()] = int(size)
     for name, sort in problem.signature.sorts.items():
         if sort.is_bool:
@@ -237,8 +237,7 @@ def run_bench(k_values, max_clauses: int, max_seconds: float):
 
 
 def cmd_bench(args) -> int:
-    k_values = [int(chunk) for chunk in args.k.split(",") if chunk.strip()]
-    rows = run_bench(k_values, args.max_clauses, args.max_seconds)
+    rows = run_bench(args.k, args.max_clauses, args.max_seconds)
     header = (
         "k axiom_generated axiom_kept axiom_seconds rule_generated rule_kept rule_seconds"
     )
@@ -253,6 +252,32 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+def _positive(convert):
+    """An argparse type: ``convert`` the text and reject values <= 0."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        return value
+
+    return parse
+
+
+def _sizes(text: str) -> list[int]:
+    """An argparse type: comma-separated fixture sizes, each >= 0."""
+    try:
+        sizes = [int(chunk) for chunk in text.split(",") if chunk.strip()]
+    except ValueError:
+        sizes = None
+    if sizes is None or any(k < 0 for k in sizes):
+        raise argparse.ArgumentTypeError(f"expected sizes >= 0, got {text!r}")
+    return sizes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,22 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check model preservation by enumeration")
     p_ver.add_argument("input")
     p_ver.add_argument("--domains", help="carrier sizes, e.g. s=2,list=3 (default 2)")
-    p_ver.add_argument("--cap", type=int, default=10_000_000, help="interpretation cap")
+    p_ver.add_argument("--cap", type=_positive(int), default=10_000_000, help="interpretation cap")
     add_common(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_prove = sub.add_parser("prove", help="translate, clausify and saturate")
     p_prove.add_argument("input")
     p_prove.add_argument("--mode", choices=[AXIOM_MODE, RULE_MODE], default=RULE_MODE)
-    p_prove.add_argument("--max-clauses", type=int, default=100_000)
-    p_prove.add_argument("--max-seconds", type=float, default=10.0)
+    p_prove.add_argument("--max-clauses", type=_positive(int), default=100_000)
+    p_prove.add_argument("--max-seconds", type=_positive(float), default=10.0)
     add_common(p_prove)
     p_prove.set_defaults(fn=cmd_prove)
 
     p_bench = sub.add_parser("bench", help="compare the boolean handling modes")
-    p_bench.add_argument("--k", default="1,2,3,4,5", help="comma-separated sizes")
-    p_bench.add_argument("--max-clauses", type=int, default=2_000)
-    p_bench.add_argument("--max-seconds", type=float, default=10.0)
+    p_bench.add_argument("--k", type=_sizes, default="1,2,3,4,5", help="comma-separated sizes")
+    p_bench.add_argument("--max-clauses", type=_positive(int), default=2_000)
+    p_bench.add_argument("--max-seconds", type=_positive(float), default=10.0)
     p_bench.set_defaults(fn=cmd_bench)
 
     return parser

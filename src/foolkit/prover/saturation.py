@@ -10,8 +10,14 @@ Two ways to handle the two-element boolean domain:
     constant, the clause ``C[true] | s = false``.
 
 Literal selection is select-nothing: all maximal literals are eligible.
+They are computed once, when a clause is kept; the renamed copies the
+binary rules work on have the same ones, because the ordering does not
+change under an injective renaming of variables.
+
 Redundancy handling is tautology deletion plus forward subsumption by
-variable renaming, nothing stronger.
+variable renaming, nothing stronger.  The subsumption candidates come
+from an index over literal shapes (``VariantIndex``), so a new clause is
+tested only against kept clauses whose literal shapes it contains.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from .ordering import (
     maximal_literal_indices,
 )
 from .unification import (
+    VariantIndex,
     apply_subst,
     apply_subst_literal,
     mgu,
     rename_clause,
-    subsumes_by_variant,
     unify_atoms,
 )
 
@@ -156,7 +162,9 @@ class _Saturation:
         self.ctx = ctx
         self.config = config
         self.clauses: dict[int, Clause] = {}
-        self.kept_order: list[int] = []
+        self.kept = VariantIndex()
+        # maximal-literal indices of each kept clause, by clause id
+        self.eligible: dict[int, list[int]] = {}
         self.passive: list[tuple[int, int]] = []
         self.processed: list[int] = []
         self.next_id = 1
@@ -206,17 +214,14 @@ class _Saturation:
         if clause.is_tautology():
             self.stats["tautologies"] += 1
             return
-        for cid in self.kept_order:
-            other = self.clauses[cid]
-            if len(other.literals) <= len(clause.literals) and subsumes_by_variant(
-                other, clause
-            ):
-                self.stats["subsumed"] += 1
-                return
+        if self.kept.find(clause) is not None:
+            self.stats["subsumed"] += 1
+            return
         clause.id = self.next_id
         self.next_id += 1
         self.clauses[clause.id] = clause
-        self.kept_order.append(clause.id)
+        self.kept.add(clause)
+        self.eligible[clause.id] = maximal_literal_indices(clause, self.config.ordering)
         self.stats["kept"] += 1
         heapq.heappush(self.passive, (len(clause.literals), clause.id))
 
@@ -230,14 +235,12 @@ class _Saturation:
         ic, _ = rename_clause(into_clause, counter)
         merged = {**fc.var_sorts, **ic.var_sorts}
         sort_of = self.sort_of_factory(merged)
-        from_eligible = maximal_literal_indices(fc, config)
-        into_eligible = maximal_literal_indices(ic, config)
-        for fi in from_eligible:
+        for fi in self.eligible[from_clause.id]:
             flit = fc.literals[fi]
             if not (flit.positive and flit.is_equation):
                 continue
             for l, r in ((flit.lhs, flit.rhs), (flit.rhs, flit.lhs)):
-                for ii in into_eligible:
+                for ii in self.eligible[into_clause.id]:
                     ilit = ic.literals[ii]
                     for side, path, sub in _literal_positions(ilit):
                         if isinstance(sub, Var):
@@ -275,8 +278,7 @@ class _Saturation:
     def fool_paramodulate(self, clause: Clause) -> None:
         """From C[s] with s a non-variable boolean subterm other than a
         truth constant, derive C[true] | s = false."""
-        config = self.config.ordering
-        for ii in maximal_literal_indices(clause, config):
+        for ii in self.eligible[clause.id]:
             lit = clause.literals[ii]
             for side, path, sub in _literal_positions(lit):
                 if not isinstance(sub, App) or sub.fn in (TRUE_NAME, FALSE_NAME):
@@ -297,13 +299,12 @@ class _Saturation:
                 )
 
     def resolve(self, c1: Clause, c2: Clause) -> None:
-        config = self.config.ordering
         a, counter = rename_clause(c1, 0)
         b, _ = rename_clause(c2, counter)
         merged = {**a.var_sorts, **b.var_sorts}
         sort_of = self.sort_of_factory(merged)
-        for i in maximal_literal_indices(a, config):
-            for j in maximal_literal_indices(b, config):
+        for i in self.eligible[c1.id]:
+            for j in self.eligible[c2.id]:
                 l1, l2 = a.literals[i], b.literals[j]
                 if l1.positive == l2.positive:
                     continue
@@ -320,9 +321,8 @@ class _Saturation:
                     self.record_new(literals, merged, "resolution", (c1.id, c2.id))
 
     def factor(self, clause: Clause) -> None:
-        config = self.config.ordering
         sort_of = self.sort_of_factory(clause.var_sorts)
-        for i in maximal_literal_indices(clause, config):
+        for i in self.eligible[clause.id]:
             for j, other in enumerate(clause.literals):
                 if j == i:
                     continue
@@ -338,9 +338,8 @@ class _Saturation:
                     self.record_new(literals, clause.var_sorts, "factoring", (clause.id,))
 
     def equality_resolve(self, clause: Clause) -> None:
-        config = self.config.ordering
         sort_of = self.sort_of_factory(clause.var_sorts)
-        for i in maximal_literal_indices(clause, config):
+        for i in self.eligible[clause.id]:
             lit = clause.literals[i]
             if lit.positive or not lit.is_equation:
                 continue
@@ -389,6 +388,8 @@ class _Saturation:
             if self.config.bool_mode == RULE_MODE:
                 self.fool_paramodulate(given)
             for pid in list(self.processed):
+                if time.monotonic() > deadline:
+                    return self.result("limit")
                 partner = self.clauses[pid]
                 self.paramodulate(given, partner)
                 if pid != cid:

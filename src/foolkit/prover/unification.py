@@ -1,4 +1,5 @@
-"""Unification, matching and renaming over clause-level terms.
+"""Unification, matching and renaming over clause-level terms, and the
+literal-shape index that finds subsumption-by-variant candidates.
 
 Clause terms contain only variables and applications.  Unification is
 sort-aware when given a sort function, so a boolean variable never binds
@@ -186,6 +187,68 @@ def subsumes_by_variant(c: Clause, d: Clause) -> bool:
         return False
 
     return assign(0, set(), {})
+
+
+def _skeleton(t: Term) -> str:
+    if isinstance(t, Var):
+        return "_"
+    if not t.args:
+        return t.fn
+    return t.fn + "(" + ",".join(_skeleton(a) for a in t.args) + ")"
+
+
+def _literal_shape(lit: Literal) -> str:
+    """The literal's polarity and term skeleton, every variable written
+    ``_``, with the two sides of an equation in sorted order.
+
+    Literals that are variants of each other have equal shapes, so a
+    clause subsumes another by variant only if its multiset of literal
+    shapes is contained in the other's.
+    """
+    sign = "+" if lit.positive else "-"
+    if lit.rhs is None:
+        return sign + _skeleton(lit.lhs)
+    a, b = sorted((_skeleton(lit.lhs), _skeleton(lit.rhs)))
+    return f"{sign}{a}={b}"
+
+
+class VariantIndex:
+    """Clauses in a trie keyed by their sorted literal shapes, for forward
+    subsumption by variant.
+
+    A lookup walks only the paths spelled by sub-multisets of the query's
+    shapes, so it reaches exactly the indexed clauses whose shape multiset
+    the query's contains, and decides each with ``subsumes_by_variant``.
+    Shape containment is a necessary condition of that test, so the answer
+    is the same as trying every indexed clause.
+    """
+
+    def __init__(self) -> None:
+        # a node is (clauses ending here, children by next shape)
+        self._root: tuple[list[Clause], dict] = ([], {})
+
+    def add(self, clause: Clause) -> None:
+        node = self._root
+        for shape in sorted(_literal_shape(lit) for lit in clause.literals):
+            node = node[1].setdefault(shape, ([], {}))
+        node[0].append(clause)
+
+    def find(self, clause: Clause) -> Clause | None:
+        """An indexed clause that subsumes ``clause`` by variant, or None."""
+        shapes = sorted(_literal_shape(lit) for lit in clause.literals)
+        stack = [(self._root, 0)]
+        while stack:
+            (ending, children), start = stack.pop()
+            for other in ending:
+                if subsumes_by_variant(other, clause):
+                    return other
+            for i in range(start, len(shapes)):
+                if i > start and shapes[i] == shapes[i - 1]:
+                    continue  # each sub-multiset is spelled once
+                child = children.get(shapes[i])
+                if child is not None:
+                    stack.append((child, i + 1))
+        return None
 
 
 def is_variant(c: Clause, d: Clause) -> bool:

@@ -78,6 +78,34 @@ def test_bad_domain_spec(tmp_path, capsys):
     assert main(["verify", str(path), "--domains", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["s=x", "s=0", "s=-1"])
+def test_bad_domain_size(tmp_path, capsys, spec):
+    path = tmp_path / "p.p"
+    path.write_text("tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(f, axiom, c = c).\n")
+    assert main(["verify", str(path), "--domains", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: bad domain spec")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "p.p", "--max-seconds", "-1"],
+        ["prove", "p.p", "--max-seconds", "0"],
+        ["prove", "p.p", "--max-clauses", "-3"],
+        ["verify", "p.p", "--cap", "-5"],
+        ["bench", "--k", "0,-1"],
+        ["bench", "--k", "x"],
+        ["bench", "--max-clauses", "0"],
+        ["bench", "--max-seconds", "nan"],
+    ],
+)
+def test_numeric_flags_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "expected" in capsys.readouterr().err
+
+
 def test_verify_ok(tmp_path, capsys):
     path = tmp_path / "p.p"
     path.write_text("tff(f, axiom, ![X : $o] : (X | ~X)).\n")

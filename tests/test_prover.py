@@ -1,7 +1,15 @@
 """Ordering, unification, clausification and the saturation kernel."""
 
+import itertools
+import json
+import pathlib
+import time
+from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corpus
 from foolkit import (
     App,
     BOOL,
@@ -30,7 +38,10 @@ from foolkit.prover import (
     mgu,
     saturate,
 )
+from foolkit.cli import _support_clauses, bench_fixture
+from foolkit.prover import saturation
 from foolkit.prover.ordering import literal_greater, maximal_literal_indices
+from foolkit.prover.unification import VariantIndex, apply_subst_literal, subsumes_by_variant
 from foolkit.terms import FALSE, TRUE, Sort, forall_prefix, land, lnot, lor
 
 
@@ -441,3 +452,101 @@ tff(c1, conjecture, ![X : $o] : p(X)).
     for mode in (AXIOM_MODE, RULE_MODE):
         outcome = saturate(result.clauses, result.ctx, ProverConfig(bool_mode=mode))
         assert outcome.verdict == "refuted"
+
+
+# ---------------------------------------------------------------------------
+# the search itself is pinned: verdicts, counters and proofs recorded from
+# the search that tried every kept clause for subsumption and recomputed
+# eligible literals for every inference
+
+SEARCH = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "prover_search.json").read_text()
+)
+
+
+def test_axiom_mode_counters_are_pinned():
+    problems = []
+    for name, text in corpus.SATISFIABLE:
+        result = clausify(translate_text(text))
+        problems.append((name, result.clauses, result.ctx))
+    for k in (1, 2, 3):
+        clauses, ctx = bench_fixture(k)
+        problems.append((f"bench-k{k}", clauses + _support_clauses(AXIOM_MODE), ctx))
+    for name, clauses, ctx in problems:
+        config = ProverConfig(bool_mode=AXIOM_MODE, max_clauses=500, max_seconds=60)
+        outcome = saturate(clauses, ctx, config)
+        assert [outcome.verdict, outcome.stats] == SEARCH["stats"][name], name
+
+
+def test_refutation_proofs_are_pinned():
+    for name, text in corpus.REFUTATION:
+        result = clausify(translate_text(text))
+        for mode in (AXIOM_MODE, RULE_MODE):
+            config = ProverConfig(bool_mode=mode, max_clauses=5000, max_seconds=60)
+            outcome = saturate(result.clauses, result.ctx, config)
+            assert outcome.render_proof() == SEARCH["proofs"][f"{name}/{mode}"], (name, mode)
+
+
+def test_deadline_is_checked_between_partners(monkeypatch):
+    clauses, ctx = bench_fixture(3)
+    inputs = clauses + _support_clauses(AXIOM_MODE)
+    config = ProverConfig(bool_mode=AXIOM_MODE, max_clauses=10**9, max_seconds=0.2)
+    started = time.monotonic()
+    assert saturate(inputs, ctx, config).verdict == "limit"
+    assert time.monotonic() - started < 1.0
+    # With a clock that ticks once per reading, a limit of 20 ticks is
+    # hit inside the partner loop of the fifth given clause; checked only
+    # between given clauses, it would be hit after the twentieth.
+    ticks = itertools.count()
+    monkeypatch.setattr(saturation, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    config = ProverConfig(bool_mode=AXIOM_MODE, max_clauses=10**9, max_seconds=20)
+    outcome = saturate(inputs, ctx, config)
+    assert (outcome.verdict, outcome.stats["processed"]) == ("limit", 5)
+
+
+# ---------------------------------------------------------------------------
+# the subsumption index answers exactly as a scan with subsumes_by_variant
+
+_terms = st.recursive(
+    st.sampled_from([Var("X"), Var("Y"), Var("Z"), App("a"), App("b")]),
+    lambda sub: st.one_of(
+        st.builds(lambda t: App("f", (t,)), sub),
+        st.builds(lambda x, y: App("g2", (x, y)), sub, sub),
+    ),
+    max_leaves=4,
+)
+_literals = st.one_of(
+    st.builds(Literal, st.booleans(), _terms, _terms),
+    st.builds(lambda positive, t: Literal(positive, App("p", (t,))), st.booleans(), _terms),
+)
+_clauses = st.lists(_literals, min_size=1, max_size=3).map(lambda lits: Clause(tuple(lits)))
+
+
+def _disguised(data, clause):
+    """The clause with its variables renamed, some equations swapped, more
+    literals added and the literals shuffled: still subsumed by clause."""
+    fresh = data.draw(st.permutations(["U", "V", "W"]))
+    renaming = {name: Var(fresh[i]) for i, name in enumerate(sorted(clause.variables()))}
+    literals = []
+    for lit in clause.literals:
+        lit = apply_subst_literal(lit, renaming)
+        if lit.is_equation and data.draw(st.booleans()):
+            lit = Literal(lit.positive, lit.rhs, lit.lhs)
+        literals.append(lit)
+    literals += data.draw(st.lists(_literals, max_size=2))
+    return Clause(tuple(data.draw(st.permutations(literals))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_variant_index_agrees_with_scan(data):
+    kept = data.draw(st.lists(_clauses, min_size=1, max_size=6))
+    index = VariantIndex()
+    for clause in kept:
+        index.add(clause)
+    disguised = _disguised(data, data.draw(st.sampled_from(kept)))
+    assert index.find(disguised) is not None
+    for query in (data.draw(_clauses), disguised):
+        found = index.find(query)
+        assert (found is not None) == any(subsumes_by_variant(c, query) for c in kept)
+        assert found is None or (found in kept and subsumes_by_variant(found, query))
