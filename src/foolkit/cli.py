@@ -22,7 +22,17 @@ from .prover import (
     saturate,
 )
 from .semantics import DomainSpec, EnumerationOverflow, check_model_preservation
-from .terms import App, BOOL, FALSE, Signature, TRUE, TypeContext, TypeSig, Var
+from .terms import (
+    App,
+    BOOL,
+    FALSE,
+    Signature,
+    TRUE,
+    TypeContext,
+    TypeSig,
+    Var,
+    subterm_positions,
+)
 from .translate import run_translation, to_fol
 from .tptp import ParseError, parse_problem, print_fol_tff0
 from .typecheck import SortError
@@ -53,7 +63,7 @@ def _load(path: str, strict: bool):
 
 
 def _parse_domains(spec_text: str | None, problem) -> DomainSpec:
-    sizes = {}
+    sorts = {name: sort for name, sort in problem.signature.sorts.items() if not sort.is_bool}
     named = {}
     if spec_text:
         for chunk in spec_text.split(","):
@@ -61,15 +71,20 @@ def _parse_domains(spec_text: str | None, problem) -> DomainSpec:
             if not chunk:
                 continue
             name, sep, size = chunk.partition("=")
+            name = name.strip()
             if not sep or not size.strip().isdecimal() or int(size) < 1:
                 print(f"error: bad domain spec {chunk!r}, expected sort=size with size >= 1", file=sys.stderr)
                 raise SystemExit(EXIT_IO)
-            named[name.strip()] = int(size)
-    for name, sort in problem.signature.sorts.items():
-        if sort.is_bool:
-            continue
-        sizes[sort] = named.get(name, 2)
-    return DomainSpec(sizes)
+            if name not in sorts:
+                declared = ", ".join(sorts) or "none"
+                print(
+                    f"error: bad domain spec {chunk!r}, {name!r} is not a declared "
+                    f"non-boolean sort (declared: {declared})",
+                    file=sys.stderr,
+                )
+                raise SystemExit(EXIT_IO)
+            named[name] = int(size)
+    return DomainSpec({sort: named.get(name, 2) for name, sort in sorts.items()})
 
 
 def cmd_check(args) -> int:
@@ -166,22 +181,21 @@ def _mentions_bool(clauses: list[Clause], ctx: TypeContext) -> bool:
     """True when any clause contains a boolean term (an equation side or
     argument of boolean sort, or a boolean variable)."""
 
-    def term_mentions(t) -> bool:
-        if isinstance(t, App):
-            sig = ctx.fn_sig(t.fn)
-            if sig is not None and sig.result == BOOL:
-                return True
-            return any(term_mentions(a) for a in t.args)
-        return False
+    def is_bool_term(t) -> bool:
+        if not isinstance(t, App):
+            return False
+        sig = ctx.fn_sig(t.fn)
+        return sig is not None and sig.result == BOOL
 
     for clause in clauses:
         if any(sort == BOOL for sort in clause.var_sorts.values()):
             return True
         for lit in clause.literals:
-            if lit.is_equation and (term_mentions(lit.lhs) or term_mentions(lit.rhs)):
-                return True
-            if not lit.is_equation and any(term_mentions(a) for a in lit.lhs.args):
-                return True
+            for side in lit.terms():
+                for path, sub in subterm_positions(side):
+                    # a predicate atom itself is not a boolean term
+                    if (lit.is_equation or path) and is_bool_term(sub):
+                        return True
     return False
 
 
@@ -280,6 +294,12 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+MAX_CLAUSES_HELP = (
+    "cap on generated clauses; it is checked before each given clause, so "
+    "the last given clause's inferences can overshoot it"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foolkit",
@@ -313,14 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove = sub.add_parser("prove", help="translate, clausify and saturate")
     p_prove.add_argument("input")
     p_prove.add_argument("--mode", choices=[AXIOM_MODE, RULE_MODE], default=RULE_MODE)
-    p_prove.add_argument("--max-clauses", type=_positive(int), default=100_000)
+    p_prove.add_argument(
+        "--max-clauses", type=_positive(int), default=100_000, help=MAX_CLAUSES_HELP
+    )
     p_prove.add_argument("--max-seconds", type=_positive(float), default=10.0)
     add_common(p_prove)
     p_prove.set_defaults(fn=cmd_prove)
 
     p_bench = sub.add_parser("bench", help="compare the boolean handling modes")
     p_bench.add_argument("--k", type=_sizes, default="1,2,3,4,5", help="comma-separated sizes")
-    p_bench.add_argument("--max-clauses", type=_positive(int), default=2_000)
+    p_bench.add_argument(
+        "--max-clauses", type=_positive(int), default=2_000, help=MAX_CLAUSES_HELP
+    )
     p_bench.add_argument("--max-seconds", type=_positive(float), default=10.0)
     p_bench.set_defaults(fn=cmd_bench)
 

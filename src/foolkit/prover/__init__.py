@@ -5,8 +5,6 @@ inference rule replacing the two-element boolean domain clause."""
 from .clauses import Clause, Literal
 from .clausify import ClauseExplosion, ClausifyResult, clausify
 from .ordering import (
-    DEFAULT_ORDERING,
-    OrderingConfig,
     kbo_greater,
     kbo_greater_or_equal,
     literal_greater,
@@ -28,9 +26,7 @@ __all__ = [
     "Clause",
     "ClauseExplosion",
     "ClausifyResult",
-    "DEFAULT_ORDERING",
     "Literal",
-    "OrderingConfig",
     "ProverConfig",
     "RULE_MODE",
     "SaturationResult",

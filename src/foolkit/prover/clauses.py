@@ -63,12 +63,16 @@ class Clause:
     def is_empty(self) -> bool:
         return not self.literals
 
-    def variables(self) -> set[str]:
-        out: set[str] = set()
+    def variable_occurrences(self) -> list[str]:
+        """Every variable occurrence, literal by literal, leftmost first."""
+        out: list[str] = []
         for lit in self.literals:
             for t in lit.terms():
-                _collect_vars(t, out)
+                term_vars(t, out)
         return out
+
+    def variables(self) -> set[str]:
+        return set(self.variable_occurrences())
 
     def trimmed_var_sorts(self) -> dict[str, Sort]:
         occurring = self.variables()
@@ -89,14 +93,20 @@ class Clause:
         return False
 
 
-def _collect_vars(t: Term, out: set[str]) -> None:
+def term_vars(t: Term, out: list[str]) -> list[str]:
+    """Append every variable occurrence in t to out, leftmost first.
+
+    The one variable walker over clause terms: callers take a set, a
+    count or the first-occurrence order of the result.
+    """
     if isinstance(t, Var):
-        out.add(t.name)
+        out.append(t.name)
     elif isinstance(t, App):
         for a in t.args:
-            _collect_vars(a, out)
+            term_vars(a, out)
     else:
         raise TypeError("clause terms contain only variables and applications")
+    return out
 
 
 def literal_key(lit: Literal):

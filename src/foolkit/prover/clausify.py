@@ -28,9 +28,11 @@ from ..terms import (
     TypeContext,
     TypeSig,
     Var,
+    subst_free_vars,
 )
 from ..translate import FolProblem
 from .clauses import Clause, Literal, dedup_literals
+from .unification import apply_subst_literal
 
 
 class ClauseExplosion(Exception):
@@ -136,7 +138,7 @@ class _Clausifier:
             return self.skolemize(t.body, univ, inner)
         if isinstance(t, App) and t.fn in (AND, OR):
             return App(t.fn, tuple(self.skolemize(a, univ, subst) for a in t.args))
-        return _substitute(t, subst)
+        return subst_free_vars(t, subst)  # atoms have no binders left
 
     # -- distribution ------------------------------------------------------
 
@@ -181,13 +183,8 @@ class _Clausifier:
                 literals.append(Literal(positive, atom))
             else:
                 raise TypeError(f"unexpected clause atom {atom!r}")
-        sorts = {
-            v: self.var_sorts[v]
-            for lit in literals
-            for t in lit.terms()
-            for v in _term_vars(t)
-        }
-        return Clause(dedup_literals(tuple(literals)), sorts)
+        # _canonicalize keeps only the sorts of the variables that occur
+        return Clause(dedup_literals(tuple(literals)), self.var_sorts)
 
     def formula_clauses(self, formula: Term) -> list[Clause]:
         tree = self.skolemize(self.nnf(formula, True), [], {})
@@ -199,46 +196,10 @@ class _Clausifier:
         return out
 
 
-def _substitute(t: Term, subst: dict[str, Term]) -> Term:
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_substitute(a, subst) for a in t.args))
-    if isinstance(t, Eq):
-        return Eq(_substitute(t.left, subst), _substitute(t.right, subst))
-    raise TypeError(f"unexpected node under skolemization: {t!r}")
-
-
-def _term_vars(t: Term):
-    if isinstance(t, Var):
-        yield t.name
-    elif isinstance(t, App):
-        for a in t.args:
-            yield from _term_vars(a)
-
-
 def _canonicalize(clause: Clause) -> Clause:
     """Rename clause variables to X0, X1, ... by first occurrence."""
-    order: list[str] = []
-    for lit in clause.literals:
-        for t in lit.terms():
-            for v in _term_vars(t):
-                if v not in order:
-                    order.append(v)
+    order = dict.fromkeys(clause.variable_occurrences())
     mapping = {v: Var(f"X{i}") for i, v in enumerate(order)}
     sorts = {f"X{i}": clause.var_sorts[v] for i, v in enumerate(order)}
-
-    def rename(t: Term) -> Term:
-        if isinstance(t, Var):
-            return mapping[t.name]
-        return App(t.fn, tuple(rename(a) for a in t.args))
-
-    literals = tuple(
-        Literal(
-            lit.positive,
-            rename(lit.lhs),
-            rename(lit.rhs) if lit.rhs is not None else None,
-        )
-        for lit in clause.literals
-    )
+    literals = tuple(apply_subst_literal(lit, mapping) for lit in clause.literals)
     return Clause(literals, sorts)

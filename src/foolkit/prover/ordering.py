@@ -1,69 +1,47 @@
 """Knuth-Bendix ordering with the truth constants pinned smallest.
 
 Unit weights throughout; precedence is false, then true, then all other
-symbols by arity and name.  That makes true and false the two smallest
-ground terms of every sort and orients ``anything = true`` the way the
-boolean handling needs.
+symbols by arity and name.  Both are fixed, not configurable.  That
+makes true and false the two smallest ground terms of every sort and
+orients ``anything = true`` the way the boolean handling needs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from ..terms import App, FALSE_NAME, Term, TRUE_NAME, Var
-from .clauses import Clause, Literal
+from .clauses import Clause, Literal, term_vars
 
 
-@dataclass(frozen=True)
-class OrderingConfig:
-    """Weights default to 1 per symbol; precedence is fixed as documented."""
-
-    weights: dict[str, int] = field(default_factory=dict)
-
-    def weight_of(self, fn: str) -> int:
-        return self.weights.get(fn, 1)
-
-    def precedence_key(self, fn: str, arity: int):
-        if fn == FALSE_NAME:
-            return (0, 0, "")
-        if fn == TRUE_NAME:
-            return (1, 0, "")
-        return (2, arity, fn)
-
-
-DEFAULT_ORDERING = OrderingConfig()
-
-
-def term_weight(t: Term, config: OrderingConfig = DEFAULT_ORDERING) -> int:
+def term_weight(t: Term) -> int:
     if isinstance(t, Var):
         return 1
-    total = config.weight_of(t.fn)
+    total = 1
     for a in t.args:
-        total += term_weight(a, config)
+        total += term_weight(a)
     return total
 
 
-def _var_counts(t: Term, counts: Counter) -> None:
-    if isinstance(t, Var):
-        counts[t.name] += 1
-    else:
-        for a in t.args:
-            _var_counts(a, counts)
+def _precedence(t: App):
+    if t.fn == FALSE_NAME:
+        return (0, 0, "")
+    if t.fn == TRUE_NAME:
+        return (1, 0, "")
+    return (2, len(t.args), t.fn)
 
 
-def kbo_greater(s: Term, t: Term, config: OrderingConfig = DEFAULT_ORDERING) -> bool:
+def kbo_greater(s: Term, t: Term) -> bool:
     """s > t in the Knuth-Bendix ordering."""
     if s == t:
         return False
-    sc: Counter = Counter()
-    tc: Counter = Counter()
-    _var_counts(s, sc)
-    _var_counts(t, tc)
-    for var, n in tc.items():
-        if sc.get(var, 0) < n:
+    # each variable must occur in s at least as often as in t
+    unmatched = term_vars(s, [])
+    for var in term_vars(t, []):
+        if var not in unmatched:
             return False
-    ws, wt = term_weight(s, config), term_weight(t, config)
+        unmatched.remove(var)
+    ws, wt = term_weight(s), term_weight(t)
     if ws > wt:
         return True
     if ws < wt:
@@ -71,20 +49,19 @@ def kbo_greater(s: Term, t: Term, config: OrderingConfig = DEFAULT_ORDERING) -> 
     if isinstance(s, Var) or isinstance(t, Var):
         # Equal weight with a variable on either side never orients.
         return False
-    ks = config.precedence_key(s.fn, len(s.args))
-    kt = config.precedence_key(t.fn, len(t.args))
+    ks, kt = _precedence(s), _precedence(t)
     if ks > kt:
         return True
     if ks < kt:
         return False
     for a, b in zip(s.args, t.args):
         if a != b:
-            return kbo_greater(a, b, config)
+            return kbo_greater(a, b)
     return False
 
 
-def kbo_greater_or_equal(s: Term, t: Term, config: OrderingConfig = DEFAULT_ORDERING) -> bool:
-    return s == t or kbo_greater(s, t, config)
+def kbo_greater_or_equal(s: Term, t: Term) -> bool:
+    return s == t or kbo_greater(s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -102,22 +79,22 @@ def _literal_multiset(lit: Literal) -> Counter:
     return ms
 
 
-def multiset_greater(a: Counter, b: Counter, config: OrderingConfig = DEFAULT_ORDERING) -> bool:
+def multiset_greater(a: Counter, b: Counter) -> bool:
     if a == b:
         return False
     only_a = a - b
     only_b = b - a
     for y in only_b:
-        if not any(kbo_greater(x, y, config) for x in only_a):
+        if not any(kbo_greater(x, y) for x in only_a):
             return False
     return True
 
 
-def literal_greater(l1: Literal, l2: Literal, config: OrderingConfig = DEFAULT_ORDERING) -> bool:
-    return multiset_greater(_literal_multiset(l1), _literal_multiset(l2), config)
+def literal_greater(l1: Literal, l2: Literal) -> bool:
+    return multiset_greater(_literal_multiset(l1), _literal_multiset(l2))
 
 
-def maximal_literal_indices(clause: Clause, config: OrderingConfig = DEFAULT_ORDERING) -> list[int]:
+def maximal_literal_indices(clause: Clause) -> list[int]:
     """Indices of literals with no strictly greater literal in the clause.
 
     With no selection function, exactly these literals are eligible for
@@ -126,7 +103,7 @@ def maximal_literal_indices(clause: Clause, config: OrderingConfig = DEFAULT_ORD
     out = []
     for i, lit in enumerate(clause.literals):
         if not any(
-            literal_greater(other, lit, config)
+            literal_greater(other, lit)
             for j, other in enumerate(clause.literals)
             if j != i
         ):

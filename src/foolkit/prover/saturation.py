@@ -24,16 +24,21 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..terms import App, BOOL, FALSE_NAME, Term, TRUE_NAME, TypeContext, Var
-from .clauses import Clause, Literal, dedup_literals
-from .ordering import (
-    DEFAULT_ORDERING,
-    OrderingConfig,
-    kbo_greater_or_equal,
-    maximal_literal_indices,
+from ..terms import (
+    App,
+    BOOL,
+    FALSE_NAME,
+    Term,
+    TRUE_NAME,
+    TypeContext,
+    Var,
+    replace_at,
+    subterm_positions,
 )
+from .clauses import Clause, Literal, dedup_literals
+from .ordering import kbo_greater_or_equal, maximal_literal_indices
 from .unification import (
     VariantIndex,
     apply_subst,
@@ -50,10 +55,11 @@ RULE_MODE = "rule"
 @dataclass
 class ProverConfig:
     bool_mode: str = RULE_MODE
-    max_clauses: int = 100_000  # cap on generated clauses
+    # cap on generated clauses, checked before each given clause: the
+    # inferences of the last given clause can overshoot it
+    max_clauses: int = 100_000
     max_seconds: float = 10.0
     max_processed: int | None = None  # given-clause budget; None = unlimited
-    ordering: OrderingConfig = field(default_factory=lambda: DEFAULT_ORDERING)
 
 
 @dataclass
@@ -125,32 +131,17 @@ def has_var_var_equation(clause: Clause) -> bool:
 # positions inside literals
 
 
-def _positions(t: Term, path: tuple[int, ...] = ()):
-    yield path, t
-    if isinstance(t, App):
-        for i, a in enumerate(t.args):
-            yield from _positions(a, path + (i,))
-
-
-def _replace(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    assert isinstance(t, App)
-    args = list(t.args)
-    args[path[0]] = _replace(args[path[0]], path[1:], new)
-    return App(t.fn, tuple(args))
-
-
 def _literal_positions(lit: Literal):
     """(side index, path, subterm) triples over the literal's terms."""
     for side, term in enumerate(lit.terms()):
-        yield from ((side, path, sub) for path, sub in _positions(term))
+        for path, sub in subterm_positions(term):
+            yield side, path, sub
 
 
 def _replace_in_literal(lit: Literal, side: int, path: tuple[int, ...], new: Term) -> Literal:
     if side == 0:
-        return Literal(lit.positive, _replace(lit.lhs, path, new), lit.rhs)
-    return Literal(lit.positive, lit.lhs, _replace(lit.rhs, path, new))
+        return Literal(lit.positive, replace_at(lit.lhs, path, new), lit.rhs)
+    return Literal(lit.positive, lit.lhs, replace_at(lit.rhs, path, new))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +212,7 @@ class _Saturation:
         self.next_id += 1
         self.clauses[clause.id] = clause
         self.kept.add(clause)
-        self.eligible[clause.id] = maximal_literal_indices(clause, self.config.ordering)
+        self.eligible[clause.id] = maximal_literal_indices(clause)
         self.stats["kept"] += 1
         heapq.heappush(self.passive, (len(clause.literals), clause.id))
 
@@ -230,7 +221,6 @@ class _Saturation:
     def paramodulate(self, from_clause: Clause, into_clause: Clause) -> None:
         """Ordered paramodulation from positive equations of one clause
         into non-variable subterm positions of the other."""
-        config = self.config.ordering
         fc, counter = rename_clause(from_clause, 0)
         ic, _ = rename_clause(into_clause, counter)
         merged = {**fc.var_sorts, **ic.var_sorts}
@@ -250,9 +240,7 @@ class _Saturation:
                         theta = mgu(l, sub, sort_of)
                         if theta is None:
                             continue
-                        if kbo_greater_or_equal(
-                            apply_subst(r, theta), apply_subst(l, theta), config
-                        ):
+                        if kbo_greater_or_equal(apply_subst(r, theta), apply_subst(l, theta)):
                             continue
                         rewritten = _replace_in_literal(ilit, side, path, r)
                         literals = [

@@ -78,7 +78,7 @@ def test_bad_domain_spec(tmp_path, capsys):
     assert main(["verify", str(path), "--domains", "nonsense"]) == 2
 
 
-@pytest.mark.parametrize("spec", ["s=x", "s=0", "s=-1"])
+@pytest.mark.parametrize("spec", ["s=x", "s=0", "s=-1", "t=3", "$o=2"])
 def test_bad_domain_size(tmp_path, capsys, spec):
     path = tmp_path / "p.p"
     path.write_text("tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(f, axiom, c = c).\n")

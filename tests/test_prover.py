@@ -123,6 +123,21 @@ def test_kbo_variable_condition():
     assert not kbo_greater(TRUE, Var("X"))
 
 
+def test_kbo_precedence_breaks_weight_ties():
+    # equal weight: higher arity wins, then the symbol name, then the
+    # arguments left to right
+    a, b = App("a"), App("b")
+    pairs = [
+        (App("h2", (a, b)), App("g", (App("f", (a,)),))),
+        (App("g", (a,)), App("f", (a,))),
+        (App("f", (b,)), App("f", (a,))),
+        (b, a),
+    ]
+    for bigger, smaller in pairs:
+        assert kbo_greater(bigger, smaller)
+        assert not kbo_greater(smaller, bigger)
+
+
 def test_maximal_literal_in_domain_clause():
     # x = true | x = false: the true-side literal is strictly maximal.
     clause = Clause(
@@ -478,6 +493,39 @@ def test_axiom_mode_counters_are_pinned():
         assert [outcome.verdict, outcome.stats] == SEARCH["stats"][name], name
 
 
+def test_rule_mode_counters_are_pinned():
+    problems = []
+    for name, text in corpus.SATISFIABLE + corpus.REFUTATION:
+        result = clausify(translate_text(text))
+        problems.append((name, result.clauses, result.ctx))
+    for k in (1, 2, 3):
+        clauses, ctx = bench_fixture(k)
+        problems.append((f"bench-k{k}", clauses + _support_clauses(RULE_MODE), ctx))
+    assert len(problems) == len(SEARCH["rule_stats"])
+    for name, clauses, ctx in problems:
+        config = ProverConfig(bool_mode=RULE_MODE, max_clauses=5000, max_seconds=60)
+        outcome = saturate(clauses, ctx, config)
+        assert [outcome.verdict, outcome.stats] == SEARCH["rule_stats"][name], name
+
+
+def test_clausify_output_is_pinned():
+    """Canonical variable names, clause order and variable sorts."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "clausify.json").read_text())
+    groups = [
+        ("PRESERVATION", corpus.PRESERVATION),
+        ("REFUTATION", corpus.REFUTATION),
+        ("SATISFIABLE", corpus.SATISFIABLE),
+    ]
+    got = {}
+    for group, entries in groups:
+        for name, text, *_ in entries:
+            clauses = clausify(translate_text(text)).clauses
+            got[f"{group}/{name}"] = [
+                [c.render(), {v: str(s) for v, s in c.var_sorts.items()}] for c in clauses
+            ]
+    assert got == golden
+
+
 def test_refutation_proofs_are_pinned():
     for name, text in corpus.REFUTATION:
         result = clausify(translate_text(text))
@@ -550,3 +598,20 @@ def test_variant_index_agrees_with_scan(data):
         found = index.find(query)
         assert (found is not None) == any(subsumes_by_variant(c, query) for c in kept)
         assert found is None or (found in kept and subsumes_by_variant(found, query))
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+def test_public_names_resolve():
+    import foolkit
+    import foolkit.prover
+
+    for module in (foolkit, foolkit.prover):
+        assert len(set(module.__all__)) == len(module.__all__)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    namespace: dict = {}
+    exec("from foolkit import *\nfrom foolkit.prover import *", namespace)
+    assert set(foolkit.__all__) | set(foolkit.prover.__all__) <= set(namespace)
