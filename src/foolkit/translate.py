@@ -13,15 +13,20 @@ steps do all the work:
   4. a let definition is lifted to a fresh top-level symbol that takes
      the let term's free variables as extra arguments.
 
-The driver applies the innermost-leftmost eligible step, preferring let
-and if-then-else elimination over naming over variable rewriting, which
-makes runs deterministic and keeps every definition closed.
+The driver lowers ``current``, then each definition in order (including
+those appended meanwhile), in one post-order pass each: a node's children
+first, then the node itself if it is an eligible redex, logged as
+``(kind, target, path)`` with the node's path at that moment.  After a
+let is lifted its scope is lowered again in the let's context, since
+redexes that used the let's symbol are eligible now.  So steps come
+innermost-leftmost, runs are deterministic and every definition stays
+closed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import NamedTuple, Union
 
 from .terms import (
     App,
@@ -59,6 +64,7 @@ from .terms import (
     lor,
     replace_at,
     subst_free_vars,
+    with_children,
 )
 from .typecheck import check_formula, infer_sort
 
@@ -116,147 +122,137 @@ class TranslationState:
 
 
 # ---------------------------------------------------------------------------
-# occurrence scanning
+# occurrences
 
 
-@dataclass(frozen=True)
-class _Occ:
-    path: tuple[int, ...]
+class _Occ(NamedTuple):
+    """A subterm and what its position says about it; the defaults
+    describe the root of a formula."""
+
     term: Term
-    ctx: TypeContext
-    bound_fns: frozenset[str]
-    strict: str  # context per the published classification
-    effective: str  # like strict, but let children keep a context
+    strict: str = NO_CONTEXT  # context per the published classification
+    # bound above the subterm, outermost first: (name, sort) for a
+    # variable, the let node itself for a let-bound symbol
+    binders: tuple = ()
+    # like strict, but a let's children keep a context: its body becomes
+    # an equation side and its scope replaces it in place
+    effective: str = FORMULA_CONTEXT
 
-
-def _let_sig(ctx: TypeContext, node: Let) -> TypeSig:
-    body_sort = infer_sort(ctx.with_vars(node.params), node.body)
-    return TypeSig(tuple(s for _, s in node.params), body_sort)
-
-
-def _occurrences(
-    t: Term,
-    path: tuple[int, ...],
-    ctx: TypeContext,
-    bound_fns: frozenset[str],
-    strict: str,
-    effective: str,
-) -> Iterator[_Occ]:
-    """Post-order, leftmost first; the first yielded eligible redex is the
-    innermost-leftmost one."""
-    kids = children(t)
-    for i, kid in enumerate(kids):
-        kctx = ctx
-        kbound = bound_fns
-        kstrict = _child_context(t, i)
-        keff = kstrict
-        if isinstance(t, (Forall, Exists)):
-            kctx = ctx.with_var(t.var, t.sort)
-        elif isinstance(t, Let):
-            if i == 0:
-                kctx = ctx.with_vars(t.params)
-                keff = TERM_CONTEXT  # definition bodies become equation sides
+    def ctx(self, base: TypeContext) -> TypeContext:
+        """``base`` extended with the binders; built when a step needs it,
+        so it sees every fresh symbol introduced so far."""
+        ctx = base
+        for b in self.binders:
+            if isinstance(b, Let):
+                body_sort = infer_sort(ctx.with_vars(b.params), b.body)
+                ctx = ctx.with_fn(b.fn, TypeSig(tuple(s for _, s in b.params), body_sort))
             else:
-                kctx = ctx.with_fn(t.fn, _let_sig(ctx, t))
-                kbound = bound_fns | {t.fn}
-                keff = effective  # the scope replaces the let in place
-        yield from _occurrences(kid, path + (i,), kctx, kbound, kstrict, keff)
-    yield _Occ(path, t, ctx, bound_fns, strict, effective)
+                ctx = ctx.with_var(*b)
+        return ctx
+
+    def clash(self) -> set[str]:
+        """Locally bound let symbols occurring free in the subterm."""
+        bound = {b.fn for b in self.binders if isinstance(b, Let)}
+        return free_fns(self.term) & bound if bound else set()
 
 
-def _scan(t: Term, ctx: TypeContext) -> Iterator[_Occ]:
-    return _occurrences(t, (), ctx, frozenset(), NO_CONTEXT, FORMULA_CONTEXT)
+def _child(occ: _Occ, i: int, kid: Term) -> _Occ:
+    """``kid``, child ``i`` of the occurrence, with its strict context,
+    binders and effective context."""
+    t, binders = occ.term, occ.binders
+    if isinstance(t, (Forall, Exists)):
+        return _Occ(kid, FORMULA_CONTEXT, binders + ((t.var, t.sort),), FORMULA_CONTEXT)
+    if isinstance(t, Let):
+        if i == 0:
+            return _Occ(kid, NO_CONTEXT, binders + t.params, TERM_CONTEXT)
+        return _Occ(kid, NO_CONTEXT, binders + (t,), occ.effective)
+    strict = _child_context(t, i)
+    return _Occ(kid, strict, binders, strict)
+
+
+def _occ_at(chi: Term, path: tuple[int, ...]) -> _Occ:
+    """Walk ``path`` from the root of ``chi``."""
+    occ = _Occ(chi)
+    for i in path:
+        kids = children(occ.term)
+        if not 0 <= i < len(kids):
+            raise ValueError(f"path {path!r} does not address a subterm")
+        occ = _child(occ, i, kids[i])
+    return occ
 
 
 def _redex_kind(occ: _Occ) -> str | None:
+    """The step for the occurrence, eligible or not.  A variable in a
+    formula context of a well-sorted formula is boolean; step 1 checks."""
     t = occ.term
     if isinstance(t, Let):
         return "let"
     if isinstance(t, Ite):
         return "ite"
     if isinstance(t, Var):
-        if occ.strict == FORMULA_CONTEXT and occ.ctx.var_sort(t.name) == BOOL:
-            return "bool-var"
-        return None
+        return "bool-var" if occ.strict == FORMULA_CONTEXT else None
     if occ.strict == TERM_CONTEXT and _is_formula_shaped(t):
         return "formula-in-term"
     return None
-
-
-def _eligible(occ: _Occ, kind: str) -> bool:
-    if kind == "bool-var":
-        return True
-    return not (free_fns(occ.term) & occ.bound_fns)
 
 
 def redex_measure(phi: Term, ctx: TypeContext) -> int:
     """Upper bound on the number of translation steps: if-then-else and
     let nodes, boolean variables in (effective) formula contexts, and
     non-atomic boolean terms in (effective) term contexts."""
+    return _measure(_Occ(phi), ctx)
+
+
+def _measure(occ: _Occ, ctx: TypeContext) -> int:
+    t = occ.term
     count = 0
-    for occ in _scan(phi, ctx):
-        t = occ.term
-        if isinstance(t, (Ite, Let)):
-            count += 1
-        elif isinstance(t, Var):
-            if occ.effective == FORMULA_CONTEXT and occ.ctx.var_sort(t.name) == BOOL:
-                count += 1
-        elif _is_formula_shaped(t) and occ.effective == TERM_CONTEXT:
-            count += 1
+    if isinstance(t, (Ite, Let)):
+        count = 1
+    elif isinstance(t, Var):
+        if occ.effective == FORMULA_CONTEXT and occ.ctx(ctx).var_sort(t.name) == BOOL:
+            count = 1
+    elif _is_formula_shaped(t) and occ.effective == TERM_CONTEXT:
+        count = 1
+    for i, kid in enumerate(children(t)):
+        count += _measure(_child(occ, i, kid), ctx)
     return count
 
 
 # ---------------------------------------------------------------------------
-# the four steps
-
-
-def _occ_at(state: TranslationState, target: Target, path: tuple[int, ...]) -> _Occ:
-    chi = state.formula_at(target)
-    for occ in _scan(chi, state.ctx):
-        if occ.path == path:
-            return occ
-    raise ValueError(f"path {path!r} does not address a subterm")
+# the four steps: each core checks the occurrence, adds the fresh symbol
+# and its definitions to the state, and returns the occurrence's replacement
 
 
 def _check_no_bound_fns(occ: _Occ) -> None:
-    clash = free_fns(occ.term) & occ.bound_fns
+    clash = occ.clash()
     if clash:
         raise ValueError(
             f"term has free occurrences of locally bound symbols {sorted(clash)}"
         )
 
 
-def step1_bool_var(state: TranslationState, path: tuple[int, ...], target: Target = "current") -> TranslationState:
-    """Replace a boolean variable in a formula context by ``x = true``."""
-    occ = _occ_at(state, target, path)
-    t = occ.term
-    if not isinstance(t, Var):
-        raise ValueError("path does not address a variable")
-    if occ.strict != FORMULA_CONTEXT:
-        raise ValueError("variable occurrence is not in a formula context")
-    if occ.ctx.var_sort(t.name) != BOOL:
-        raise ValueError("variable is not boolean")
-    chi = state.formula_at(target)
-    state._set_formula(target, replace_at(chi, path, Eq(t, TRUE)))
-    state.steps.append(("bool-var", target, path))
-    return state
-
-
-def _free_vars_with_sorts(occ: _Occ) -> list[tuple[str, Sort]]:
+def _free_vars_with_sorts(t: Term, ctx: TypeContext) -> list[tuple[str, Sort]]:
     out = []
-    for name in free_vars_ordered(occ.term):
-        sort = occ.ctx.var_sort(name)
+    for name in free_vars_ordered(t):
+        sort = ctx.var_sort(name)
         if sort is None:
             raise ValueError(f"free variable {name!r} has no sort in scope")
         out.append((name, sort))
     return out
 
 
-def step2_formula_in_term_ctx(
-    state: TranslationState, path: tuple[int, ...], target: Target = "current"
-) -> TranslationState:
-    """Name a formula standing in a term context by a fresh symbol."""
-    occ = _occ_at(state, target, path)
+def _bool_var(state: TranslationState, occ: _Occ) -> Term:
+    t = occ.term
+    if not isinstance(t, Var):
+        raise ValueError("path does not address a variable")
+    if occ.strict != FORMULA_CONTEXT:
+        raise ValueError("variable occurrence is not in a formula context")
+    if occ.ctx(state.ctx).var_sort(t.name) != BOOL:
+        raise ValueError("variable is not boolean")
+    return Eq(t, TRUE)
+
+
+def _formula_in_term(state: TranslationState, occ: _Occ) -> Term:
     psi = occ.term
     if occ.strict != TERM_CONTEXT:
         raise ValueError("occurrence is not in a term context")
@@ -264,109 +260,126 @@ def step2_formula_in_term_ctx(
         raise ValueError("a bare variable is not renamed (step 1 territory)")
     if psi == TRUE or psi == FALSE:
         raise ValueError("the truth constants stay in place")
-    if infer_sort(occ.ctx, psi) != BOOL:
+    ctx = occ.ctx(state.ctx)
+    if infer_sort(ctx, psi) != BOOL:
         raise ValueError("occurrence is not a formula")
     _check_no_bound_fns(occ)
 
-    binds = _free_vars_with_sorts(occ)
+    binds = _free_vars_with_sorts(psi, ctx)
     g = state.fresh_fn()
     g_args = tuple(Var(x) for x, _ in binds)
-    definition = forall_prefix(binds, liff(psi, Eq(App(g, g_args), TRUE)))
-    state.defs.append(definition)
+    state.defs.append(forall_prefix(binds, liff(psi, Eq(App(g, g_args), TRUE))))
     state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in binds), BOOL))
     state.fresh_symbols.append(g)
-    chi = state.formula_at(target)
-    state._set_formula(target, replace_at(chi, path, App(g, g_args)))
-    state.steps.append(("formula-in-term", target, path))
-    return state
+    return App(g, g_args)
 
 
-def step3_ite(state: TranslationState, path: tuple[int, ...], target: Target = "current") -> TranslationState:
-    """Name an if-then-else by a fresh symbol with two guarded equations."""
-    occ = _occ_at(state, target, path)
+def _ite(state: TranslationState, occ: _Occ) -> Term:
     t = occ.term
     if not isinstance(t, Ite):
         raise ValueError("path does not address an if-then-else term")
     _check_no_bound_fns(occ)
 
-    binds = _free_vars_with_sorts(occ)
-    branch_sort = infer_sort(occ.ctx, t.then)
+    ctx = occ.ctx(state.ctx)
+    binds = _free_vars_with_sorts(t, ctx)
+    branch_sort = infer_sort(ctx, t.then)
     g = state.fresh_fn()
-    g_args = tuple(Var(x) for x, _ in binds)
-    gapp = App(g, g_args)
+    gapp = App(g, tuple(Var(x) for x, _ in binds))
     state.defs.append(forall_prefix(binds, limplies(t.cond, Eq(gapp, t.then))))
     state.defs.append(forall_prefix(binds, limplies(lnot(t.cond), Eq(gapp, t.els))))
     state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in binds), branch_sort))
     state.fresh_symbols.append(g)
-    chi = state.formula_at(target)
-    state._set_formula(target, replace_at(chi, path, gapp))
-    state.steps.append(("ite", target, path))
-    return state
+    return gapp
 
 
 def _rename_bound_in(t: Term, names: set[str], state: TranslationState) -> Term:
-    """Rename binders whose bound name lies in ``names`` to fresh variables."""
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, (Forall, Exists)):
-        body = _rename_bound_in(t.body, names, state)
-        if t.var in names:
-            v2 = state.fresh_var(base="Y")
-            return type(t)(v2, t.sort, subst_free_vars(body, {t.var: Var(v2)}))
-        return type(t)(t.var, t.sort, body)
+    """Rename binders whose bound name lies in ``names`` to fresh
+    variables, innermost first."""
+    new = []
+    for kid in children(t):
+        new.append(_rename_bound_in(kid, names, state))
+    t = with_children(t, tuple(new))
+    if isinstance(t, (Forall, Exists)) and t.var in names:
+        v2 = state.fresh_var(base="Y")
+        return type(t)(v2, t.sort, subst_free_vars(t.body, {t.var: Var(v2)}))
     if isinstance(t, Let):
-        body = _rename_bound_in(t.body, names, state)
-        scope = _rename_bound_in(t.scope, names, state)
-        mapping: dict[str, Term] = {}
-        params = []
-        for x, s in t.params:
-            if x in names:
-                x2 = state.fresh_var(base="Y")
-                mapping[x] = Var(x2)
-                params.append((x2, s))
-            else:
-                params.append((x, s))
-        if mapping:
-            body = subst_free_vars(body, mapping)
-        return Let(t.fn, tuple(params), body, scope)
-    if isinstance(t, App):
-        return App(t.fn, tuple(_rename_bound_in(a, names, state) for a in t.args))
-    if isinstance(t, Ite):
-        return Ite(
-            _rename_bound_in(t.cond, names, state),
-            _rename_bound_in(t.then, names, state),
-            _rename_bound_in(t.els, names, state),
-        )
-    if isinstance(t, Eq):
-        return Eq(_rename_bound_in(t.left, names, state), _rename_bound_in(t.right, names, state))
-    raise TypeError(f"not a term: {t!r}")
+        fresh = {x: state.fresh_var(base="Y") for x, _ in t.params if x in names}
+        params = tuple((fresh.get(x, x), s) for x, s in t.params)
+        body = subst_free_vars(t.body, {x: Var(y) for x, y in fresh.items()})
+        return Let(t.fn, params, body, t.scope)
+    return t
 
 
 def _replace_fn_apps(t: Term, fn: str, g: str, extra: tuple[Term, ...]) -> Term:
     """Rewrite applications of free occurrences of ``fn`` to ``g`` with the
     extra arguments appended; shadowing lets cut the replacement off."""
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, App):
-        args = tuple(_replace_fn_apps(a, fn, g, extra) for a in t.args)
-        if t.fn == fn:
-            return App(g, args + extra)
-        return App(t.fn, args)
-    if isinstance(t, Let):
-        body = _replace_fn_apps(t.body, fn, g, extra)
-        scope = t.scope if t.fn == fn else _replace_fn_apps(t.scope, fn, g, extra)
-        return Let(t.fn, t.params, body, scope)
-    if isinstance(t, Ite):
-        return Ite(
-            _replace_fn_apps(t.cond, fn, g, extra),
-            _replace_fn_apps(t.then, fn, g, extra),
-            _replace_fn_apps(t.els, fn, g, extra),
-        )
-    if isinstance(t, Eq):
-        return Eq(_replace_fn_apps(t.left, fn, g, extra), _replace_fn_apps(t.right, fn, g, extra))
-    if isinstance(t, (Forall, Exists)):
-        return type(t)(t.var, t.sort, _replace_fn_apps(t.body, fn, g, extra))
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, Let) and t.fn == fn:
+        return Let(t.fn, t.params, _replace_fn_apps(t.body, fn, g, extra), t.scope)
+    new = []
+    for kid in children(t):
+        new.append(_replace_fn_apps(kid, fn, g, extra))
+    if isinstance(t, App) and t.fn == fn:
+        return App(g, tuple(new) + extra)
+    return with_children(t, tuple(new))
+
+
+def _let(state: TranslationState, occ: _Occ) -> Term:
+    t = occ.term
+    if not isinstance(t, Let):
+        raise ValueError("path does not address a let term")
+    _check_no_bound_fns(occ)
+
+    ctx = occ.ctx(state.ctx)
+    outer = _free_vars_with_sorts(t, ctx)  # the ys with their sorts
+    zs = [(state.fresh_var(), s) for _, s in t.params]
+    s_prime = subst_free_vars(
+        t.body, {x: Var(z) for (x, _), (z, _) in zip(t.params, zs)}
+    )
+    body_sort = infer_sort(ctx.with_vars(t.params), t.body)
+
+    g = state.fresh_fn()
+    g_args = tuple(Var(z) for z, _ in zs) + tuple(Var(y) for y, _ in outer)
+    state.defs.append(forall_prefix(zs + outer, Eq(App(g, g_args), s_prime)))
+
+    scope = _rename_bound_in(t.scope, {y for y, _ in outer}, state)
+    t_prime = _replace_fn_apps(scope, t.fn, g, tuple(Var(y) for y, _ in outer))
+
+    state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in zs + outer), body_sort))
+    state.fresh_symbols.append(g)
+    return t_prime
+
+
+_CORES = {
+    "bool-var": _bool_var,
+    "formula-in-term": _formula_in_term,
+    "ite": _ite,
+    "let": _let,
+}
+
+
+def _single_step(state: TranslationState, kind: str, path: tuple[int, ...], target: Target) -> TranslationState:
+    chi = state.formula_at(target)
+    new = _CORES[kind](state, _occ_at(chi, path))
+    state._set_formula(target, replace_at(chi, path, new))
+    state.steps.append((kind, target, path))
+    return state
+
+
+def step1_bool_var(state: TranslationState, path: tuple[int, ...], target: Target = "current") -> TranslationState:
+    """Replace a boolean variable in a formula context by ``x = true``."""
+    return _single_step(state, "bool-var", path, target)
+
+
+def step2_formula_in_term_ctx(
+    state: TranslationState, path: tuple[int, ...], target: Target = "current"
+) -> TranslationState:
+    """Name a formula standing in a term context by a fresh symbol."""
+    return _single_step(state, "formula-in-term", path, target)
+
+
+def step3_ite(state: TranslationState, path: tuple[int, ...], target: Target = "current") -> TranslationState:
+    """Name an if-then-else by a fresh symbol with two guarded equations."""
+    return _single_step(state, "ite", path, target)
 
 
 def step4_let(state: TranslationState, path: tuple[int, ...], target: Target = "current") -> TranslationState:
@@ -376,56 +389,47 @@ def step4_let(state: TranslationState, path: tuple[int, ...], target: Target = "
     variables; the scope is rewritten so every application of the bound
     symbol passes the let term's free variables as extra arguments.
     """
-    occ = _occ_at(state, target, path)
+    return _single_step(state, "let", path, target)
+
+
+# ---------------------------------------------------------------------------
+# the driver
+
+
+def _lower(state: TranslationState, target: Target, occ: _Occ, path: tuple[int, ...]) -> Term:
+    """Lower the occurrence's children left to right, then the occurrence
+    itself if it is an eligible redex; return the lowered term."""
     t = occ.term
-    if not isinstance(t, Let):
-        raise ValueError("path does not address a let term")
-    _check_no_bound_fns(occ)
-
-    outer = _free_vars_with_sorts(occ)  # the ys with their sorts
-    y_names = {x for x, _ in outer}
-    zs = [(state.fresh_var(), s) for _, s in t.params]
-    s_prime = subst_free_vars(
-        t.body, {x: Var(z) for (x, _), (z, _) in zip(t.params, zs)}
-    )
-    body_sort = infer_sort(occ.ctx.with_vars(t.params), t.body)
-
-    g = state.fresh_fn()
-    g_args = tuple(Var(z) for z, _ in zs) + tuple(Var(y) for y, _ in outer)
-    state.defs.append(forall_prefix(zs + outer, Eq(App(g, g_args), s_prime)))
-
-    scope = _rename_bound_in(t.scope, y_names, state)
-    extra = tuple(Var(y) for y, _ in outer)
-    t_prime = _replace_fn_apps(scope, t.fn, g, extra)
-
-    param_sorts = tuple(s for _, s in t.params)
-    outer_sorts = tuple(s for _, s in outer)
-    state.ctx = state.ctx.with_fn(g, TypeSig(param_sorts + outer_sorts, body_sort))
-    state.fresh_symbols.append(g)
-    chi = state.formula_at(target)
-    state._set_formula(target, replace_at(chi, path, t_prime))
-    state.steps.append(("let", target, path))
-    return state
+    kids = children(t)
+    new = []
+    for i, kid in enumerate(kids):
+        new.append(_lower(state, target, _child(occ, i, kid), path + (i,)))
+    if any(a is not b for a, b in zip(new, kids)):  # untouched subtrees are kept
+        occ = occ._replace(term=with_children(t, tuple(new)))
+    kind = _redex_kind(occ)
+    if kind is None or (kind != "bool-var" and occ.clash()):
+        return occ.term
+    lowered = _CORES[kind](state, occ)
+    state.steps.append((kind, target, path))
+    if kind == "let":
+        # the let's symbol no longer binds anything, so redexes in the
+        # scope that mention it are eligible now, in the let's own context
+        return _lower(state, target, occ._replace(term=lowered), path)
+    return lowered
 
 
-_STEP_FNS = {
-    "bool-var": step1_bool_var,
-    "formula-in-term": step2_formula_in_term_ctx,
-    "ite": step3_ite,
-    "let": step4_let,
-}
-
-
-def _find_redex(state: TranslationState) -> tuple[str, Target, tuple[int, ...]] | None:
-    targets: list[Target] = ["current"] + list(range(len(state.defs)))
-    for target in targets:
-        for occ in _scan(state.formula_at(target), state.ctx):
-            kind = _redex_kind(occ)
-            if kind is None:
-                continue
-            if _eligible(occ, kind):
-                return kind, target, occ.path
-    return None
+def _lower_targets(state: TranslationState, bound: int) -> None:
+    """One pass over ``current``, then over each definition in order,
+    including those appended while the passes run."""
+    target: Target = "current"
+    while target == "current" or target < len(state.defs):
+        lowered = _lower(state, target, _Occ(state.formula_at(target)), ())
+        state._set_formula(target, lowered)
+        if len(state.steps) > bound:
+            raise AssertionError(
+                f"translation exceeded its step bound ({bound}); this is a bug"
+            )
+        target = 0 if target == "current" else target + 1
 
 
 def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
@@ -447,18 +451,7 @@ def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
         base_ctx=ctx,
         used_names=all_names(phi),
     )
-    bound = redex_measure(phi, ctx)
-    while True:
-        found = _find_redex(state)
-        if found is None:
-            break
-        kind, target, path = found
-        _STEP_FNS[kind](state, path, target)
-        if len(state.steps) > bound:
-            raise AssertionError(
-                f"translation exceeded its step bound ({bound}); this is a bug"
-            )
-
+    _lower_targets(state, redex_measure(phi, ctx))
     for formula in [state.current, *state.defs]:
         verdict = is_syntactically_first_order(formula)
         if not verdict.ok:

@@ -10,8 +10,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .semantics import DomainSpec, Interpretation
-from .terms import (
+from foolkit.semantics import DomainSpec, Interpretation
+from foolkit.terms import (
     App,
     BOOL,
     Eq,

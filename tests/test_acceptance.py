@@ -25,7 +25,7 @@ from foolkit import (
     to_fol,
 )
 from foolkit.cli import run_bench
-from foolkit.generate import TermGen
+from generate import TermGen
 from foolkit.prover import (
     AXIOM_MODE,
     Clause,

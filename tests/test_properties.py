@@ -22,7 +22,7 @@ from foolkit import (
     print_dialect,
     run_translation,
 )
-from foolkit.generate import TermGen
+from generate import TermGen
 from foolkit.prover import kbo_greater
 from foolkit.prover.unification import apply_subst
 from foolkit.terms import FALSE, TRUE, all_names, forall_prefix, free_fns, rename_apart

@@ -31,7 +31,7 @@ from foolkit import (
     parse_formula,
     run_translation,
 )
-from foolkit.generate import TermGen
+from generate import TermGen
 from foolkit.semantics import table_count
 from foolkit.terms import FALSE, TRUE, Sort, subst_free_vars
 

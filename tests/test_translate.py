@@ -1,6 +1,10 @@
 """The four lowering steps, the driver, and conversion to legal
 first-order problems."""
 
+import json
+import pathlib
+import random
+
 import pytest
 
 from foolkit import (
@@ -8,6 +12,7 @@ from foolkit import (
     BOOL,
     DomainSpec,
     Eq,
+    Exists,
     Forall,
     Ite,
     Let,
@@ -35,10 +40,12 @@ from foolkit import (
     to_fol,
 )
 from foolkit.semantics import table_count
-from foolkit.terms import FALSE, TRUE, free_fns, term_to_str
+from foolkit.terms import FALSE, TRUE, forall_prefix, free_fns, term_to_str
 from foolkit.translate import TranslationState, redex_measure
 
+import corpus
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
+from generate import TermGen
 
 
 def fresh_state(phi, ctx):
@@ -237,6 +244,22 @@ def test_step4_renames_captured_binders(ctx):
     assert bound_part.body == Eq(App(g, (Var(bound_part.var), Var("Y"))), App("c"))
 
 
+def test_step4_renames_nested_binders_innermost_first(ctx):
+    s = ctx.sig.sort("s")
+    fl = lambda a: App("fl", (a,))
+    scope = land(
+        Forall("Y", s, Exists("Y", s, Eq(fl(Var("Y")), App("c")))),
+        Let("k", (("Y", s),), fl(Var("Y")), App("pr", (App("k", (Var("Y"),)),))),
+    )
+    phi = Forall("Y", s, Let("fl", (("X", s),), App("h", (Var("Y"),)), scope))
+    state = step4_let(fresh_state(phi, ctx), (0,))
+    # Z0 names the formal; Y1, Y2, Y3 are drawn bottom-up, left to right
+    assert term_to_str(state.current) == (
+        "![Y : s]: ((![Y2 : s]: (?[Y1 : s]: (sk_fool_0(Y1, Y) = c)))"
+        " & $let(k(Y3 : s) := sk_fool_0(Y3, Y), pr(k(Y))))"
+    )
+
+
 def test_steps_reject_locally_bound_symbols(ctx):
     s = ctx.sig.sort("s")
     # the inner let's body mentions fl, which is bound by the outer let
@@ -369,9 +392,10 @@ def test_translation_preserves_on_ites_and_lets(ctx):
 
 def test_out_of_order_steps_leave_work_inside_definitions(ctx):
     """Applying the conditional step before the naming step copies a
-    non-first-order residue into a definition; the redex scan then finds
-    it there and the naming step fires with the definition as target."""
-    from foolkit.translate import _find_redex
+    non-first-order residue into a definition; the driver, resumed on
+    that state, finds it there and the naming step fires with the
+    definition as target."""
+    from foolkit.translate import _lower_targets
 
     s = ctx.sig.sort("s")
     phi = Eq(
@@ -381,11 +405,11 @@ def test_out_of_order_steps_leave_work_inside_definitions(ctx):
     state = fresh_state(phi, ctx)
     step3_ite(state, (0, 0))  # out of order: the branch still holds (q0 & q0)
     assert not is_syntactically_first_order(state.defs[0]).ok
-    kind, target, path = _find_redex(state)
+    _lower_targets(state, redex_measure(phi, ctx))
+    assert len(state.steps) == 2  # exactly one further step
+    kind, target, _ = state.steps[1]
     assert kind == "formula-in-term"
     assert target == 0  # inside the first definition
-    step2_formula_in_term_ctx(state, path, target)
-    assert _find_redex(state) is None
     for formula in (state.current, *state.defs):
         assert is_syntactically_first_order(formula).ok
     spec = DomainSpec({s: 2})
@@ -499,3 +523,96 @@ def test_to_fol_requires_terminated_state(ctx):
     state = fresh_state(phi, ctx)
     with pytest.raises(ValueError):
         to_fol(state)
+
+
+# ---------------------------------------------------------------------------
+# pinned and replayed runs
+
+
+def _translation_inputs():
+    """(name, closed formula, context) for the corpus, the fixtures and
+    seeded random formulas."""
+    groups = [
+        ("PRESERVATION", corpus.PRESERVATION),
+        ("REFUTATION", corpus.REFUTATION),
+        ("SATISFIABLE", corpus.SATISFIABLE),
+        ("fixtures", [
+            ("VERIFICATION_LISTING", VERIFICATION_LISTING),
+            ("CONTAINS_ITE", CONTAINS_ITE),
+            ("SUBSET_SORTED", SUBSET_SORTED),
+        ]),
+    ]
+    for group, entries in groups:
+        for name, text, *_ in entries:
+            problem = parse_problem(text)
+            yield f"{group}/{name}", problem.goal_formula(), problem.ctx
+    for seed in range(200):
+        gen = TermGen(random.Random(seed))
+        phi = gen.formula()
+        binds = [(v, gen.free_pool[v]) for v in sorted(free_vars(phi))]
+        yield f"termgen/{seed}", forall_prefix(binds, phi), TypeContext.of(gen.sig)
+
+
+def _record(state):
+    return {
+        "steps": [[kind, target, list(path)] for kind, target, path in state.steps],
+        "fresh_symbols": list(state.fresh_symbols),
+        "current": term_to_str(state.current),
+        "defs": [term_to_str(d) for d in state.defs],
+        "fn_counter": state.fn_counter,
+        "var_counter": state.var_counter,
+    }
+
+
+def test_translation_is_pinned():
+    """Steps, their paths, fresh names and output text of every run."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "translation.json").read_text())
+    got = {name: _record(run_translation(phi, ctx)) for name, phi, ctx in _translation_inputs()}
+    assert got == golden
+
+
+_STEPS = {
+    "bool-var": step1_bool_var,
+    "formula-in-term": step2_formula_in_term_ctx,
+    "ite": step3_ite,
+    "let": step4_let,
+}
+
+
+def test_recorded_steps_replay_through_single_step_api():
+    """The driver's log, applied step by step to a fresh state, rebuilds
+    the driver's result exactly."""
+    for name, phi, ctx in _translation_inputs():
+        state = run_translation(phi, ctx)
+        replay = fresh_state(phi, ctx)
+        for kind, target, path in state.steps:
+            _STEPS[kind](replay, path, target)
+        assert replay.current == state.current, name
+        assert replay.defs == state.defs, name
+        assert replay.fresh_symbols == state.fresh_symbols, name
+        assert replay.steps == state.steps, name
+
+
+def test_deep_nest_around_one_ite(ctx):
+    """A 900-deep nest of applications lowers without exhausting the
+    stack: one frame per tree level."""
+    t = Ite(App("p0"), App("c"), App("h", (App("c"),)))
+    for _ in range(900):
+        t = App("h", (t,))
+    state = run_translation(Eq(t, App("c")), ctx)
+    assert state.step_counts() == {"ite": 1}
+    assert state.steps[0][2] == (0,) * 901
+
+
+def test_fresh_symbols_are_in_scope_after_a_let(ctx):
+    """After the let is lifted, the if-then-else in its scope mentions
+    both the let's fresh symbol and an earlier one; its step must see
+    both in the context."""
+    ctx.sig.declare_fn("b0", TypeSig((), BOOL))
+    phi = parse_formula(
+        "$let(k : s, k := c, pr($ite(q0, f(p0 & b0), k)) & pr(h(k)))", ctx
+    )
+    state = run_translation(phi, ctx)
+    assert [rule for rule, _, _ in state.steps] == ["formula-in-term", "let", "ite"]
+    s = ctx.sig.sort("s")
+    assert check_model_preservation(phi, state, DomainSpec({s: 2})).ok

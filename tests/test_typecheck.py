@@ -22,7 +22,7 @@ from foolkit import (
     is_predicate_symbol,
     parse_problem,
 )
-from foolkit.generate import TermGen
+from generate import TermGen
 from foolkit.terms import INT, free_fns, free_vars
 from foolkit.typecheck import (
     ARGUMENT_SORT_MISMATCH,
