@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
     try:
         report = check_model_preservation(phi, state, spec, cap=args.cap)
     except EnumerationOverflow as err:
-        print(f"error: enumeration overflow: {err.count} interpretations", file=sys.stderr)
+        print(f"error: enumeration overflow: {err}", file=sys.stderr)
         return EXIT_OVERFLOW
     print(report.render())
     return EXIT_OK if report.ok else EXIT_LOGIC

@@ -4,10 +4,26 @@ Carriers are index ranges 0..n-1 with the boolean carrier fixed to
 {0, 1}; truth constants and connectives have their standard meaning and
 are never stored in tables.  Enumeration is lexicographic over symbol
 tables, symbols sorted by name, so counterexamples are reproducible.
+
+There is one evaluator: a term is compiled once into nested closures
+over a slot-indexed variable assignment and a list of tables, one slot
+per free symbol and per let.  ``eval_term`` compiles and runs a term
+once; the oracle compiles the input formula, each definition and the
+rewritten formula once per check and then only refills table slots.
+
+The oracle's extension search enumerates the fresh symbols in sorted
+order, runs each definition (and the rewritten formula) as soon as every
+fresh symbol it mentions has a table, and drops the branch when one
+fails; when the input formula holds it stops at the first extension.
+Every branch that could yield a counterexample is still enumerated, so
+the reports are those of the full product.  What is checked depends only
+on which fresh symbols each definition mentions, never on what the
+translation claims about them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -32,6 +48,7 @@ from .terms import (
     TypeContext,
     Var,
     free_fns,
+    land,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -40,9 +57,8 @@ DEFAULT_CAP = 10_000_000
 class EnumerationOverflow(Exception):
     """The requested interpretation space exceeds the configured cap."""
 
-    def __init__(self, count: int, cap: int) -> None:
-        super().__init__(f"{count} interpretations exceed the cap of {cap}")
-        self.count = count
+    def __init__(self, cap: int) -> None:
+        super().__init__(f"more than {cap} interpretations")
         self.cap = cap
 
 
@@ -100,72 +116,141 @@ class Interpretation:
         return " ".join(parts)
 
 
+# closure makers for the connectives; equality shares the one for <=>
+_CONNECTIVES = {
+    NOT: lambda a: lambda: 1 - a(),
+    AND: lambda a, b: lambda: a() and b(),
+    OR: lambda a, b: lambda: a() or b(),
+    IMPLIES: lambda a, b: lambda: b() if a() else 1,
+    IFF: lambda a, b: lambda: 1 if a() == b() else 0,
+}
+
+
+class _Program:
+    """Terms compiled to closures over one slot-indexed assignment list
+    and one table list.
+
+    Each quantifier, let parameter and free variable owns an assignment
+    slot; each free function symbol and each let owns a table slot.  A
+    closure returns the value its term has under what the slots hold, so
+    a term compiled once is re-evaluated by refilling slots, not by
+    walking it again.
+    """
+
+    def __init__(self, sizes: dict[Sort, int]) -> None:
+        self.sizes = sizes
+        self.assign: list[int] = []
+        self.tables: list = []
+        self.free_vars: dict[str, int] = {}
+        self.fns: dict[str, int] = {}
+
+    def fn_slot(self, fn: str) -> int:
+        if fn not in self.fns:
+            self.fns[fn] = len(self.tables)
+            self.tables.append(None)
+        return self.fns[fn]
+
+    def compile(self, t: Term):
+        return self._term(t, {}, {})
+
+    def _term(self, t: Term, bound: dict[str, int], lets: dict[str, int]):
+        A, T = self.assign, self.tables
+        if isinstance(t, Var):
+            i = bound.get(t.name)
+            if i is None:
+                if t.name not in self.free_vars:
+                    self.free_vars[t.name] = len(A)
+                    A.append(0)
+                i = self.free_vars[t.name]
+            return lambda: A[i]
+
+        if isinstance(t, App):
+            if t.fn == TRUE_NAME:
+                return lambda: 1
+            if t.fn == FALSE_NAME:
+                return lambda: 0
+            args = [self._term(a, bound, lets) for a in t.args]
+            if t.fn in _CONNECTIVES:
+                return _CONNECTIVES[t.fn](*args)
+            k = lets[t.fn] if t.fn in lets else self.fn_slot(t.fn)
+            if not args:
+                return lambda: T[k][()]
+            if len(args) == 1:
+                (a,) = args
+                return lambda: T[k][(a(),)]
+            if len(args) == 2:
+                a, b = args
+                return lambda: T[k][(a(), b())]
+            return lambda: T[k][tuple([f() for f in args])]
+
+        if isinstance(t, Ite):
+            c = self._term(t.cond, bound, lets)
+            a = self._term(t.then, bound, lets)
+            b = self._term(t.els, bound, lets)
+            return lambda: a() if c() else b()
+
+        if isinstance(t, Eq):
+            a = self._term(t.left, bound, lets)
+            b = self._term(t.right, bound, lets)
+            return _CONNECTIVES[IFF](a, b)
+
+        if isinstance(t, (Forall, Exists)):
+            i = len(A)
+            A.append(0)
+            body = self._term(t.body, {**bound, t.var: i}, lets)
+            carrier = range(self.sizes[t.sort])
+            decisive = int(isinstance(t, Exists))  # the body value that ends the loop
+
+            def quantifier():
+                for A[i] in carrier:
+                    if body() == decisive:
+                        return decisive
+                return 1 - decisive
+            return quantifier
+
+        if isinstance(t, Let):
+            slots = list(range(len(A), len(A) + len(t.params)))
+            A.extend(0 for _ in slots)
+            inner = {**bound, **{x: i for (x, _), i in zip(t.params, slots)}}
+            # the body sees the outer meaning of the let's own symbol
+            body = self._term(t.body, inner, lets)
+            k = len(T)
+            T.append(None)
+            scope = self._term(t.scope, bound, {**lets, t.fn: k})
+            points = list(itertools.product(*(range(self.sizes[s]) for _, s in t.params)))
+
+            def let():
+                table = {}
+                for point in points:
+                    for i, value in zip(slots, point):
+                        A[i] = value
+                    table[point] = body()
+                T[k] = table
+                return scope()
+            return let
+
+        raise TypeError(f"not a term: {t!r}")
+
+
+def _fill(slots: dict[str, int], values: dict, into: list, kind: str) -> None:
+    for name, i in slots.items():
+        try:
+            into[i] = values[name]
+        except KeyError:
+            raise KeyError(f"{kind} {name!r} not interpreted") from None
+
+
 def eval_term(interp: Interpretation, t: Term) -> int:
     """The value of t, an element of the carrier of t's sort.
 
     The interpretation must cover every free variable and free function
     symbol of t; a missing entry raises KeyError.
     """
-    if isinstance(t, Var):
-        try:
-            return interp.assign[t.name]
-        except KeyError:
-            raise KeyError(f"variable {t.name!r} not interpreted") from None
-
-    if isinstance(t, App):
-        if t.fn == TRUE_NAME:
-            return 1
-        if t.fn == FALSE_NAME:
-            return 0
-        if t.fn == NOT:
-            return 1 - eval_term(interp, t.args[0])
-        if t.fn == AND:
-            return eval_term(interp, t.args[0]) & eval_term(interp, t.args[1])
-        if t.fn == OR:
-            return eval_term(interp, t.args[0]) | eval_term(interp, t.args[1])
-        if t.fn == IMPLIES:
-            return (1 - eval_term(interp, t.args[0])) | eval_term(interp, t.args[1])
-        if t.fn == IFF:
-            return int(eval_term(interp, t.args[0]) == eval_term(interp, t.args[1]))
-        try:
-            table = interp.tables[t.fn]
-        except KeyError:
-            raise KeyError(f"function symbol {t.fn!r} not interpreted") from None
-        point = tuple(eval_term(interp, a) for a in t.args)
-        return table[point]
-
-    if isinstance(t, Ite):
-        if eval_term(interp, t.cond) == 1:
-            return eval_term(interp, t.then)
-        return eval_term(interp, t.els)
-
-    if isinstance(t, Let):
-        spaces = [range(interp.sizes[s]) for _, s in t.params]
-        names = [x for x, _ in t.params]
-        table: dict[tuple[int, ...], int] = {}
-        for point in itertools.product(*spaces):
-            inner = interp
-            for name, value in zip(names, point):
-                inner = inner.with_var(name, value)
-            table[point] = eval_term(inner, t.body)
-        return eval_term(interp.with_fn(t.fn, table), t.scope)
-
-    if isinstance(t, Eq):
-        return int(eval_term(interp, t.left) == eval_term(interp, t.right))
-
-    if isinstance(t, Forall):
-        for a in range(interp.sizes[t.sort]):
-            if eval_term(interp.with_var(t.var, a), t.body) != 1:
-                return 0
-        return 1
-
-    if isinstance(t, Exists):
-        for a in range(interp.sizes[t.sort]):
-            if eval_term(interp.with_var(t.var, a), t.body) == 1:
-                return 1
-        return 0
-
-    raise TypeError(f"not a term: {t!r}")
+    program = _Program(interp.sizes)
+    run = program.compile(t)
+    _fill(program.free_vars, interp.assign, program.assign, "variable")
+    _fill(program.fns, interp.tables, program.tables, "function symbol")
+    return run()
 
 
 def models(interp: Interpretation, phi: Term) -> bool:
@@ -177,43 +262,70 @@ def models(interp: Interpretation, phi: Term) -> bool:
 # enumeration
 
 
-def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str):
-    """(argument tuples in lexicographic order, result carrier size)."""
+def _signature(ctx: TypeContext, fn: str):
     sig = ctx.fn_sig(fn)
     if sig is None:
         raise KeyError(f"symbol {fn!r} not declared")
+    return sig
+
+
+def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str):
+    """(argument tuples in lexicographic order, result carrier size)."""
+    sig = _signature(ctx, fn)
     points = list(itertools.product(*(range(spec.size(s)) for s in sig.args)))
     return points, spec.size(sig.result)
 
 
-def table_count(ctx: TypeContext, spec: DomainSpec, symbols) -> int:
-    """Number of distinct joint table assignments for the given symbols."""
+def table_count(ctx: TypeContext, spec: DomainSpec, symbols, cap: int = DEFAULT_CAP) -> int:
+    """Number of distinct joint table assignments for the given symbols,
+    or cap + 1 when there are more than cap.
+
+    Counted from carrier sizes alone, and never multiplied past the cap.
+    """
     total = 1
     for fn in symbols:
-        points, rng = _table_space(ctx, spec, fn)
-        total *= rng ** len(points)
+        sig = _signature(ctx, fn)
+        rng = spec.size(sig.result)
+        if rng == 1:
+            continue
+        points = 1
+        for s in sig.args:
+            points *= spec.size(s)
+            if points >= cap.bit_length():  # rng ** points >= 2 ** points > cap
+                return cap + 1
+        total *= rng**points
+        if total > cap:
+            return cap + 1
     return total
 
 
-def _iter_tables(ctx: TypeContext, spec: DomainSpec, symbols: list[str]):
-    """Yield dicts symbol -> table, lexicographic per symbol, symbols in
-    the given order (callers pass sorted names for determinism)."""
-    spaces = []
-    for fn in symbols:
-        points, rng = _table_space(ctx, spec, fn)
-        spaces.append((fn, points, rng))
+def _search(spaces, tables: list, checks):
+    """Yield once per joint table assignment that passes every check.
 
-    def rec(i: int, acc: dict):
-        if i == len(spaces):
-            yield dict(acc)
+    ``spaces[i]`` is (slot, argument tuples, result carrier size) of one
+    symbol; ``tables[slot]`` receives each of its tables in lexicographic
+    order, the first symbol varying slowest.  ``checks[i]`` runs once the
+    first i symbols have tables, and a branch is dropped as soon as one
+    returns 0.
+    """
+
+    def rec(level: int):
+        if level == len(spaces):
+            yield
             return
-        fn, points, rng = spaces[i]
+        slot, points, rng = spaces[level]
+        check = checks[level + 1]
         for values in itertools.product(range(rng), repeat=len(points)):
-            acc[fn] = dict(zip(points, values))
-            yield from rec(i + 1, acc)
-        acc.pop(fn, None)
+            tables[slot] = dict(zip(points, values))
+            if check():
+                yield from rec(level + 1)
 
-    yield from rec(0, {})
+    if checks[0]():
+        yield from rec(0)
+
+
+def _always() -> int:
+    return 1
 
 
 def enumerate_interpretations(
@@ -230,12 +342,13 @@ def enumerate_interpretations(
     partitioned by table prefix without changing the union.
     """
     names = sorted(symbols)
-    count = table_count(ctx, spec, names)
-    if count > cap:
-        raise EnumerationOverflow(count, cap)
+    if table_count(ctx, spec, names, cap) > cap:
+        raise EnumerationOverflow(cap)
     sizes = dict(spec.sizes)
-    for tables in _iter_tables(ctx, spec, names):
-        yield Interpretation(sizes, tables)
+    spaces = [(i, *_table_space(ctx, spec, fn)) for i, fn in enumerate(names)]
+    tables = [None] * len(names)
+    for _ in _search(spaces, tables, [_always] * (len(names) + 1)):
+        yield Interpretation(sizes, dict(zip(names, tables)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +393,49 @@ def check_model_preservation(
         is a model of phi.
 
     Original-symbol tables stay fixed during the extension search; only
-    the translation-introduced symbols are enumerated.
+    the translation-introduced symbols are enumerated, pruned as the
+    module docstring says.  ``checked`` is the size of the full product.
     """
     ctx = translated.ctx
     fresh = sorted(translated.fresh_symbols)
+    checks = [*translated.defs, translated.current]
     base_symbols = sorted(
         fn
-        for fn in free_fns(phi) | set().union(*(free_fns(d) for d in translated.defs), free_fns(translated.current))
+        for fn in free_fns(phi).union(*map(free_fns, checks))
         if fn not in BUILTIN_FNS and fn not in fresh
     )
-
-    base_count = table_count(ctx, spec, base_symbols)
-    ext_count = table_count(ctx, spec, fresh)
-    total = base_count * ext_count
+    total = table_count(ctx, spec, base_symbols + fresh, cap)
     if total > cap:
-        raise EnumerationOverflow(total, cap)
+        raise EnumerationOverflow(cap)
 
-    defs = list(translated.defs)
-    phi_prime = translated.current
     sizes = dict(spec.sizes)
+    program = _Program(sizes)
+    phi_holds = program.compile(phi)
+    # a check runs as soon as every fresh symbol it mentions has a table
+    level_of = {fn: i + 1 for i, fn in enumerate(fresh)}
+    by_level: list[list[Term]] = [[] for _ in range(len(fresh) + 1)]
+    for d in checks:
+        by_level[max((level_of[fn] for fn in free_fns(d) if fn in level_of), default=0)].append(d)
+    ext_checks = [
+        program.compile(functools.reduce(land, ds)) if ds else _always for ds in by_level
+    ]
+    _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
+
+    tables = program.tables
+    base_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn)) for fn in base_symbols]
+    ext_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn)) for fn in fresh]
+    no_checks = [_always] * (len(base_symbols) + 1)
     report = PreservationReport(checked=total)
 
-    for base_tables in _iter_tables(ctx, spec, base_symbols):
-        base = Interpretation(sizes, base_tables)
-        phi_holds = models(base, phi)
-        extension_found = False
-        for ext_tables in _iter_tables(ctx, spec, fresh):
-            combined = Interpretation(sizes, {**base_tables, **ext_tables})
-            if all(models(combined, d) for d in defs) and models(combined, phi_prime):
-                extension_found = True
-                if not phi_holds:
-                    report.counterexamples.append(("reduct", combined))
-        if phi_holds and not extension_found:
-            report.counterexamples.append(("extension", base))
+    def snapshot(names) -> Interpretation:
+        return Interpretation(sizes, {fn: tables[program.fns[fn]] for fn in names})
+
+    for _ in _search(base_spaces, tables, no_checks):
+        extensions = _search(ext_spaces, tables, ext_checks)
+        if phi_holds():
+            if not any(True for _ in extensions):  # one extension is enough
+                report.counterexamples.append(("extension", snapshot(base_symbols)))
+        else:
+            for _ in extensions:
+                report.counterexamples.append(("reduct", snapshot(base_symbols + fresh)))
     return report

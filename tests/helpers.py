@@ -83,10 +83,9 @@ def _with_def(state, i, binds, body):
     return dataclasses.replace(state, defs=defs)
 
 
-def mutate_drop(state, i):
-    """Remove one definition entirely."""
-    defs = list(state.defs)
-    defs.pop(i)
+def mutate_drop(state, *indices):
+    """Remove the given definitions entirely."""
+    defs = [d for i, d in enumerate(state.defs) if i not in indices]
     return dataclasses.replace(state, defs=defs)
 
 

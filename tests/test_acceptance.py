@@ -123,6 +123,14 @@ MUTATION_FIXTURES = {
     "ite-open": "tff(s_s, type, s : $tType).\ntff(d_p, type, p : s > $o).\n"
     "tff(d_c, type, c : s).\n"
     "tff(f1, axiom, ![X : s] : ($ite(p(X), X, c) = X)).\n",
+    # two fresh symbols, each named by its own definition; with both
+    # definitions dropped, the order of the reported extensions shows
+    "step2-pair": "tff(s_s, type, s : $tType).\ntff(d_f, type, f : $o > s).\n"
+    "tff(d_pp, type, pp : $o).\ntff(d_qq, type, qq : $o).\n"
+    "tff(f1, axiom, f(pp & qq) = f(pp | qq)).\n",
+    "step2-pair-apart": "tff(s_s, type, s : $tType).\ntff(d_f, type, f : $o > s).\n"
+    "tff(d_pp, type, pp : $o).\ntff(d_qq, type, qq : $o).\n"
+    "tff(f1, axiom, f(pp & qq) != f(pp | qq)).\n",
 }
 
 # (fixture, mutation, arguments): a fixed seeded set covering dropped
@@ -142,6 +150,8 @@ MUTATIONS = [
     ("ite-open", helpers.mutate_drop, (1,)),
     ("ite-open", helpers.mutate_flip_guard, (1,)),
     ("ite-open", helpers.mutate_swap_branches, (0, 1)),
+    ("step2-pair", helpers.mutate_negate_named, (0,)),
+    ("step2-pair-apart", helpers.mutate_drop, (0, 1)),
 ]
 
 

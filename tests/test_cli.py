@@ -1,6 +1,10 @@
 """Exit codes, outputs and the bench table."""
 
+import os
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -9,6 +13,7 @@ from foolkit.cli import main, run_bench
 from fixtures import CONTAINS_ITE, VERIFICATION_LISTING
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -144,6 +149,29 @@ def test_verify_overflow_exit(tmp_path, capsys):
     )
     assert main(["verify", str(path), "--domains", "s=3", "--cap", "100"]) == 3
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["100", "100000"])
+def test_verify_overflow_of_a_huge_space_is_prompt(tmp_path, size):
+    # s=100 gives 100 ** 10_000 interpretations, whose decimal form is
+    # longer than Python will print; the count must stop at the cap.
+    path = tmp_path / "p.p"
+    path.write_text(
+        "tff(s_s, type, s : $tType).\n"
+        "tff(d_f, type, f : (s * s) > s).\n"
+        "tff(f, axiom, ![X : s] : (f(X, X) = X)).\n"
+    )
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "foolkit.cli", "verify", str(path), "--domains", f"s={size}"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert time.monotonic() - started < 1.0
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: enumeration overflow: more than 10000000 interpretations\n"
 
 
 def test_prove_refutes_both_modes(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -32,10 +34,11 @@ from foolkit import (
     run_translation,
 )
 from generate import TermGen
-from foolkit.semantics import table_count
-from foolkit.terms import FALSE, TRUE, Sort, subst_free_vars
+from foolkit.semantics import DEFAULT_CAP, table_count
+from foolkit.terms import FALSE, TRUE, Sort, subst_free_vars, term_to_str
 
 S = Sort("s")
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def interp(sizes=None, tables=None, assign=None):
@@ -310,3 +313,81 @@ def test_quantifier_clauses_match_finite_expansion():
             ]
             assert eval_term(interp, forall) == min(points)
             assert eval_term(interp, exists) == max(points)
+
+
+# ---------------------------------------------------------------------------
+# pinned reports
+
+
+def _pinned(report):
+    return {"checked": report.checked, "render": report.render().split("\n")}
+
+
+def test_oracle_reports_are_pinned():
+    """Every corpus problem, every seeded mutation and the random closed
+    formulas of the property suite give the recorded report: the same
+    verdict, count and counterexample lines in the same order."""
+    import corpus
+    import helpers
+    from test_acceptance import MUTATION_FIXTURES, MUTATIONS, translate_problem
+    from test_properties import closed, lean_generator
+
+    golden = json.loads((GOLDEN / "preservation.json").read_text())
+    for name, text, sizes in corpus.PRESERVATION:
+        problem, phi, state = translate_problem(text)
+        report = check_model_preservation(phi, state, helpers.domain_spec_for(problem, sizes))
+        assert _pinned(report) == golden["corpus"][name], name
+    assert len(golden["corpus"]) == len(corpus.PRESERVATION)
+
+    states = {}
+    for name, text in MUTATION_FIXTURES.items():
+        problem, phi, state = translate_problem(text)
+        states[name] = (phi, state, helpers.domain_spec_for(problem))
+    got = []
+    for name, mutate, args in MUTATIONS:
+        phi, state, spec = states[name]
+        report = check_model_preservation(phi, mutate(state, *args), spec)
+        got.append({"fixture": name, "mutation": mutate.__name__, "args": list(args), **_pinned(report)})
+    assert got == golden["mutations"]
+
+    gen, s = lean_generator(99)
+    ctx = TypeContext.of(gen.sig)
+    spec = DomainSpec({s: 2})
+    got = []
+    checked = 0
+    # the same draws as test_random_formulas_translate_and_preserve
+    while checked < 60 and len(got) < 400:
+        phi = closed(gen, gen.formula())
+        state = run_translation(phi, ctx)
+        item = {"formula": term_to_str(phi)}
+        try:
+            item.update(_pinned(check_model_preservation(phi, state, spec, cap=40_000)))
+            checked += 1
+        except EnumerationOverflow:
+            item["overflow"] = True
+        got.append(item)
+    assert got == golden["random"]
+
+
+def test_pinned_mutations_reach_depth_two():
+    """Two pinned mutations have two fresh symbols, so the extension
+    search prunes at depth 1 and 2: one reports in both directions, one
+    reports several extensions of one base interpretation in order."""
+    golden = json.loads((GOLDEN / "preservation.json").read_text())
+    pair, apart = [m["render"] for m in golden["mutations"] if m["fixture"].startswith("step2-pair")]
+    directions = [line.split()[1] for line in pair]
+    assert directions.count("reduct") >= 2 and directions.count("extension") >= 1
+    bases = [line.split(" sk_fool_0")[0] for line in apart]
+    assert len(set(bases)) < len(bases)
+
+
+def test_table_count_stops_at_the_cap():
+    ctx, s = stage({"f": TypeSig((S, S), S), "c": TypeSig((), S)})
+    assert table_count(ctx, DomainSpec({S: 3}), ["f", "c"]) == 3**9 * 3
+    assert table_count(ctx, DomainSpec({S: 3}), ["f"], cap=100) == 101
+    assert table_count(ctx, DomainSpec({S: 3}), ["f", "c"], cap=3**9) == 3**9 + 1
+    # 100 ** 10_000 has 20_001 digits; it is never built
+    assert table_count(ctx, DomainSpec({S: 100}), ["f"]) == DEFAULT_CAP + 1
+    assert table_count(ctx, DomainSpec({S: 10**6}), ["c"], cap=10**6) == 10**6
+    ones = stage({"u": TypeSig((S, S), Sort("one"))})[0]
+    assert table_count(ones, DomainSpec({S: 10**5, Sort("one"): 1}), ["u"]) == 1
