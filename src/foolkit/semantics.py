@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -55,10 +56,11 @@ DEFAULT_CAP = 10_000_000
 
 
 class EnumerationOverflow(Exception):
-    """The requested interpretation space exceeds the configured cap."""
+    """The requested interpretation space, or the table of one symbol,
+    exceeds the configured cap."""
 
-    def __init__(self, cap: int) -> None:
-        super().__init__(f"more than {cap} interpretations")
+    def __init__(self, cap: int, what: str = "interpretations") -> None:
+        super().__init__(f"more than {cap} {what}")
         self.cap = cap
 
 
@@ -269,11 +271,17 @@ def _signature(ctx: TypeContext, fn: str):
     return sig
 
 
-def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str):
-    """(argument tuples in lexicographic order, result carrier size)."""
+def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
+    """(argument tuples in lexicographic order, result carrier size).
+
+    A symbol into a one-element carrier has one table however many
+    entries it has, so the interpretation count does not bound those.
+    """
     sig = _signature(ctx, fn)
-    points = list(itertools.product(*(range(spec.size(s)) for s in sig.args)))
-    return points, spec.size(sig.result)
+    sizes = [spec.size(s) for s in sig.args]
+    if math.prod(sizes) > cap:
+        raise EnumerationOverflow(cap, "table entries")
+    return list(itertools.product(*map(range, sizes))), spec.size(sig.result)
 
 
 def table_count(ctx: TypeContext, spec: DomainSpec, symbols, cap: int = DEFAULT_CAP) -> int:
@@ -345,7 +353,7 @@ def enumerate_interpretations(
     if table_count(ctx, spec, names, cap) > cap:
         raise EnumerationOverflow(cap)
     sizes = dict(spec.sizes)
-    spaces = [(i, *_table_space(ctx, spec, fn)) for i, fn in enumerate(names)]
+    spaces = [(i, *_table_space(ctx, spec, fn, cap)) for i, fn in enumerate(names)]
     tables = [None] * len(names)
     for _ in _search(spaces, tables, [_always] * (len(names) + 1)):
         yield Interpretation(sizes, dict(zip(names, tables)))
@@ -422,8 +430,8 @@ def check_model_preservation(
     _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
 
     tables = program.tables
-    base_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn)) for fn in base_symbols]
-    ext_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn)) for fn in fresh]
+    base_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn, cap)) for fn in base_symbols]
+    ext_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn, cap)) for fn in fresh]
     no_checks = [_always] * (len(base_symbols) + 1)
     report = PreservationReport(checked=total)
 

@@ -6,6 +6,12 @@ function symbols applied through ``App``; binders (quantifiers and let
 definitions) annotate their bound names with sorts, so sort checking is
 pure bottom-up synthesis.
 
+This module is also the one occurrence classifier: ``occurrence_at``
+walks a path and says what the position means for the subterm there
+(its context, the binders above it and the lowering step that applies
+to it).  A formula is syntactically first-order when no lowering step
+applies at any occurrence.
+
 Terms are immutable values.  All operations here are pure and safe to
 call from multiple threads.
 """
@@ -13,7 +19,7 @@ call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +395,17 @@ def all_names(t: Term) -> set[str]:
 
 
 def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Forall, Exists)):
-        return free_vars(t.body) - {t.var}
-    if isinstance(t, Let):
-        inner = free_vars(t.body) - {x for x, _ in t.params}
-        return inner | free_vars(t.scope)
-    out: set[str] = set()
-    for k in children(t):
-        out |= free_vars(k)
-    return out
+    return set(free_vars_ordered(t))
 
 
 def free_vars_ordered(t: Term) -> list[str]:
     """Free variables in order of first free occurrence (leftmost-outermost)."""
-    seen: list[str] = []
+    seen: dict[str, None] = {}
 
     def go(u: Term, bound: frozenset[str]) -> None:
         if isinstance(u, Var):
-            if u.name not in bound and u.name not in seen:
-                seen.append(u.name)
+            if u.name not in bound:
+                seen.setdefault(u.name)
             return
         if isinstance(u, (Forall, Exists)):
             go(u.body, bound | {u.var})
@@ -422,7 +418,7 @@ def free_vars_ordered(t: Term) -> list[str]:
             go(k, bound)
 
     go(t, frozenset())
-    return seen
+    return list(seen)
 
 
 def free_fns(t: Term) -> set[str]:
@@ -442,11 +438,79 @@ def free_fns(t: Term) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# occurrence contexts
+# occurrences: the one classifier (see the module docstring)
 
 FORMULA_CONTEXT = "formula-context"
 TERM_CONTEXT = "term-context"
 NO_CONTEXT = "not-applicable"
+
+
+class Occurrence(NamedTuple):
+    """A subterm and what its position says about it; the defaults
+    describe the root of a formula."""
+
+    term: Term
+    # formula-context for arguments of connectives, quantifier bodies and
+    # if-then-else conditions; term-context for arguments of other
+    # symbols, equality operands and if-then-else branches (they end up as
+    # equation sides); not-applicable for the root and the children of a let
+    strict: str = NO_CONTEXT
+    # bound above the subterm, outermost first: (name, sort) for a
+    # variable, the let node itself for a let-bound symbol
+    binders: tuple = ()
+    # like strict, but a let's children keep a context: its body becomes
+    # an equation side and its scope replaces it in place
+    effective: str = FORMULA_CONTEXT
+
+
+def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
+    """``kid``, child ``i`` of the occurrence, with its strict context,
+    binders and effective context."""
+    t = occ.term
+    if isinstance(t, App):
+        strict = FORMULA_CONTEXT if t.fn in CONNECTIVES else TERM_CONTEXT
+    elif isinstance(t, (Forall, Exists)):
+        binders = occ.binders + ((t.var, t.sort),)
+        return Occurrence(kid, FORMULA_CONTEXT, binders, FORMULA_CONTEXT)
+    elif isinstance(t, Let):
+        if i == 0:
+            return Occurrence(kid, NO_CONTEXT, occ.binders + t.params, TERM_CONTEXT)
+        return Occurrence(kid, NO_CONTEXT, occ.binders + (t,), occ.effective)
+    else:  # Eq, or Ite, whose condition is a formula
+        strict = FORMULA_CONTEXT if i == 0 and isinstance(t, Ite) else TERM_CONTEXT
+    return Occurrence(kid, strict, occ.binders, strict)
+
+
+def occurrence_at(t: Term, path: tuple[int, ...]) -> Occurrence:
+    """Walk ``path`` from the root of ``t``."""
+    occ = Occurrence(t)
+    for i in path:
+        kids = children(occ.term)
+        if not 0 <= i < len(kids):
+            raise ValueError(f"path {path!r} does not address a subterm")
+        occ = child_occurrence(occ, i, kids[i])
+    return occ
+
+
+def redex_kind(t: Term, context: str) -> str | None:
+    """The lowering step for ``t`` in the context, eligible or not: a let, an
+    if-then-else, a variable in a formula context (boolean in a
+    well-sorted formula), or a connective application, equality or
+    quantification in a term context.  A bare variable or a truth
+    constant in a term context is a legal first-order term over the
+    boolean sort."""
+    if isinstance(t, App):
+        if context == TERM_CONTEXT and t.fn in CONNECTIVES:
+            return "formula-in-term"
+        return None
+    if isinstance(t, Var):
+        return "bool-var" if context == FORMULA_CONTEXT else None
+    if isinstance(t, Let):
+        return "let"
+    if isinstance(t, Ite):
+        return "ite"
+    # Eq, Forall, Exists
+    return "formula-in-term" if context == TERM_CONTEXT else None
 
 
 @dataclass(frozen=True)
@@ -461,74 +525,18 @@ class OccurrenceClass:
     context: str
 
 
-def _child_context(parent: Term, index: int) -> str:
-    if isinstance(parent, App):
-        return FORMULA_CONTEXT if parent.fn in CONNECTIVES else TERM_CONTEXT
-    if isinstance(parent, (Forall, Exists)):
-        return FORMULA_CONTEXT
-    if isinstance(parent, Eq):
-        return TERM_CONTEXT
-    if isinstance(parent, Ite):
-        # The condition is eliminated as a formula; the branches end up as
-        # equation sides, i.e. term positions.
-        return FORMULA_CONTEXT if index == 0 else TERM_CONTEXT
-    if isinstance(parent, Let):
-        return NO_CONTEXT
-    return NO_CONTEXT
-
-
 def classify_occurrence(t: Term, path: tuple[int, ...]) -> OccurrenceClass:
-    """Classify the subterm occurrence addressed by path.
-
-    Context is formula-context for arguments of connectives, quantifier
-    bodies and if-then-else conditions; term-context for arguments of
-    other function symbols, equality operands and if-then-else branches;
-    not-applicable otherwise (including the root).
-    """
-    cur = t
-    bound_vars: set[str] = set()
-    bound_fns: set[str] = set()
-    context = NO_CONTEXT
-    for i in path:
-        kids = children(cur)
-        if not 0 <= i < len(kids):
-            raise ValueError(f"invalid path {path!r}")
-        context = _child_context(cur, i)
-        if isinstance(cur, (Forall, Exists)):
-            bound_vars.add(cur.var)
-        elif isinstance(cur, Let):
-            if i == 0:
-                bound_vars = bound_vars | {x for x, _ in cur.params}
-            else:
-                bound_fns = bound_fns | {cur.fn}
-        cur = kids[i]
+    """Classify the subterm occurrence addressed by path; its context is
+    the occurrence's strict context."""
+    occ = occurrence_at(t, path)
+    cur = occ.term
     if isinstance(cur, Var):
-        kind = "bound" if cur.name in bound_vars else "free"
+        bound = any(not isinstance(b, Let) and b[0] == cur.name for b in occ.binders)
     elif isinstance(cur, App):
-        kind = "bound" if cur.fn in bound_fns else "free"
+        bound = any(isinstance(b, Let) and b.fn == cur.fn for b in occ.binders)
     else:
-        kind = None
-    return OccurrenceClass(kind, context)
-
-
-def is_atomic(t: Term) -> bool:
-    """Variables and plain applications of non-connective symbols.
-
-    Non-atomic boolean terms (connective applications, equalities and
-    quantified terms) are the formulas that may not stand in a term
-    context of a syntactically first-order formula.
-    """
-    if isinstance(t, Var):
-        return True
-    return isinstance(t, App) and t.fn not in CONNECTIVES
-
-
-def _is_formula_shaped(t: Term) -> bool:
-    """Structurally boolean and non-atomic: connective app, equality,
-    quantification.  (If-then-else and let nodes are flagged separately.)"""
-    if isinstance(t, (Eq, Forall, Exists)):
-        return True
-    return isinstance(t, App) and t.fn in CONNECTIVES
+        return OccurrenceClass(None, occ.strict)
+    return OccurrenceClass("bound" if bound else "free", occ.strict)
 
 
 @dataclass(frozen=True)
@@ -538,33 +546,31 @@ class FirstOrderCheck:
     reason: str | None = None
 
 
+_REASONS = {
+    "let": "let expression",
+    "ite": "ite expression",
+    "bool-var": "variable in formula context",
+    "formula-in-term": "formula in term context",
+}
+
+
 def is_syntactically_first_order(t: Term) -> FirstOrderCheck:
-    """Check for if-then-else/let nodes, variables in formula context and
-    formulas in term context; the witness is the offending occurrence path.
-
-    A bare boolean variable or a truth constant in a term context is
-    acceptable: both are legal first-order terms over the boolean sort.
-    """
-
-    def go(u: Term, path: tuple[int, ...], ctx: str) -> FirstOrderCheck:
-        if isinstance(u, (Ite, Let)):
-            kind = "ite" if isinstance(u, Ite) else "let"
-            return FirstOrderCheck(False, path, f"{kind} expression")
-        if isinstance(u, Var) and ctx == FORMULA_CONTEXT:
-            return FirstOrderCheck(False, path, "variable in formula context")
-        if ctx == TERM_CONTEXT and _is_formula_shaped(u):
-            return FirstOrderCheck(False, path, "formula in term context")
-        for i, k in enumerate(children(u)):
-            got = go(k, path + (i,), _child_context(u, i))
-            if not got.ok:
-                return got
-        return FirstOrderCheck(True)
-
-    return go(t, (), NO_CONTEXT)
+    """No lowering step applies anywhere in ``t``; otherwise the witness is
+    the leftmost-outermost occurrence where one does."""
+    stack = [((), Occurrence(t))]
+    while stack:
+        path, occ = stack.pop()
+        kind = redex_kind(occ.term, occ.strict)
+        if kind is not None:
+            return FirstOrderCheck(False, path, _REASONS[kind])
+        kids = children(occ.term)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), child_occurrence(occ, i, kids[i])))
+    return FirstOrderCheck(True)
 
 
 # ---------------------------------------------------------------------------
-# substitution and renaming
+# substitution
 
 
 def subst_free_vars(t: Term, mapping: dict[str, Term]) -> Term:
@@ -592,97 +598,6 @@ def subst_free_vars(t: Term, mapping: dict[str, Term]) -> Term:
         )
     kids = tuple(subst_free_vars(k, mapping) for k in children(t))
     return with_children(t, kids)
-
-
-def rename_apart(t: Term, avoid: Iterable[str] = ()) -> Term:
-    """Alpha-rename so all bound variable and bound symbol names are
-    pairwise distinct and disjoint from ``avoid``.
-
-    Names are drawn deterministically by suffixing a counter to the
-    original name; free occurrences are never touched.
-    """
-    taken = set(avoid) | all_names(t)
-
-    def fresh(base: str) -> str:
-        k = 0
-        while f"{base}{k}" in taken:
-            k += 1
-        name = f"{base}{k}"
-        taken.add(name)
-        return name
-
-    def go(u: Term, vmap: dict[str, str], fmap: dict[str, str]) -> Term:
-        if isinstance(u, Var):
-            return Var(vmap.get(u.name, u.name))
-        if isinstance(u, App):
-            return App(fmap.get(u.fn, u.fn), tuple(go(a, vmap, fmap) for a in u.args))
-        if isinstance(u, (Forall, Exists)):
-            v2 = fresh(u.var)
-            return type(u)(v2, u.sort, go(u.body, {**vmap, u.var: v2}, fmap))
-        if isinstance(u, Let):
-            params2 = tuple((fresh(x), s) for x, s in u.params)
-            vmap2 = {**vmap, **{x: x2 for (x, _), (x2, _) in zip(u.params, params2)}}
-            body2 = go(u.body, vmap2, fmap)
-            f2 = fresh(u.fn)
-            scope2 = go(u.scope, vmap, {**fmap, u.fn: f2})
-            return Let(f2, params2, body2, scope2)
-        if isinstance(u, Ite):
-            return Ite(go(u.cond, vmap, fmap), go(u.then, vmap, fmap), go(u.els, vmap, fmap))
-        if isinstance(u, Eq):
-            return Eq(go(u.left, vmap, fmap), go(u.right, vmap, fmap))
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(t, {}, {})
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    """Structural equality modulo consistent renaming of bound names."""
-
-    def go(u, v, vu, vv, fu, fv, n):
-        if type(u) is not type(v):
-            return False
-        if isinstance(u, Var):
-            iu, iv = vu.get(u.name), vv.get(v.name)
-            if iu is None and iv is None:
-                return u.name == v.name
-            return iu == iv
-        if isinstance(u, App):
-            iu, iv = fu.get(u.fn), fv.get(v.fn)
-            if (iu is None) != (iv is None) or (iu is None and u.fn != v.fn) or iu != iv:
-                return False
-            if len(u.args) != len(v.args):
-                return False
-            return all(go(x, y, vu, vv, fu, fv, n) for x, y in zip(u.args, v.args))
-        if isinstance(u, (Forall, Exists)):
-            if u.sort != v.sort:
-                return False
-            return go(u.body, v.body, {**vu, u.var: n}, {**vv, v.var: n}, fu, fv, n + 1)
-        if isinstance(u, Let):
-            if len(u.params) != len(v.params):
-                return False
-            if any(s != s2 for (_, s), (_, s2) in zip(u.params, v.params)):
-                return False
-            vu2, vv2 = dict(vu), dict(vv)
-            m = n
-            for (x, _), (y, _) in zip(u.params, v.params):
-                vu2[x], vv2[y] = m, m
-                m += 1
-            if not go(u.body, v.body, vu2, vv2, fu, fv, m):
-                return False
-            return go(u.scope, v.scope, vu, vv, {**fu, u.fn: m}, {**fv, v.fn: m}, m + 1)
-        if isinstance(u, Ite):
-            return (
-                go(u.cond, v.cond, vu, vv, fu, fv, n)
-                and go(u.then, v.then, vu, vv, fu, fv, n)
-                and go(u.els, v.els, vu, vv, fu, fv, n)
-            )
-        if isinstance(u, Eq):
-            return go(u.left, v.left, vu, vv, fu, fv, n) and go(
-                u.right, v.right, vu, vv, fu, fv, n
-            )
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(a, b, {}, {}, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------

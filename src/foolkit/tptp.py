@@ -193,9 +193,6 @@ class Problem:
     def ctx(self) -> TypeContext:
         return TypeContext.of(self.signature)
 
-    def by_role(self, role: str) -> list[AnnotatedFormula]:
-        return [f for f in self.formulas if f.role == role]
-
     def goal_formula(self) -> Term:
         parts = [
             f.payload
@@ -250,9 +247,25 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is ``text``."""
+        if self.tokens[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
+
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
+
+    def parse_symbol(self, what: str) -> tuple[str, Token]:
+        """A lower-case or quoted symbol, unquoted, and its token."""
+        tok = self.next()
+        if tok.kind == "lower":
+            return tok.text, tok
+        if tok.kind == "quoted":
+            return _unquote(tok.text), tok
+        raise ParseError(f"invalid {what} {tok.text!r}", tok.line, tok.col)
 
     # grammar
 
@@ -314,16 +327,8 @@ class _Parser:
         raise ParseError(f"invalid formula name {tok.text!r}", tok.line, tok.col)
 
     def parse_type_payload(self) -> SortDecl | SymbolDecl:
-        wrapped = self.peek().text == "("
-        if wrapped:
-            self.next()
-        tok = self.next()
-        if tok.kind == "quoted":
-            name = _unquote(tok.text)
-        elif tok.kind == "lower":
-            name = tok.text
-        else:
-            raise ParseError(f"invalid declared name {tok.text!r}", tok.line, tok.col)
+        wrapped = self.accept("(")
+        name, tok = self.parse_symbol("declared name")
         if not self.strict and name.startswith(RESERVED_PREFIX):
             raise ParseError(
                 f"the {RESERVED_PREFIX!r} prefix is reserved for generated symbols",
@@ -331,8 +336,7 @@ class _Parser:
                 tok.col,
             )
         self.expect(":")
-        if self.peek().text == "$tType":
-            self.next()
+        if self.accept("$tType"):
             decl: SortDecl | SymbolDecl = SortDecl(name)
         else:
             decl = SymbolDecl(name, self.parse_type())
@@ -359,20 +363,13 @@ class _Parser:
 
     def parse_type(self) -> TypeSig:
         where = self.peek()
-        if self.peek().text == "(":
-            self.next()
-            args = [self.parse_sort()]
-            while self.peek().text == "*":
-                self.next()
-                args.append(self.parse_sort())
+        wrapped = self.accept("(")
+        args = [self.parse_sort()]
+        while self.accept("*"):
+            args.append(self.parse_sort())
+        if wrapped:
             self.expect(")")
-        else:
-            args = [self.parse_sort()]
-            while self.peek().text == "*":
-                self.next()
-                args.append(self.parse_sort())
-        if self.peek().text == ">":
-            self.next()
+        if self.accept(">"):
             result = self.parse_sort()
             sig = TypeSig(tuple(args), result)
         else:
@@ -458,10 +455,8 @@ class _Parser:
                     var_tok.col,
                 )
             binds.append((var_tok.text, sort))
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
+            if not self.accept(","):
+                break
         self.expect("]")
         self.expect(":")
         body = self.parse_unit()
@@ -493,12 +488,10 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
     def parse_optional_args(self) -> tuple[Term, ...]:
-        if self.peek().text != "(":
+        if not self.accept("("):
             return ()
-        self.next()
         args = [self.parse_expr()]
-        while self.peek().text == ",":
-            self.next()
+        while self.accept(","):
             args.append(self.parse_expr())
         self.expect(")")
         return tuple(args)
@@ -531,18 +524,8 @@ class _Parser:
 
     def parse_let(self, word: str, where: Token) -> Term:
         self.expect("(")
+        fn, _ = self.parse_symbol("let-bound symbol")
         if word == "$let":
-            name_tok = self.next()
-            if name_tok.kind == "quoted":
-                fn = _unquote(name_tok.text)
-            elif name_tok.kind == "lower":
-                fn = name_tok.text
-            else:
-                raise ParseError(
-                    f"invalid let-bound symbol {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
             self.expect(":")
             sig = self.parse_type()
             self.expect(",")
@@ -555,8 +538,7 @@ class _Parser:
                     head_tok.col,
                 )
             formals: list[str] = []
-            if self.peek().text == "(":
-                self.next()
+            if self.accept("("):
                 while True:
                     var_tok = self.next()
                     if var_tok.kind != "upper":
@@ -566,10 +548,8 @@ class _Parser:
                             var_tok.col,
                         )
                     formals.append(var_tok.text)
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
+                    if not self.accept(","):
+                        break
                 self.expect(")")
             if len(formals) != len(set(formals)):
                 raise ParseError(
@@ -589,17 +569,6 @@ class _Parser:
         else:
             # Legacy form: no type annotation, so only constant bindings
             # (the bound symbol's sort is inferred from the body).
-            name_tok = self.next()
-            if name_tok.kind == "quoted":
-                fn = _unquote(name_tok.text)
-            elif name_tok.kind == "lower":
-                fn = name_tok.text
-            else:
-                raise ParseError(
-                    f"invalid let-bound symbol {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
             if self.peek().text == "(":
                 raise ParseError(
                     f"{word} with parameters is not supported; "

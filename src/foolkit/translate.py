@@ -26,7 +26,7 @@ closed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 from .terms import (
     App,
@@ -40,7 +40,6 @@ from .terms import (
     FORMULA_CONTEXT,
     Ite,
     Let,
-    NO_CONTEXT,
     RESERVED_PREFIX,
     Sort,
     TERM_CONTEXT,
@@ -49,9 +48,9 @@ from .terms import (
     TypeContext,
     TypeSig,
     Var,
-    _child_context,
-    _is_formula_shaped,
+    Occurrence,
     all_names,
+    child_occurrence,
     children,
     forall_prefix,
     free_fns,
@@ -62,6 +61,8 @@ from .terms import (
     limplies,
     lnot,
     lor,
+    occurrence_at,
+    redex_kind,
     replace_at,
     subst_free_vars,
     with_children,
@@ -76,10 +77,8 @@ class TranslationState:
     """The formula being rewritten, the definitions produced so far, and
     the context extended with the fresh symbols."""
 
-    phi: Term
     current: Term
     ctx: TypeContext
-    base_ctx: TypeContext
     defs: list[Term] = field(default_factory=list)
     fresh_symbols: list[str] = field(default_factory=list)
     steps: list[tuple[str, Target, tuple[int, ...]]] = field(default_factory=list)
@@ -122,99 +121,46 @@ class TranslationState:
 
 
 # ---------------------------------------------------------------------------
-# occurrences
+# occurrences (classified in terms.py; what needs sorts lives here)
 
 
-class _Occ(NamedTuple):
-    """A subterm and what its position says about it; the defaults
-    describe the root of a formula."""
-
-    term: Term
-    strict: str = NO_CONTEXT  # context per the published classification
-    # bound above the subterm, outermost first: (name, sort) for a
-    # variable, the let node itself for a let-bound symbol
-    binders: tuple = ()
-    # like strict, but a let's children keep a context: its body becomes
-    # an equation side and its scope replaces it in place
-    effective: str = FORMULA_CONTEXT
-
-    def ctx(self, base: TypeContext) -> TypeContext:
-        """``base`` extended with the binders; built when a step needs it,
-        so it sees every fresh symbol introduced so far."""
-        ctx = base
-        for b in self.binders:
-            if isinstance(b, Let):
-                body_sort = infer_sort(ctx.with_vars(b.params), b.body)
-                ctx = ctx.with_fn(b.fn, TypeSig(tuple(s for _, s in b.params), body_sort))
-            else:
-                ctx = ctx.with_var(*b)
-        return ctx
-
-    def clash(self) -> set[str]:
-        """Locally bound let symbols occurring free in the subterm."""
-        bound = {b.fn for b in self.binders if isinstance(b, Let)}
-        return free_fns(self.term) & bound if bound else set()
+def _binder_ctx(occ: Occurrence, base: TypeContext) -> TypeContext:
+    """``base`` extended with the occurrence's binders; built when a step
+    needs it, so it sees every fresh symbol introduced so far."""
+    ctx = base
+    for b in occ.binders:
+        if isinstance(b, Let):
+            body_sort = infer_sort(ctx.with_vars(b.params), b.body)
+            ctx = ctx.with_fn(b.fn, TypeSig(tuple(s for _, s in b.params), body_sort))
+        else:
+            ctx = ctx.with_var(*b)
+    return ctx
 
 
-def _child(occ: _Occ, i: int, kid: Term) -> _Occ:
-    """``kid``, child ``i`` of the occurrence, with its strict context,
-    binders and effective context."""
-    t, binders = occ.term, occ.binders
-    if isinstance(t, (Forall, Exists)):
-        return _Occ(kid, FORMULA_CONTEXT, binders + ((t.var, t.sort),), FORMULA_CONTEXT)
-    if isinstance(t, Let):
-        if i == 0:
-            return _Occ(kid, NO_CONTEXT, binders + t.params, TERM_CONTEXT)
-        return _Occ(kid, NO_CONTEXT, binders + (t,), occ.effective)
-    strict = _child_context(t, i)
-    return _Occ(kid, strict, binders, strict)
-
-
-def _occ_at(chi: Term, path: tuple[int, ...]) -> _Occ:
-    """Walk ``path`` from the root of ``chi``."""
-    occ = _Occ(chi)
-    for i in path:
-        kids = children(occ.term)
-        if not 0 <= i < len(kids):
-            raise ValueError(f"path {path!r} does not address a subterm")
-        occ = _child(occ, i, kids[i])
-    return occ
-
-
-def _redex_kind(occ: _Occ) -> str | None:
-    """The step for the occurrence, eligible or not.  A variable in a
-    formula context of a well-sorted formula is boolean; step 1 checks."""
-    t = occ.term
-    if isinstance(t, Let):
-        return "let"
-    if isinstance(t, Ite):
-        return "ite"
-    if isinstance(t, Var):
-        return "bool-var" if occ.strict == FORMULA_CONTEXT else None
-    if occ.strict == TERM_CONTEXT and _is_formula_shaped(t):
-        return "formula-in-term"
-    return None
+def _clash(occ: Occurrence) -> set[str]:
+    """Locally bound let symbols occurring free in the subterm."""
+    bound = {b.fn for b in occ.binders if isinstance(b, Let)}
+    return free_fns(occ.term) & bound if bound else set()
 
 
 def redex_measure(phi: Term, ctx: TypeContext) -> int:
     """Upper bound on the number of translation steps: if-then-else and
     let nodes, boolean variables in (effective) formula contexts, and
     non-atomic boolean terms in (effective) term contexts."""
-    return _measure(_Occ(phi), ctx)
+    return _measure(Occurrence(phi), ctx)
 
 
-def _measure(occ: _Occ, ctx: TypeContext) -> int:
+def _measure(occ: Occurrence, ctx: TypeContext) -> int:
     t = occ.term
-    count = 0
-    if isinstance(t, (Ite, Let)):
-        count = 1
-    elif isinstance(t, Var):
-        if occ.effective == FORMULA_CONTEXT and occ.ctx(ctx).var_sort(t.name) == BOOL:
-            count = 1
-    elif _is_formula_shaped(t) and occ.effective == TERM_CONTEXT:
-        count = 1
+    # judged in the effective context, which the children of a let have
+    # once the let is lifted
+    kind = redex_kind(t, occ.effective)
+    if kind == "bool-var":
+        count = int(_binder_ctx(occ, ctx).var_sort(t.name) == BOOL)
+    else:
+        count = int(kind is not None)
     for i, kid in enumerate(children(t)):
-        count += _measure(_child(occ, i, kid), ctx)
+        count += _measure(child_occurrence(occ, i, kid), ctx)
     return count
 
 
@@ -223,8 +169,8 @@ def _measure(occ: _Occ, ctx: TypeContext) -> int:
 # and its definitions to the state, and returns the occurrence's replacement
 
 
-def _check_no_bound_fns(occ: _Occ) -> None:
-    clash = occ.clash()
+def _check_no_bound_fns(occ: Occurrence) -> None:
+    clash = _clash(occ)
     if clash:
         raise ValueError(
             f"term has free occurrences of locally bound symbols {sorted(clash)}"
@@ -241,18 +187,18 @@ def _free_vars_with_sorts(t: Term, ctx: TypeContext) -> list[tuple[str, Sort]]:
     return out
 
 
-def _bool_var(state: TranslationState, occ: _Occ) -> Term:
+def _bool_var(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     if not isinstance(t, Var):
         raise ValueError("path does not address a variable")
     if occ.strict != FORMULA_CONTEXT:
         raise ValueError("variable occurrence is not in a formula context")
-    if occ.ctx(state.ctx).var_sort(t.name) != BOOL:
+    if _binder_ctx(occ, state.ctx).var_sort(t.name) != BOOL:
         raise ValueError("variable is not boolean")
     return Eq(t, TRUE)
 
 
-def _formula_in_term(state: TranslationState, occ: _Occ) -> Term:
+def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
     psi = occ.term
     if occ.strict != TERM_CONTEXT:
         raise ValueError("occurrence is not in a term context")
@@ -260,7 +206,7 @@ def _formula_in_term(state: TranslationState, occ: _Occ) -> Term:
         raise ValueError("a bare variable is not renamed (step 1 territory)")
     if psi == TRUE or psi == FALSE:
         raise ValueError("the truth constants stay in place")
-    ctx = occ.ctx(state.ctx)
+    ctx = _binder_ctx(occ, state.ctx)
     if infer_sort(ctx, psi) != BOOL:
         raise ValueError("occurrence is not a formula")
     _check_no_bound_fns(occ)
@@ -274,13 +220,13 @@ def _formula_in_term(state: TranslationState, occ: _Occ) -> Term:
     return App(g, g_args)
 
 
-def _ite(state: TranslationState, occ: _Occ) -> Term:
+def _ite(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     if not isinstance(t, Ite):
         raise ValueError("path does not address an if-then-else term")
     _check_no_bound_fns(occ)
 
-    ctx = occ.ctx(state.ctx)
+    ctx = _binder_ctx(occ, state.ctx)
     binds = _free_vars_with_sorts(t, ctx)
     branch_sort = infer_sort(ctx, t.then)
     g = state.fresh_fn()
@@ -323,13 +269,13 @@ def _replace_fn_apps(t: Term, fn: str, g: str, extra: tuple[Term, ...]) -> Term:
     return with_children(t, tuple(new))
 
 
-def _let(state: TranslationState, occ: _Occ) -> Term:
+def _let(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     if not isinstance(t, Let):
         raise ValueError("path does not address a let term")
     _check_no_bound_fns(occ)
 
-    ctx = occ.ctx(state.ctx)
+    ctx = _binder_ctx(occ, state.ctx)
     outer = _free_vars_with_sorts(t, ctx)  # the ys with their sorts
     zs = [(state.fresh_var(), s) for _, s in t.params]
     s_prime = subst_free_vars(
@@ -359,7 +305,7 @@ _CORES = {
 
 def _single_step(state: TranslationState, kind: str, path: tuple[int, ...], target: Target) -> TranslationState:
     chi = state.formula_at(target)
-    new = _CORES[kind](state, _occ_at(chi, path))
+    new = _CORES[kind](state, occurrence_at(chi, path))
     state._set_formula(target, replace_at(chi, path, new))
     state.steps.append((kind, target, path))
     return state
@@ -396,18 +342,18 @@ def step4_let(state: TranslationState, path: tuple[int, ...], target: Target = "
 # the driver
 
 
-def _lower(state: TranslationState, target: Target, occ: _Occ, path: tuple[int, ...]) -> Term:
+def _lower(state: TranslationState, target: Target, occ: Occurrence, path: tuple[int, ...]) -> Term:
     """Lower the occurrence's children left to right, then the occurrence
     itself if it is an eligible redex; return the lowered term."""
     t = occ.term
     kids = children(t)
     new = []
     for i, kid in enumerate(kids):
-        new.append(_lower(state, target, _child(occ, i, kid), path + (i,)))
+        new.append(_lower(state, target, child_occurrence(occ, i, kid), path + (i,)))
     if any(a is not b for a, b in zip(new, kids)):  # untouched subtrees are kept
         occ = occ._replace(term=with_children(t, tuple(new)))
-    kind = _redex_kind(occ)
-    if kind is None or (kind != "bool-var" and occ.clash()):
+    kind = redex_kind(occ.term, occ.strict)
+    if kind is None or (kind != "bool-var" and _clash(occ)):
         return occ.term
     lowered = _CORES[kind](state, occ)
     state.steps.append((kind, target, path))
@@ -423,7 +369,7 @@ def _lower_targets(state: TranslationState, bound: int) -> None:
     including those appended while the passes run."""
     target: Target = "current"
     while target == "current" or target < len(state.defs):
-        lowered = _lower(state, target, _Occ(state.formula_at(target)), ())
+        lowered = _lower(state, target, Occurrence(state.formula_at(target)), ())
         state._set_formula(target, lowered)
         if len(state.steps) > bound:
             raise AssertionError(
@@ -444,13 +390,7 @@ def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
         raise ValueError(f"formula is not closed: free {sorted(free_vars(phi))}")
     check_formula(ctx, phi)
 
-    state = TranslationState(
-        phi=phi,
-        current=phi,
-        ctx=ctx,
-        base_ctx=ctx,
-        used_names=all_names(phi),
-    )
+    state = TranslationState(current=phi, ctx=ctx, used_names=all_names(phi))
     _lower_targets(state, redex_measure(phi, ctx))
     for formula in [state.current, *state.defs]:
         verdict = is_syntactically_first_order(formula)

@@ -174,6 +174,30 @@ def test_verify_overflow_of_a_huge_space_is_prompt(tmp_path, size):
     assert done.stderr == "error: enumeration overflow: more than 10000000 interpretations\n"
 
 
+def test_verify_overflow_of_a_huge_table_is_prompt(tmp_path):
+    # A symbol into a one-element carrier has a single table, which the
+    # interpretation count rightly counts once; its 10 ** 10 entries must
+    # still stop at the cap before any is built.
+    path = tmp_path / "p.p"
+    path.write_text(
+        "tff(s_one, type, one : $tType).\n"
+        "tff(s_t, type, t : $tType).\n"
+        "tff(d_u, type, u : (t * t) > one).\n"
+        "tff(f, axiom, ![X : t] : (u(X, X) = u(X, X))).\n"
+    )
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-m", "foolkit.cli", "verify", str(path), "--domains", "one=1,t=100000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert time.monotonic() - started < 1.0
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: enumeration overflow: more than 10000000 table entries\n"
+
+
 def test_prove_refutes_both_modes(tmp_path, capsys):
     path = tmp_path / "p.p"
     path.write_text("tff(c, conjecture, ![X : $o] : (X | ~X)).\n")

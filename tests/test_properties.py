@@ -13,7 +13,6 @@ from foolkit import (
     TypeContext,
     TypeSig,
     Var,
-    alpha_equal,
     check_model_preservation,
     free_vars,
     infer_sort,
@@ -25,7 +24,14 @@ from foolkit import (
 from generate import TermGen
 from foolkit.prover import kbo_greater
 from foolkit.prover.unification import apply_subst
-from foolkit.terms import FALSE, TRUE, all_names, forall_prefix, free_fns, rename_apart
+from foolkit.terms import (
+    FALSE,
+    TRUE,
+    classify_occurrence,
+    forall_prefix,
+    free_fns,
+    subterm_positions,
+)
 from foolkit.tptp import Problem, SymbolDecl, AnnotatedFormula
 from foolkit.translate import redex_measure
 
@@ -105,17 +111,13 @@ def test_free_vars_ordered_agrees_with_free_vars():
         ordered = free_vars_ordered(t)
         assert set(ordered) == free_vars(t)
         assert len(ordered) == len(set(ordered))
-
-
-def test_rename_apart_random_properties():
-    gen = TermGen(random.Random(17))
-    for _ in range(150):
-        t = gen.formula()
-        avoid = set(random.Random(1).sample(sorted(all_names(t)) or ["x"], 1))
-        renamed = rename_apart(t, avoid)
-        assert alpha_equal(t, renamed)
-        assert free_vars(renamed) == free_vars(t)
-        assert free_fns(renamed) == free_fns(t)
+        # first free occurrences, pre-order, as the classifier sees them
+        firsts = dict.fromkeys(
+            u.name
+            for path, u in subterm_positions(t)
+            if isinstance(u, Var) and classify_occurrence(t, path).kind == "free"
+        )
+        assert ordered == list(firsts)
 
 
 def test_translation_leaves_base_symbols_alone():

@@ -14,7 +14,6 @@ from foolkit import (
     TypeContext,
     TypeSig,
     Var,
-    alpha_equal,
     classify_occurrence,
     free_fns,
     free_vars,
@@ -23,7 +22,6 @@ from foolkit import (
     lnot,
     lor,
     parse_problem,
-    rename_apart,
 )
 from foolkit.terms import (
     FORMULA_CONTEXT,
@@ -187,56 +185,6 @@ def test_first_order_rejects_variable_in_formula_context():
 def test_first_order_accepts_bool_var_in_term_context():
     t = Forall("X", BOOL, Eq(App("f", (Var("X"),)), App("c")))
     assert is_syntactically_first_order(t).ok
-
-
-def test_rename_apart_respects_avoid():
-    t = Forall("x", S, App("p", (Var("x"),)))
-    got = rename_apart(t, avoid={"x"})
-    assert got == Forall("x0", S, App("p", (Var("x0"),)))
-
-
-def test_rename_apart_nested_shadowing():
-    t = Forall("x", S, Forall("x", S, App("p", (Var("x"),))))
-    got = rename_apart(t)
-    assert isinstance(got, Forall) and isinstance(got.body, Forall)
-    assert got.var != got.body.var
-    # the occurrence belongs to the inner binder
-    assert got.body.body == App("p", (Var(got.body.var),))
-    assert alpha_equal(t, got)
-
-
-def test_rename_apart_idempotent_up_to_alpha():
-    t = Let(
-        "f",
-        (("x", S),),
-        App("g", (Var("x"), Var("y"))),
-        Forall("z", S, Eq(App("f", (Var("z"),)), Var("y"))),
-    )
-    once = rename_apart(t, avoid={"y"})
-    twice = rename_apart(once, avoid={"y"})
-    assert alpha_equal(once, twice)
-    assert alpha_equal(t, once)
-
-
-def test_rename_apart_preserves_free_vars():
-    cases = [
-        Forall("x", S, App("p", (Var("x"), Var("y")))),
-        Let("f", (("x", S),), Var("y"), App("f", (Var("z"),))),
-        Exists("y", S, Let("g", (), Var("y"), App("g"))),
-    ]
-    for t in cases:
-        for avoid in (set(), {"x"}, {"x", "y", "z"}):
-            assert free_vars(rename_apart(t, avoid)) == free_vars(t)
-
-
-def test_alpha_equal_distinguishes_structure():
-    a = Forall("x", S, App("p", (Var("x"),)))
-    b = Forall("y", S, App("p", (Var("y"),)))
-    c = Forall("y", S, App("p", (App("c"),)))
-    assert alpha_equal(a, b)
-    assert not alpha_equal(a, c)
-    # free variables must match by name
-    assert not alpha_equal(App("p", (Var("u"),)), App("p", (Var("v"),)))
 
 
 def test_quantified_boolean_formulas_are_terms():

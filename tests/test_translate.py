@@ -40,7 +40,18 @@ from foolkit import (
     to_fol,
 )
 from foolkit.semantics import table_count
-from foolkit.terms import FALSE, TRUE, forall_prefix, free_fns, term_to_str
+from foolkit.terms import (
+    FALSE,
+    FORMULA_CONTEXT,
+    NO_CONTEXT,
+    TERM_CONTEXT,
+    TRUE,
+    classify_occurrence,
+    forall_prefix,
+    free_fns,
+    subterm_positions,
+    term_to_str,
+)
 from foolkit.translate import TranslationState, redex_measure
 
 import corpus
@@ -51,9 +62,7 @@ from generate import TermGen
 def fresh_state(phi, ctx):
     from foolkit.terms import all_names
 
-    return TranslationState(
-        phi=phi, current=phi, ctx=ctx, base_ctx=ctx, used_names=all_names(phi)
-    )
+    return TranslationState(current=phi, ctx=ctx, used_names=all_names(phi))
 
 
 @pytest.fixture
@@ -568,6 +577,39 @@ def test_translation_is_pinned():
     """Steps, their paths, fresh names and output text of every run."""
     golden = json.loads((pathlib.Path(__file__).parent / "golden" / "translation.json").read_text())
     got = {name: _record(run_translation(phi, ctx)) for name, phi, ctx in _translation_inputs()}
+    assert got == golden
+
+
+_LETTERS = {
+    "bound": "b", "free": "f", None: "-",
+    FORMULA_CONTEXT: "F", TERM_CONTEXT: "T", NO_CONTEXT: "N",
+    "ite expression": "i", "let expression": "l",
+    "variable in formula context": "v", "formula in term context": "t",
+}
+
+
+def _occurrences(phi):
+    """Per position, in ``subterm_positions`` order: the occurrence's kind
+    and context as two letters, and the first-order check of the subterm
+    there, "" when it passes, else the reason's letter and the witness."""
+    classes, checks = [], []
+    for path, sub in subterm_positions(phi):
+        occ = classify_occurrence(phi, path)
+        classes.append(_LETTERS[occ.kind] + _LETTERS[occ.context])
+        got = is_syntactically_first_order(sub)
+        if got.ok:
+            assert got.witness is None and got.reason is None
+            checks.append("")
+        else:
+            checks.append(_LETTERS[got.reason] + ".".join(map(str, got.witness)))
+    return {"classes": "".join(classes), "first_order": checks}
+
+
+def test_occurrences_are_pinned():
+    """The classifier and the first-order check at every position of
+    every pinned input."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "occurrences.json").read_text())
+    got = {name: _occurrences(phi) for name, phi, _ in _translation_inputs()}
     assert got == golden
 
 
