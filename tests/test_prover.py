@@ -41,7 +41,14 @@ from foolkit.prover import (
 from foolkit.cli import _support_clauses, bench_fixture
 from foolkit.prover import saturation
 from foolkit.prover.ordering import literal_greater, maximal_literal_indices
-from foolkit.prover.unification import VariantIndex, apply_subst_literal, subsumes_by_variant
+from foolkit.prover.clauses import dedup_literals
+from foolkit.prover.unification import (
+    VariantIndex,
+    apply_subst,
+    apply_subst_literal,
+    subsumes_by_variant,
+    unify_atoms,
+)
 from foolkit.terms import FALSE, TRUE, Sort, forall_prefix, land, lnot, lor
 
 
@@ -598,6 +605,112 @@ def test_variant_index_agrees_with_scan(data):
         found = index.find(query)
         assert (found is not None) == any(subsumes_by_variant(c, query) for c in kept)
         assert found is None or (found in kept and subsumes_by_variant(found, query))
+
+
+# ---------------------------------------------------------------------------
+# clause-level rules against their pairwise definitions
+
+
+def _sort_of(t):
+    """Z and b are boolean, everything else is of sort s."""
+    name = t.name if isinstance(t, Var) else t.fn
+    return BOOL if name in ("Z", "b") else S
+
+
+def _mgu_fold(pairs, sort_of):
+    """Unify the pairs one after another with ``mgu``, composing as it goes."""
+    subst = {}
+    for a, b in pairs:
+        got = mgu(apply_subst(a, subst), apply_subst(b, subst), sort_of)
+        if got is None:
+            return None
+        subst = {key: apply_subst(value, got) for key, value in subst.items()}
+        subst.update(got)
+    return subst
+
+
+def _unifiers(l1, l2, sort_of):
+    if l1.is_equation != l2.is_equation:
+        return []
+    if l1.is_equation:
+        candidates = [[(l1.lhs, l2.lhs), (l1.rhs, l2.rhs)], [(l1.lhs, l2.rhs), (l1.rhs, l2.lhs)]]
+    elif l1.lhs.fn == l2.lhs.fn:
+        candidates = [list(zip(l1.lhs.args, l2.lhs.args))]
+    else:
+        candidates = []
+    return [got for pairs in candidates if (got := _mgu_fold(pairs, sort_of)) is not None]
+
+
+def _same_atom(x, y):
+    if x.is_equation != y.is_equation:
+        return False
+    return (x.lhs, x.rhs) == (y.lhs, y.rhs) or (x.is_equation and (x.lhs, x.rhs) == (y.rhs, y.lhs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_literals, _literals)
+def test_unify_atoms_agrees_with_an_mgu_fold(l1, l2):
+    assert unify_atoms(l1, l2, _sort_of) == _unifiers(l1, l2, _sort_of)
+    assert unify_atoms(l1, l2) == _unifiers(l1, l2, None)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_literals, max_size=5))
+def test_tautology_and_dedup_agree_with_pairwise_definitions(literals):
+    clause = Clause(tuple(literals))
+    reflexive = any(x.positive and x.is_equation and x.lhs == x.rhs for x in literals)
+    complementary = any(
+        x.positive != y.positive and _same_atom(x, y)
+        for x, y in itertools.combinations(literals, 2)
+    )
+    assert clause.is_tautology() == (reflexive or complementary)
+    kept = []
+    for x in literals:
+        if not any(x.positive == y.positive and _same_atom(x, y) for y in kept):
+            kept.append(x)
+    assert dedup_literals(tuple(literals)) == tuple(kept)
+
+
+def _domain_shaped(clause):
+    """``x = true | x = false`` up to the variable's name and the order
+    of literals and sides."""
+    if len(clause.literals) != 2:
+        return False
+    variables, constants = set(), set()
+    for lit in clause.literals:
+        if not (lit.positive and lit.is_equation):
+            return False
+        sides = (lit.lhs, lit.rhs)
+        vs = [x for x in sides if isinstance(x, Var)]
+        cs = [x for x in sides if isinstance(x, App) and not x.args]
+        if len(vs) != 1 or len(cs) != 1:
+            return False
+        variables.add(vs[0].name)
+        constants.add(cs[0])
+    return len(variables) == 1 and constants == {TRUE, FALSE}
+
+
+_domain_sides = st.sampled_from([Var("X"), Var("Y"), TRUE, FALSE, App("a"), App("f", (Var("X"),))])
+# two of the four literal strategies give X = true or X = false, either
+# way round, so that domain clauses occur beside their near misses
+_domain_halves = st.builds(
+    lambda c, swap: Literal(True, c, Var("X")) if swap else Literal(True, Var("X"), c),
+    st.sampled_from([TRUE, FALSE]),
+    st.booleans(),
+)
+_domain_literals = st.one_of(
+    _domain_halves,
+    _domain_halves,
+    st.builds(Literal, st.booleans(), _domain_sides, _domain_sides),
+    st.builds(lambda positive, t: Literal(positive, App("p", (t,))), st.booleans(), _domain_sides),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_domain_literals, _domain_literals)
+def test_bool_domain_clause_agrees_with_its_shape(x, y):
+    clause = Clause((x, y), {"X": BOOL, "Y": BOOL})
+    assert is_bool_domain_clause(clause) == _domain_shaped(clause)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from foolkit import (
     step4_let,
     to_fol,
 )
+from foolkit.prover import clausify
 from foolkit.semantics import table_count
 from foolkit.terms import (
     FALSE,
@@ -577,6 +578,25 @@ def test_translation_is_pinned():
     """Steps, their paths, fresh names and output text of every run."""
     golden = json.loads((pathlib.Path(__file__).parent / "golden" / "translation.json").read_text())
     got = {name: _record(run_translation(phi, ctx)) for name, phi, ctx in _translation_inputs()}
+    assert got == golden
+
+
+def _clauses(phi, ctx):
+    return [
+        [c.render(), {v: str(s) for v, s in c.var_sorts.items()}]
+        for c in clausify(to_fol(run_translation(phi, ctx))).clauses
+    ]
+
+
+def test_generated_clausify_is_pinned():
+    """Clause text and variable sorts for the inputs that
+    ``clausify.json`` does not pin: the fixtures and the seeded formulas."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "clausify_generated.json").read_text())
+    got = {
+        name: _clauses(phi, ctx)
+        for name, phi, ctx in _translation_inputs()
+        if name.startswith(("fixtures/", "termgen/"))
+    }
     assert got == golden
 
 
