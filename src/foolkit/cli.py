@@ -20,6 +20,7 @@ from .prover import (
     RULE_MODE,
     clausify,
     saturate,
+    term_positions,
 )
 from .semantics import DomainSpec, EnumerationOverflow, check_model_preservation
 from .terms import (
@@ -31,7 +32,6 @@ from .terms import (
     TypeContext,
     TypeSig,
     Var,
-    subterm_positions,
 )
 from .translate import run_translation, to_fol
 from .tptp import ParseError, parse_problem, print_fol_tff0
@@ -191,11 +191,8 @@ def _mentions_bool(clauses: list[Clause], ctx: TypeContext) -> bool:
         if any(sort == BOOL for sort in clause.var_sorts.values()):
             return True
         for lit in clause.literals:
-            for side in lit.terms():
-                for path, sub in subterm_positions(side):
-                    # a predicate atom itself is not a boolean term
-                    if (lit.is_equation or path) and is_bool_term(sub):
-                        return True
+            if any(is_bool_term(sub) for _, _, sub in term_positions(lit)):
+                return True
     return False
 
 
@@ -308,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_strict=True):
-        if with_strict:
-            p.add_argument("--strict", action="store_true", help="strict grammar, no dialect extensions")
+    def add_common(p):
+        p.add_argument("--strict", action="store_true", help="strict grammar, no dialect extensions")
 
     p_check = sub.add_parser("check", help="parse and sort-check a problem")
     p_check.add_argument("input")

@@ -2,7 +2,7 @@
 ordering that pins the truth constants smallest, plus a dedicated
 inference rule replacing the two-element boolean domain clause."""
 
-from .clauses import Clause, Literal
+from .clauses import Clause, Literal, term_positions
 from .clausify import ClauseExplosion, ClausifyResult, clausify
 from .ordering import (
     kbo_greater,
@@ -43,4 +43,5 @@ __all__ = [
     "rename_clause",
     "saturate",
     "subsumes_by_variant",
+    "term_positions",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..terms import App, Sort, Term, Var, term_to_str
+from ..terms import App, Sort, Term, Var, subterm_positions, term_to_str
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,10 @@ class Literal:
             return (self.lhs,)
         return (self.lhs, self.rhs)
 
-    def same_atom(self, other: "Literal") -> bool:
-        """Equal atoms; equations also match with the sides swapped."""
-        if self.is_equation != other.is_equation:
-            return False
-        if self.lhs == other.lhs and self.rhs == other.rhs:
-            return True
-        if self.is_equation:
-            return self.lhs == other.rhs and self.rhs == other.lhs
-        return False
+    def atom(self) -> Term | frozenset[Term]:
+        """The predicate term, or the set of the two equation sides: the
+        one key under which literals have the same atom."""
+        return self.lhs if self.rhs is None else frozenset((self.lhs, self.rhs))
 
     def render(self) -> str:
         if self.is_equation:
@@ -84,12 +79,13 @@ class Clause:
         return " | ".join(lit.render() for lit in self.literals)
 
     def is_tautology(self) -> bool:
-        for i, lit in enumerate(self.literals):
-            if lit.positive and lit.is_equation and lit.lhs == lit.rhs:
+        """Some literal is ``t = t``, or some atom occurs with both signs."""
+        signs: dict = {}
+        for lit in self.literals:
+            if lit.positive and lit.lhs == lit.rhs:
                 return True
-            for other in self.literals[i + 1 :]:
-                if lit.positive != other.positive and lit.same_atom(other):
-                    return True
+            if signs.setdefault(lit.atom(), lit.positive) != lit.positive:
+                return True
         return False
 
 
@@ -109,20 +105,22 @@ def term_vars(t: Term, out: list[str]) -> list[str]:
     return out
 
 
-def literal_key(lit: Literal):
-    """A canonical key treating equations as unordered pairs; used for
-    duplicate detection within clauses."""
-    if lit.is_equation:
-        sides = sorted([repr(lit.lhs), repr(lit.rhs)])
-        return (lit.positive, "eq", tuple(sides))
-    return (lit.positive, "pred", repr(lit.lhs))
+def term_positions(lit: Literal):
+    """(side index, path, subterm) for every term position of the literal,
+    side by side, each in pre-order: a predicate atom itself is not a
+    term position, its arguments are."""
+    for side, term in enumerate(lit.terms()):
+        for path, sub in subterm_positions(term):
+            if path or lit.is_equation:
+                yield side, path, sub
 
 
 def dedup_literals(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
+    """The literals without repeats of a sign and atom, first kept."""
     seen = set()
     out = []
     for lit in literals:
-        key = literal_key(lit)
+        key = (lit.positive, lit.atom())
         if key not in seen:
             seen.add(key)
             out.append(lit)

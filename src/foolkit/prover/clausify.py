@@ -1,9 +1,10 @@
 """Clause normal form for lowered problems.
 
-Negation normal form, then outer skolemization (skolem arguments are the
-universal variables in scope), then naive or-over-and distribution.  The
-result is equisatisfiable; skolem symbols share the reserved generated
-prefix and continue the translation's counter so names never collide.
+One polarity-directed walk gives the skolemized negation normal form
+(skolem arguments are the universal variables in scope), then naive
+or-over-and distribution.  The result is equisatisfiable; skolem symbols
+share the reserved generated prefix and continue the translation's
+counter so names never collide.
 """
 
 from __future__ import annotations
@@ -79,66 +80,45 @@ class _Clausifier:
         self.var_sorts[name] = sort
         return name
 
-    # -- negation normal form -------------------------------------------
+    # -- negation normal form and skolemization ------------------------
 
-    def nnf(self, t: Term, positive: bool) -> Term:
+    def skolemize(
+        self, t: Term, positive: bool, univ: list[tuple[str, Sort]], subst: dict[str, Term]
+    ) -> Term:
+        """The negation normal form of t (of its negation when not
+        positive), universal variables renamed to fresh ones, existential
+        ones replaced by skolem terms over the universal variables in
+        scope.  Fresh names follow the normal form left to right: an
+        equivalence's sides are visited twice, once per polarity."""
         if isinstance(t, App) and t.fn == NOT:
-            return self.nnf(t.args[0], not positive)
-        if isinstance(t, App) and t.fn == AND:
-            a, b = (self.nnf(x, positive) for x in t.args)
-            return App(AND if positive else OR, (a, b))
-        if isinstance(t, App) and t.fn == OR:
-            a, b = (self.nnf(x, positive) for x in t.args)
-            return App(OR if positive else AND, (a, b))
-        if isinstance(t, App) and t.fn == IMPLIES:
-            left = self.nnf(t.args[0], not positive)
-            right = self.nnf(t.args[1], positive)
-            return App(OR if positive else AND, (left, right))
+            return self.skolemize(t.args[0], not positive, univ, subst)
+        if isinstance(t, App) and t.fn in (AND, OR, IMPLIES):
+            a, b = t.args
+            left = self.skolemize(a, positive != (t.fn == IMPLIES), univ, subst)
+            right = self.skolemize(b, positive, univ, subst)
+            return App(AND if (t.fn == AND) == positive else OR, (left, right))
         if isinstance(t, App) and t.fn == IFF:
             a, b = t.args
-            if positive:
-                return App(
-                    AND,
-                    (
-                        App(OR, (self.nnf(a, False), self.nnf(b, True))),
-                        App(OR, (self.nnf(a, True), self.nnf(b, False))),
-                    ),
-                )
-            return App(
-                AND,
-                (
-                    App(OR, (self.nnf(a, True), self.nnf(b, True))),
-                    App(OR, (self.nnf(a, False), self.nnf(b, False))),
-                ),
+            first, second = (
+                App(OR, (self.skolemize(a, pa, univ, subst), self.skolemize(b, pb, univ, subst)))
+                for pa, pb in ((not positive, True), (positive, False))
             )
-        if isinstance(t, Forall):
-            node = Forall if positive else Exists
-            return node(t.var, t.sort, self.nnf(t.body, positive))
-        if isinstance(t, Exists):
-            node = Exists if positive else Forall
-            return node(t.var, t.sort, self.nnf(t.body, positive))
-        if isinstance(t, (Eq, App, Var)):
-            # Atom (predicate application, equation, truth constant,
-            # boolean variable cannot occur here after translation).
-            return t if positive else App(NOT, (t,))
-        raise TypeError(f"clausification expects first-order input, got {t!r}")
-
-    # -- skolemization ----------------------------------------------------
-
-    def skolemize(self, t: Term, univ: list[tuple[str, Sort]], subst: dict[str, Term]) -> Term:
-        if isinstance(t, Forall):
-            fresh = self.fresh_var(t.sort)
-            inner = {**subst, t.var: Var(fresh)}
-            return self.skolemize(t.body, univ + [(fresh, t.sort)], inner)
-        if isinstance(t, Exists):
+            return App(AND, (first, second))
+        if isinstance(t, (Forall, Exists)):
+            if isinstance(t, Forall) == positive:
+                fresh = self.fresh_var(t.sort)
+                inner = {**subst, t.var: Var(fresh)}
+                return self.skolemize(t.body, positive, univ + [(fresh, t.sort)], inner)
             sk = self.fresh_skolem()
             self.ctx = self.ctx.with_fn(sk, TypeSig(tuple(s for _, s in univ), t.sort))
             witness = App(sk, tuple(Var(v) for v, _ in univ))
-            inner = {**subst, t.var: witness}
-            return self.skolemize(t.body, univ, inner)
-        if isinstance(t, App) and t.fn in (AND, OR):
-            return App(t.fn, tuple(self.skolemize(a, univ, subst) for a in t.args))
-        return subst_free_vars(t, subst)  # atoms have no binders left
+            return self.skolemize(t.body, positive, univ, {**subst, t.var: witness})
+        if isinstance(t, (Eq, App, Var)):
+            # an atom: predicate application, equation or truth constant (a
+            # boolean variable cannot occur here after translation)
+            atom = subst_free_vars(t, subst)
+            return atom if positive else App(NOT, (atom,))
+        raise TypeError(f"clausification expects first-order input, got {t!r}")
 
     # -- distribution ------------------------------------------------------
 
@@ -187,7 +167,7 @@ class _Clausifier:
         return Clause(dedup_literals(tuple(literals)), self.var_sorts)
 
     def formula_clauses(self, formula: Term) -> list[Clause]:
-        tree = self.skolemize(self.nnf(formula, True), [], {})
+        tree = self.skolemize(formula, True, [], {})
         out = []
         for leaves in self.distribute(tree):
             clause = self.to_clause(leaves)

@@ -29,20 +29,22 @@ from dataclasses import dataclass
 from ..terms import (
     App,
     BOOL,
+    FALSE,
     FALSE_NAME,
+    TRUE,
     Term,
     TRUE_NAME,
     TypeContext,
     Var,
     replace_at,
-    subterm_positions,
 )
-from .clauses import Clause, Literal, dedup_literals
+from .clauses import Clause, Literal, dedup_literals, term_positions
 from .ordering import kbo_greater_or_equal, maximal_literal_indices
 from .unification import (
     VariantIndex,
     apply_subst,
     apply_subst_literal,
+    is_variant,
     mgu,
     rename_clause,
     unify_atoms,
@@ -98,23 +100,12 @@ class SaturationResult:
         return "\n".join(f"{key}={self.stats[key]}" for key in sorted(self.stats))
 
 
+_DOMAIN_CLAUSE = Clause((Literal(True, Var("X"), TRUE), Literal(True, Var("X"), FALSE)))
+
+
 def is_bool_domain_clause(clause: Clause) -> bool:
     """A variant of ``x = true | x = false`` over one boolean variable."""
-    if len(clause.literals) != 2:
-        return False
-    var_names = set()
-    constants = set()
-    for lit in clause.literals:
-        if not (lit.positive and lit.is_equation):
-            return False
-        sides = (lit.lhs, lit.rhs)
-        vs = [x for x in sides if isinstance(x, Var)]
-        cs = [x for x in sides if isinstance(x, App) and not x.args]
-        if len(vs) != 1 or len(cs) != 1:
-            return False
-        var_names.add(vs[0].name)
-        constants.add(cs[0].fn)
-    return len(var_names) == 1 and constants == {TRUE_NAME, FALSE_NAME}
+    return is_variant(clause, _DOMAIN_CLAUSE)
 
 
 def has_var_var_equation(clause: Clause) -> bool:
@@ -128,14 +119,12 @@ def has_var_var_equation(clause: Clause) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# positions inside literals
+# the parts of a conclusion
 
 
-def _literal_positions(lit: Literal):
-    """(side index, path, subterm) triples over the literal's terms."""
-    for side, term in enumerate(lit.terms()):
-        for path, sub in subterm_positions(term):
-            yield side, path, sub
+def _rest(literals: tuple[Literal, ...], skip: int, theta: dict[str, Term]) -> list[Literal]:
+    """The literals other than ``literals[skip]``, under theta."""
+    return [apply_subst_literal(x, theta) for k, x in enumerate(literals) if k != skip]
 
 
 def _replace_in_literal(lit: Literal, side: int, path: tuple[int, ...], new: Term) -> Literal:
@@ -232,11 +221,9 @@ class _Saturation:
             for l, r in ((flit.lhs, flit.rhs), (flit.rhs, flit.lhs)):
                 for ii in self.eligible[into_clause.id]:
                     ilit = ic.literals[ii]
-                    for side, path, sub in _literal_positions(ilit):
+                    for side, path, sub in term_positions(ilit):
                         if isinstance(sub, Var):
                             continue
-                        if not ilit.is_equation and path == ():
-                            continue  # a predicate atom is not a term position
                         theta = mgu(l, sub, sort_of)
                         if theta is None:
                             continue
@@ -245,22 +232,11 @@ class _Saturation:
                         rewritten = _replace_in_literal(ilit, side, path, r)
                         literals = [
                             apply_subst_literal(rewritten, theta),
-                            *(
-                                apply_subst_literal(x, theta)
-                                for k, x in enumerate(fc.literals)
-                                if k != fi
-                            ),
-                            *(
-                                apply_subst_literal(x, theta)
-                                for k, x in enumerate(ic.literals)
-                                if k != ii
-                            ),
+                            *_rest(fc.literals, fi, theta),
+                            *_rest(ic.literals, ii, theta),
                         ]
                         self.record_new(
-                            literals,
-                            merged,
-                            "paramodulation",
-                            (from_clause.id, into_clause.id),
+                            literals, merged, "paramodulation", (from_clause.id, into_clause.id)
                         )
 
     def fool_paramodulate(self, clause: Clause) -> None:
@@ -268,19 +244,16 @@ class _Saturation:
         truth constant, derive C[true] | s = false."""
         for ii in self.eligible[clause.id]:
             lit = clause.literals[ii]
-            for side, path, sub in _literal_positions(lit):
+            for side, path, sub in term_positions(lit):
                 if not isinstance(sub, App) or sub.fn in (TRUE_NAME, FALSE_NAME):
                     continue
                 sig = self.ctx.fn_sig(sub.fn)
                 if sig is None or sig.result != BOOL:
                     continue
-                if not lit.is_equation and path == ():
-                    continue  # the atom itself is not a boolean term position
-                rewritten = _replace_in_literal(lit, side, path, App(TRUE_NAME))
                 literals = [
-                    rewritten,
-                    *(x for k, x in enumerate(clause.literals) if k != ii),
-                    Literal(True, sub, App(FALSE_NAME)),
+                    _replace_in_literal(lit, side, path, TRUE),
+                    *_rest(clause.literals, ii, {}),
+                    Literal(True, sub, FALSE),
                 ]
                 self.record_new(
                     literals, clause.var_sorts, "fool_paramodulation", (clause.id,)
@@ -297,15 +270,7 @@ class _Saturation:
                 if l1.positive == l2.positive:
                     continue
                 for theta in unify_atoms(l1, l2, sort_of):
-                    literals = [
-                        apply_subst_literal(x, theta)
-                        for k, x in enumerate(a.literals)
-                        if k != i
-                    ] + [
-                        apply_subst_literal(x, theta)
-                        for k, x in enumerate(b.literals)
-                        if k != j
-                    ]
+                    literals = _rest(a.literals, i, theta) + _rest(b.literals, j, theta)
                     self.record_new(literals, merged, "resolution", (c1.id, c2.id))
 
     def factor(self, clause: Clause) -> None:
@@ -318,11 +283,7 @@ class _Saturation:
                 if not (lit.positive and other.positive):
                     continue
                 for theta in unify_atoms(lit, other, sort_of):
-                    literals = [
-                        apply_subst_literal(x, theta)
-                        for k, x in enumerate(clause.literals)
-                        if k != j
-                    ]
+                    literals = _rest(clause.literals, j, theta)
                     self.record_new(literals, clause.var_sorts, "factoring", (clause.id,))
 
     def equality_resolve(self, clause: Clause) -> None:
@@ -334,11 +295,7 @@ class _Saturation:
             theta = mgu(lit.lhs, lit.rhs, sort_of)
             if theta is None:
                 continue
-            literals = [
-                apply_subst_literal(x, theta)
-                for k, x in enumerate(clause.literals)
-                if k != i
-            ]
+            literals = _rest(clause.literals, i, theta)
             self.record_new(literals, clause.var_sorts, "equality_resolution", (clause.id,))
 
     # -- the loop ------------------------------------------------------------
@@ -382,9 +339,7 @@ class _Saturation:
                 self.paramodulate(given, partner)
                 if pid != cid:
                     self.paramodulate(partner, given)
-                    self.resolve(given, partner)
-                else:
-                    self.resolve(given, partner)
+                self.resolve(given, partner)
                 if self.empty is not None:
                     return self.result("refuted")
             if self.empty is not None:

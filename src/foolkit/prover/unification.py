@@ -37,57 +37,43 @@ def occurs(name: str, t: Term) -> bool:
     return any(occurs(name, a) for a in t.args)
 
 
-def mgu(s: Term, t: Term, sort_of: SortOf | None = None) -> Subst | None:
-    """Idempotent most general unifier with occurs check, or None.
+def unify(pairs: list[tuple[Term, Term]], sort_of: SortOf | None = None) -> Subst | None:
+    """Idempotent most general simultaneous unifier of the pairs, with
+    occurs check, or None.
 
+    The pairs are solved first to last on one stack, so the bindings,
+    and with them the names in every conclusion, follow that order.
     With ``sort_of`` given, a variable only binds to terms of its sort.
     """
     subst: Subst = {}
-    queue: list[tuple[Term, Term]] = [(s, t)]
-    while queue:
-        a, b = queue.pop()
+    stack = pairs[::-1]
+    while stack:
+        a, b = stack.pop()
         a = apply_subst(a, subst)
         b = apply_subst(b, subst)
         if a == b:
             continue
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
         if isinstance(a, Var):
             if occurs(a.name, b):
                 return None
             if sort_of is not None and sort_of(a) != sort_of(b):
                 return None
-            _bind(subst, a.name, b)
-            continue
-        if isinstance(b, Var):
-            if occurs(b.name, a):
-                return None
-            if sort_of is not None and sort_of(a) != sort_of(b):
-                return None
-            _bind(subst, b.name, a)
+            single = {a.name: b}
+            for key in list(subst):
+                subst[key] = apply_subst(subst[key], single)
+            subst[a.name] = b
             continue
         if a.fn != b.fn or len(a.args) != len(b.args):
             return None
-        queue.extend(zip(a.args, b.args))
+        stack.extend(zip(a.args, b.args))
     return subst
 
 
-def _bind(subst: Subst, name: str, value: Term) -> None:
-    single = {name: value}
-    for key in list(subst):
-        subst[key] = apply_subst(subst[key], single)
-    subst[name] = value
-
-
-def unify_pairs(pairs: list[tuple[Term, Term]], sort_of: SortOf | None = None) -> Subst | None:
-    """Simultaneous unifier of several term pairs."""
-    subst: Subst = {}
-    for a, b in pairs:
-        got = mgu(apply_subst(a, subst), apply_subst(b, subst), sort_of)
-        if got is None:
-            return None
-        for key in list(subst):
-            subst[key] = apply_subst(subst[key], got)
-        subst.update(got)
-    return subst
+def mgu(s: Term, t: Term, sort_of: SortOf | None = None) -> Subst | None:
+    """``unify`` of the one pair."""
+    return unify([(s, t)], sort_of)
 
 
 def unify_atoms(l1: Literal, l2: Literal, sort_of: SortOf | None = None) -> list[Subst]:
@@ -95,19 +81,13 @@ def unify_atoms(l1: Literal, l2: Literal, sort_of: SortOf | None = None) -> list
     orientations."""
     if l1.is_equation != l2.is_equation:
         return []
-    out = []
-    if not l1.is_equation:
-        a, b = l1.lhs, l2.lhs
-        if isinstance(a, App) and isinstance(b, App) and a.fn == b.fn:
-            got = unify_pairs(list(zip(a.args, b.args)), sort_of)
-            if got is not None:
-                out.append(got)
-        return out
-    for left, right in ((l2.lhs, l2.rhs), (l2.rhs, l2.lhs)):
-        got = unify_pairs([(l1.lhs, left), (l1.rhs, right)], sort_of)
-        if got is not None:
-            out.append(got)
-    return out
+    if l1.is_equation:
+        tries = [[(l1.lhs, l2.lhs), (l1.rhs, l2.rhs)], [(l1.lhs, l2.rhs), (l1.rhs, l2.lhs)]]
+    elif l1.lhs.fn == l2.lhs.fn:
+        tries = [list(zip(l1.lhs.args, l2.lhs.args))]
+    else:
+        return []
+    return [theta for pairs in tries if (theta := unify(pairs, sort_of)) is not None]
 
 
 # ---------------------------------------------------------------------------

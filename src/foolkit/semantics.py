@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -91,7 +92,7 @@ class Interpretation:
     """Carrier sizes, total function tables and a variable assignment."""
 
     sizes: dict[Sort, int]
-    tables: dict[str, dict[tuple[int, ...], int]]
+    tables: dict[str, Mapping[tuple[int, ...], int]]
     assign: dict[str, int] = field(default_factory=dict)
 
     def with_var(self, name: str, value: int) -> "Interpretation":
@@ -271,8 +272,26 @@ def _signature(ctx: TypeContext, fn: str):
     return sig
 
 
+class _ZeroTable(Mapping):
+    """The one table of a symbol into a one-element carrier: it stores
+    nothing, answers 0 for every lookup, and lists the same entries as a
+    stored table would."""
+
+    def __init__(self, sizes: list[int]) -> None:
+        self.sizes = sizes
+
+    def __getitem__(self, args: tuple[int, ...]) -> int:
+        return 0
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.sizes))
+
+    def __len__(self) -> int:
+        return math.prod(self.sizes)
+
+
 def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
-    """(argument tuples in lexicographic order, result carrier size).
+    """A function giving every table of the symbol, in lexicographic order.
 
     A symbol into a one-element carrier has one table however many
     entries it has, so the interpretation count does not bound those.
@@ -281,7 +300,13 @@ def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
     sizes = [spec.size(s) for s in sig.args]
     if math.prod(sizes) > cap:
         raise EnumerationOverflow(cap, "table entries")
-    return list(itertools.product(*map(range, sizes))), spec.size(sig.result)
+    rng = spec.size(sig.result)
+    if rng == 1:
+        return lambda: (_ZeroTable(sizes),)
+    points = list(itertools.product(*map(range, sizes)))
+    # map and zip, not a generator expression: no Python frame per table
+    every = itertools.repeat(points)
+    return lambda: map(dict, map(zip, every, itertools.product(range(rng), repeat=len(points))))
 
 
 def table_count(ctx: TypeContext, spec: DomainSpec, symbols, cap: int = DEFAULT_CAP) -> int:
@@ -310,21 +335,20 @@ def table_count(ctx: TypeContext, spec: DomainSpec, symbols, cap: int = DEFAULT_
 def _search(spaces, tables: list, checks):
     """Yield once per joint table assignment that passes every check.
 
-    ``spaces[i]`` is (slot, argument tuples, result carrier size) of one
-    symbol; ``tables[slot]`` receives each of its tables in lexicographic
-    order, the first symbol varying slowest.  ``checks[i]`` runs once the
-    first i symbols have tables, and a branch is dropped as soon as one
-    returns 0.
+    ``spaces[i]`` is (slot, tables) of one symbol, with ``tables`` from
+    ``_table_space``; ``tables[slot]`` receives each of its tables in
+    lexicographic order, the first symbol varying slowest.  ``checks[i]``
+    runs once the first i symbols have tables, and a branch is dropped as
+    soon as one returns 0.
     """
 
     def rec(level: int):
         if level == len(spaces):
             yield
             return
-        slot, points, rng = spaces[level]
+        slot, tables_of = spaces[level]
         check = checks[level + 1]
-        for values in itertools.product(range(rng), repeat=len(points)):
-            tables[slot] = dict(zip(points, values))
+        for tables[slot] in tables_of():
             if check():
                 yield from rec(level + 1)
 
@@ -353,7 +377,7 @@ def enumerate_interpretations(
     if table_count(ctx, spec, names, cap) > cap:
         raise EnumerationOverflow(cap)
     sizes = dict(spec.sizes)
-    spaces = [(i, *_table_space(ctx, spec, fn, cap)) for i, fn in enumerate(names)]
+    spaces = [(i, _table_space(ctx, spec, fn, cap)) for i, fn in enumerate(names)]
     tables = [None] * len(names)
     for _ in _search(spaces, tables, [_always] * (len(names) + 1)):
         yield Interpretation(sizes, dict(zip(names, tables)))
@@ -430,8 +454,8 @@ def check_model_preservation(
     _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
 
     tables = program.tables
-    base_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn, cap)) for fn in base_symbols]
-    ext_spaces = [(program.fn_slot(fn), *_table_space(ctx, spec, fn, cap)) for fn in fresh]
+    base_spaces = [(program.fn_slot(fn), _table_space(ctx, spec, fn, cap)) for fn in base_symbols]
+    ext_spaces = [(program.fn_slot(fn), _table_space(ctx, spec, fn, cap)) for fn in fresh]
     no_checks = [_always] * (len(base_symbols) + 1)
     report = PreservationReport(checked=total)
 

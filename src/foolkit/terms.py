@@ -455,9 +455,10 @@ class Occurrence(NamedTuple):
     # symbols, equality operands and if-then-else branches (they end up as
     # equation sides); not-applicable for the root and the children of a let
     strict: str = NO_CONTEXT
-    # bound above the subterm, outermost first: (name, sort) for a
-    # variable, the let node itself for a let-bound symbol
-    binders: tuple = ()
+    # bound above the subterm: (name, sort) of each variable, outermost
+    # first, and the let-bound symbols
+    variables: tuple[tuple[str, Sort], ...] = ()
+    lets: frozenset[str] = frozenset()
     # like strict, but a let's children keep a context: its body becomes
     # an equation side and its scope replaces it in place
     effective: str = FORMULA_CONTEXT
@@ -467,18 +468,19 @@ def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
     """``kid``, child ``i`` of the occurrence, with its strict context,
     binders and effective context."""
     t = occ.term
+    variables, lets = occ.variables, occ.lets
     if isinstance(t, App):
         strict = FORMULA_CONTEXT if t.fn in CONNECTIVES else TERM_CONTEXT
     elif isinstance(t, (Forall, Exists)):
-        binders = occ.binders + ((t.var, t.sort),)
-        return Occurrence(kid, FORMULA_CONTEXT, binders, FORMULA_CONTEXT)
+        variables += ((t.var, t.sort),)
+        return Occurrence(kid, FORMULA_CONTEXT, variables, lets, FORMULA_CONTEXT)
     elif isinstance(t, Let):
         if i == 0:
-            return Occurrence(kid, NO_CONTEXT, occ.binders + t.params, TERM_CONTEXT)
-        return Occurrence(kid, NO_CONTEXT, occ.binders + (t,), occ.effective)
+            return Occurrence(kid, NO_CONTEXT, variables + t.params, lets, TERM_CONTEXT)
+        return Occurrence(kid, NO_CONTEXT, variables, lets | {t.fn}, occ.effective)
     else:  # Eq, or Ite, whose condition is a formula
         strict = FORMULA_CONTEXT if i == 0 and isinstance(t, Ite) else TERM_CONTEXT
-    return Occurrence(kid, strict, occ.binders, strict)
+    return Occurrence(kid, strict, variables, lets, strict)
 
 
 def occurrence_at(t: Term, path: tuple[int, ...]) -> Occurrence:
@@ -531,9 +533,9 @@ def classify_occurrence(t: Term, path: tuple[int, ...]) -> OccurrenceClass:
     occ = occurrence_at(t, path)
     cur = occ.term
     if isinstance(cur, Var):
-        bound = any(not isinstance(b, Let) and b[0] == cur.name for b in occ.binders)
+        bound = any(name == cur.name for name, _ in occ.variables)
     elif isinstance(cur, App):
-        bound = any(isinstance(b, Let) and b.fn == cur.fn for b in occ.binders)
+        bound = cur.fn in occ.lets
     else:
         return OccurrenceClass(None, occ.strict)
     return OccurrenceClass("bound" if bound else "free", occ.strict)

@@ -124,57 +124,34 @@ class TranslationState:
 # occurrences (classified in terms.py; what needs sorts lives here)
 
 
-def _binder_ctx(occ: Occurrence, base: TypeContext) -> TypeContext:
-    """``base`` extended with the occurrence's binders; built when a step
-    needs it, so it sees every fresh symbol introduced so far."""
-    ctx = base
-    for b in occ.binders:
-        if isinstance(b, Let):
-            body_sort = infer_sort(ctx.with_vars(b.params), b.body)
-            ctx = ctx.with_fn(b.fn, TypeSig(tuple(s for _, s in b.params), body_sort))
-        else:
-            ctx = ctx.with_var(*b)
-    return ctx
-
-
 def _clash(occ: Occurrence) -> set[str]:
-    """Locally bound let symbols occurring free in the subterm."""
-    bound = {b.fn for b in occ.binders if isinstance(b, Let)}
-    return free_fns(occ.term) & bound if bound else set()
+    """Locally bound let symbols occurring free in the subterm.
+
+    A step applies only where there are none, so a step's context needs
+    only the variables bound above it."""
+    return free_fns(occ.term) & occ.lets if occ.lets else set()
 
 
 def redex_measure(phi: Term, ctx: TypeContext) -> int:
     """Upper bound on the number of translation steps: if-then-else and
     let nodes, boolean variables in (effective) formula contexts, and
     non-atomic boolean terms in (effective) term contexts."""
-    return _measure(Occurrence(phi), ctx)
+    return _measure(Occurrence(phi))
 
 
-def _measure(occ: Occurrence, ctx: TypeContext) -> int:
-    t = occ.term
+def _measure(occ: Occurrence) -> int:
     # judged in the effective context, which the children of a let have
     # once the let is lifted
-    kind = redex_kind(t, occ.effective)
-    if kind == "bool-var":
-        count = int(_binder_ctx(occ, ctx).var_sort(t.name) == BOOL)
-    else:
-        count = int(kind is not None)
-    for i, kid in enumerate(children(t)):
-        count += _measure(child_occurrence(occ, i, kid), ctx)
+    count = int(redex_kind(occ.term, occ.effective) is not None)
+    for i, kid in enumerate(children(occ.term)):
+        count += _measure(child_occurrence(occ, i, kid))
     return count
 
 
 # ---------------------------------------------------------------------------
 # the four steps: each core checks the occurrence, adds the fresh symbol
-# and its definitions to the state, and returns the occurrence's replacement
-
-
-def _check_no_bound_fns(occ: Occurrence) -> None:
-    clash = _clash(occ)
-    if clash:
-        raise ValueError(
-            f"term has free occurrences of locally bound symbols {sorted(clash)}"
-        )
+# and its definitions to the state, and returns the occurrence's
+# replacement; the caller has checked that nothing clashes
 
 
 def _free_vars_with_sorts(t: Term, ctx: TypeContext) -> list[tuple[str, Sort]]:
@@ -193,7 +170,7 @@ def _bool_var(state: TranslationState, occ: Occurrence) -> Term:
         raise ValueError("path does not address a variable")
     if occ.strict != FORMULA_CONTEXT:
         raise ValueError("variable occurrence is not in a formula context")
-    if _binder_ctx(occ, state.ctx).var_sort(t.name) != BOOL:
+    if state.ctx.with_vars(occ.variables).var_sort(t.name) != BOOL:
         raise ValueError("variable is not boolean")
     return Eq(t, TRUE)
 
@@ -206,10 +183,9 @@ def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
         raise ValueError("a bare variable is not renamed (step 1 territory)")
     if psi == TRUE or psi == FALSE:
         raise ValueError("the truth constants stay in place")
-    ctx = _binder_ctx(occ, state.ctx)
+    ctx = state.ctx.with_vars(occ.variables)
     if infer_sort(ctx, psi) != BOOL:
         raise ValueError("occurrence is not a formula")
-    _check_no_bound_fns(occ)
 
     binds = _free_vars_with_sorts(psi, ctx)
     g = state.fresh_fn()
@@ -224,9 +200,7 @@ def _ite(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     if not isinstance(t, Ite):
         raise ValueError("path does not address an if-then-else term")
-    _check_no_bound_fns(occ)
-
-    ctx = _binder_ctx(occ, state.ctx)
+    ctx = state.ctx.with_vars(occ.variables)
     binds = _free_vars_with_sorts(t, ctx)
     branch_sort = infer_sort(ctx, t.then)
     g = state.fresh_fn()
@@ -273,9 +247,7 @@ def _let(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     if not isinstance(t, Let):
         raise ValueError("path does not address a let term")
-    _check_no_bound_fns(occ)
-
-    ctx = _binder_ctx(occ, state.ctx)
+    ctx = state.ctx.with_vars(occ.variables)
     outer = _free_vars_with_sorts(t, ctx)  # the ys with their sorts
     zs = [(state.fresh_var(), s) for _, s in t.params]
     s_prime = subst_free_vars(
@@ -305,7 +277,11 @@ _CORES = {
 
 def _single_step(state: TranslationState, kind: str, path: tuple[int, ...], target: Target) -> TranslationState:
     chi = state.formula_at(target)
-    new = _CORES[kind](state, occurrence_at(chi, path))
+    occ = occurrence_at(chi, path)
+    clash = _clash(occ)
+    if clash:
+        raise ValueError(f"term has free occurrences of locally bound symbols {sorted(clash)}")
+    new = _CORES[kind](state, occ)
     state._set_formula(target, replace_at(chi, path, new))
     state.steps.append((kind, target, path))
     return state
@@ -353,7 +329,7 @@ def _lower(state: TranslationState, target: Target, occ: Occurrence, path: tuple
     if any(a is not b for a, b in zip(new, kids)):  # untouched subtrees are kept
         occ = occ._replace(term=with_children(t, tuple(new)))
     kind = redex_kind(occ.term, occ.strict)
-    if kind is None or (kind != "bool-var" and _clash(occ)):
+    if kind is None or _clash(occ):
         return occ.term
     lowered = _CORES[kind](state, occ)
     state.steps.append((kind, target, path))

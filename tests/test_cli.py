@@ -198,6 +198,39 @@ def test_verify_overflow_of_a_huge_table_is_prompt(tmp_path):
     assert done.stderr == "error: enumeration overflow: more than 10000000 table entries\n"
 
 
+def test_verify_of_a_big_one_valued_table_builds_no_entries(tmp_path):
+    # The single table of a symbol into a one-element carrier answers 0
+    # everywhere, so its 4 * 10 ** 6 entries are never built.  The child
+    # times itself and reports its own peak RSS (kilobytes on Linux).
+    path = tmp_path / "p.p"
+    path.write_text(
+        "tff(s_one, type, one : $tType).\n"
+        "tff(s_t, type, t : $tType).\n"
+        "tff(d_u, type, u : (t * t) > one).\n"
+        "tff(f, axiom, ![X : t] : (u(X, X) = u(X, X))).\n"
+    )
+    child = (
+        "import resource, sys, time\n"
+        "from foolkit.cli import main\n"
+        "started = time.monotonic()\n"
+        "code = main(sys.argv[1:])\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(time.monotonic() - started, peak, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, "verify", str(path), "--domains", "one=1,t=2000"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "OK 1\n"
+    seconds, peak_kb = done.stderr.split()
+    assert float(seconds) < 1.0
+    assert int(peak_kb) < 100 * 1024
+
+
 def test_prove_refutes_both_modes(tmp_path, capsys):
     path = tmp_path / "p.p"
     path.write_text("tff(c, conjecture, ![X : $o] : (X | ~X)).\n")

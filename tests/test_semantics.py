@@ -142,6 +142,18 @@ def test_enumerate_counts_binary_function():
     assert len(list(enumerate_interpretations(ctx, spec, ["f"]))) == 16
 
 
+def test_enumerate_one_valued_symbol_lists_every_entry():
+    one = Sort("one")
+    ctx, s = stage({"u": TypeSig((S, S), one), "c": TypeSig((), S)})
+    got = list(enumerate_interpretations(ctx, DomainSpec({S: 2, one: 1}), ["u", "c"]))
+    full = {(a, b): 0 for a in range(2) for b in range(2)}
+    assert [i.tables["u"] for i in got] == [full, full]
+    assert [i.dump() for i in got] == [
+        "c{->0} u{0:0->0,0:1->0,1:0->0,1:1->0}",
+        "c{->1} u{0:0->0,0:1->0,1:0->0,1:1->0}",
+    ]
+
+
 def test_enumerate_cap():
     ctx, s = stage({"f": TypeSig((S, S), S)})
     spec = DomainSpec({S: 3})
