@@ -8,6 +8,7 @@ limit hit.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -351,9 +352,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as err:
         return int(err.code or 0)
+    except BrokenPipeError:
+        # the reader closed standard output; point it at the null device
+        # so the interpreter's own flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ class ClauseExplosion(Exception):
 class ClausifyResult:
     clauses: list[Clause]
     ctx: TypeContext
-    fresh_counter: int
 
 
 def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:
@@ -56,7 +55,7 @@ def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:
         clauses.extend(state.formula_clauses(formula))
         if len(clauses) > max_clauses:
             raise ClauseExplosion(f"more than {max_clauses} clauses")
-    return ClausifyResult(clauses, state.ctx, state.counter)
+    return ClausifyResult(clauses, state.ctx)
 
 
 class _Clausifier:

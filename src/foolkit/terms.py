@@ -6,11 +6,22 @@ function symbols applied through ``App``; binders (quantifiers and let
 definitions) annotate their bound names with sorts, so sort checking is
 pure bottom-up synthesis.
 
-This module is also the one occurrence classifier: ``occurrence_at``
-walks a path and says what the position means for the subterm there
-(its context, the binders above it and the lowering step that applies
-to it).  A formula is syntactically first-order when no lowering step
-applies at any occurrence.
+This module is also the one occurrence classifier: ``child_occurrence``
+says what a position means for the subterm there (its context, the
+binders above it and, through ``redex_kind``, the lowering step that
+applies to it).  ``occurrence_at`` follows it along one path;
+``occurrences`` walks a whole term with it, and is what the first-order
+check, ``translate.redex_measure``, ``translate.to_fol`` (its first-order
+check and predicate split) and the strict-mode equality check in
+``tptp`` iterate over.  A formula is syntactically first-order when no
+lowering step applies at any occurrence.
+
+Some walks keep their own loops because they need no context and the
+classifier would only slow them down: ``subterm_positions`` (clause
+terms in the prover, about half the cost per node), ``free_fns`` and
+``free_vars_ordered`` (run on every lowering step), and ``tptp._render``,
+which carries one formula/term flag and is no shorter when driven by
+the classifier.
 
 Terms are immutable values.  All operations here are pure and safe to
 call from multiple threads.
@@ -483,6 +494,18 @@ def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
     return Occurrence(kid, strict, variables, lets, strict)
 
 
+def occurrences(t: Term) -> Iterator[tuple[tuple[int, ...], Occurrence]]:
+    """Every occurrence in ``t`` with its path, in pre-order, leftmost
+    first; iterative, so nesting depth is not bounded by the stack."""
+    stack = [((), Occurrence(t))]
+    while stack:
+        path, occ = stack.pop()
+        yield path, occ
+        kids = children(occ.term)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), child_occurrence(occ, i, kids[i])))
+
+
 def occurrence_at(t: Term, path: tuple[int, ...]) -> Occurrence:
     """Walk ``path`` from the root of ``t``."""
     occ = Occurrence(t)
@@ -559,15 +582,10 @@ _REASONS = {
 def is_syntactically_first_order(t: Term) -> FirstOrderCheck:
     """No lowering step applies anywhere in ``t``; otherwise the witness is
     the leftmost-outermost occurrence where one does."""
-    stack = [((), Occurrence(t))]
-    while stack:
-        path, occ = stack.pop()
+    for path, occ in occurrences(t):
         kind = redex_kind(occ.term, occ.strict)
         if kind is not None:
             return FirstOrderCheck(False, path, _REASONS[kind])
-        kids = children(occ.term)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), child_occurrence(occ, i, kids[i])))
     return FirstOrderCheck(True)
 
 

@@ -17,9 +17,10 @@ arithmetic semantics.  ``include`` directives are rejected.
 
 Strict mode turns off every extension and checks the usual restrictions
 on ``$o``, so emitted standard problems can be re-checked with the same
-grammar.  Strict mode also admits the ``sk_fool_`` symbol prefix that is
-reserved (and rejected) in dialect input, since emitted problems contain
-such symbols.
+grammar.  Strict mode also admits the names that are reserved (and
+rejected) in dialect input, since emitted problems contain them: the
+``sk_fool_`` symbol prefix and the boolean sort's emitted names
+``fool_bool``, ``fool_true`` and ``fool_false``.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .terms import (
     free_vars,
     land,
     lnot,
+    occurrences,
 )
 from .typecheck import DUPLICATE_LET_FORMAL, SortError, check_formula, infer_sort
 
@@ -73,6 +75,15 @@ ARITHMETIC_FNS: dict[str, TypeSig] = {
 }
 
 ROLES = ("type", "axiom", "hypothesis", "conjecture")
+
+# the standard printer's names for the boolean sort and its two constants
+_EMITTED_BOOL_NAMES = frozenset({"fool_bool", "fool_true", "fool_false"})
+
+
+def _is_reserved_name(name: str) -> bool:
+    """Names dialect input may not declare: those of generated symbols and
+    of the boolean sort in emitted problems."""
+    return name.startswith(RESERVED_PREFIX) or name in _EMITTED_BOOL_NAMES
 
 
 class ParseError(Exception):
@@ -329,9 +340,9 @@ class _Parser:
     def parse_type_payload(self) -> SortDecl | SymbolDecl:
         wrapped = self.accept("(")
         name, tok = self.parse_symbol("declared name")
-        if not self.strict and name.startswith(RESERVED_PREFIX):
+        if not self.strict and _is_reserved_name(name):
             raise ParseError(
-                f"the {RESERVED_PREFIX!r} prefix is reserved for generated symbols",
+                f"the name {name!r} is reserved for emitted problems",
                 tok.line,
                 tok.col,
             )
@@ -641,7 +652,7 @@ class _Parser:
                 isinstance(t, App)
                 and not t.args
                 and ctx.fn_sig(t.fn) is None
-                and not t.fn.startswith(RESERVED_PREFIX)
+                and not _is_reserved_name(t.fn)
             )
 
         def walk(ctx: TypeContext, t: Term) -> bool:
@@ -685,21 +696,14 @@ class _Parser:
                     progress |= walk(ctx, af.payload)
 
     def _strict_check(self, ctx: TypeContext, af: AnnotatedFormula) -> None:
-        def walk(local: TypeContext, t: Term) -> None:
-            if isinstance(t, Eq):
-                if infer_sort(local, t.left) == BOOL:
-                    raise ParseError(
-                        f"in formula {af.name!r}: boolean equality is not allowed "
-                        "in strict mode",
-                        af.line,
-                    )
-            if isinstance(t, (Forall, Exists)):
-                walk(local.with_var(t.var, t.sort), t.body)
-                return
-            for kid in children(t):
-                walk(local, kid)
-
-        walk(ctx, af.payload)  # type: ignore[arg-type]
+        for _, occ in occurrences(af.payload):  # type: ignore[arg-type]
+            t = occ.term
+            if isinstance(t, Eq) and infer_sort(ctx.with_vars(occ.variables), t.left) == BOOL:
+                raise ParseError(
+                    f"in formula {af.name!r}: boolean equality is not allowed "
+                    "in strict mode",
+                    af.line,
+                )
 
 
 def parse_problem(text: str, strict: bool = False) -> Problem:

@@ -32,7 +32,6 @@ from .terms import (
     App,
     BOOL,
     BUILTIN_FNS,
-    CONNECTIVES,
     Eq,
     Exists,
     FALSE,
@@ -62,9 +61,11 @@ from .terms import (
     lnot,
     lor,
     occurrence_at,
+    occurrences,
     redex_kind,
     replace_at,
     subst_free_vars,
+    subterm_at,
     with_children,
 )
 from .typecheck import check_formula, infer_sort
@@ -135,17 +136,9 @@ def _clash(occ: Occurrence) -> set[str]:
 def redex_measure(phi: Term, ctx: TypeContext) -> int:
     """Upper bound on the number of translation steps: if-then-else and
     let nodes, boolean variables in (effective) formula contexts, and
-    non-atomic boolean terms in (effective) term contexts."""
-    return _measure(Occurrence(phi))
-
-
-def _measure(occ: Occurrence) -> int:
-    # judged in the effective context, which the children of a let have
-    # once the let is lifted
-    count = int(redex_kind(occ.term, occ.effective) is not None)
-    for i, kid in enumerate(children(occ.term)):
-        count += _measure(child_occurrence(occ, i, kid))
-    return count
+    non-atomic boolean terms in (effective) term contexts.  The effective
+    context is the one a let's children have once the let is lifted."""
+    return sum(redex_kind(occ.term, occ.effective) is not None for _, occ in occurrences(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -406,64 +399,38 @@ class FolProblem:
         return self.definitions + (self.domain_axiom, self.distinct_axiom)
 
 
-def _collect_bool_uses(t: Term, in_formula: bool, ctx: TypeContext, usage: dict[str, set[str]]) -> None:
-    if isinstance(t, App):
-        if t.fn not in BUILTIN_FNS:
-            sig = ctx.fn_sig(t.fn)
-            if sig is not None and sig.result == BOOL:
-                usage.setdefault(t.fn, set()).add("atom" if in_formula else "term")
-        child_formula = t.fn in CONNECTIVES
-        for a in t.args:
-            _collect_bool_uses(a, child_formula, ctx, usage)
-    elif isinstance(t, Eq):
-        _collect_bool_uses(t.left, False, ctx, usage)
-        _collect_bool_uses(t.right, False, ctx, usage)
-    elif isinstance(t, (Forall, Exists)):
-        _collect_bool_uses(t.body, True, ctx, usage)
-    elif isinstance(t, Var):
-        pass
-    else:
-        raise ValueError("boolean-use analysis expects first-order input")
-
-
-def _split_rewrite(t: Term, in_formula: bool, split: dict[str, str]) -> Term:
-    if isinstance(t, App):
-        child_formula = t.fn in CONNECTIVES
-        new = App(t.fn, tuple(_split_rewrite(a, child_formula, split) for a in t.args))
-        if in_formula and split.get(t.fn) == "function":
-            return Eq(new, TRUE)
-        return new
-    if isinstance(t, Eq):
-        return Eq(_split_rewrite(t.left, False, split), _split_rewrite(t.right, False, split))
-    if isinstance(t, (Forall, Exists)):
-        return type(t)(t.var, t.sort, _split_rewrite(t.body, True, split))
-    return t
-
-
 def to_fol(state: TranslationState) -> FolProblem:
     """Turn a terminated translation state into a legal many-sorted
     first-order problem: apply the predicate split and add the two-element
     boolean domain axiom and the distinctness axiom."""
     formulas = [*state.defs, state.current]
-    for formula in formulas:
-        verdict = is_syntactically_first_order(formula)
-        if not verdict.ok:
-            raise ValueError("to_fol requires a terminated translation state")
-
     usage: dict[str, set[str]] = {}
-    for formula in formulas:
-        _collect_bool_uses(formula, True, state.ctx, usage)
-    split: dict[str, str] = {}
-    for fn, uses in sorted(usage.items()):
-        split[fn] = "predicate" if uses == {"atom"} else "function"
+    atoms = []  # (formula index, path, symbol) of boolean applications in formula context
+    for k, formula in enumerate(formulas):
+        for path, occ in occurrences(formula):
+            t = occ.term
+            if redex_kind(t, occ.strict) is not None:
+                raise ValueError("to_fol requires a terminated translation state")
+            if isinstance(t, App) and t.fn not in BUILTIN_FNS:
+                sig = state.ctx.fn_sig(t.fn)
+                if sig is not None and sig.result == BOOL:
+                    use = "atom" if occ.effective == FORMULA_CONTEXT else "term"
+                    usage.setdefault(t.fn, set()).add(use)
+                    if use == "atom":
+                        atoms.append((k, path, t.fn))
+    split = {fn: "predicate" if uses == {"atom"} else "function" for fn, uses in sorted(usage.items())}
 
-    definitions = tuple(_split_rewrite(d, True, split) for d in state.defs)
-    goal = _split_rewrite(state.current, True, split)
+    # atoms of function-split symbols become equations with true,
+    # deepest-rightmost first so the paths still to visit stay valid
+    for k, path, fn in reversed(atoms):
+        if split[fn] == "function":
+            formulas[k] = replace_at(formulas[k], path, Eq(subterm_at(formulas[k], path), TRUE))
+    *definitions, goal = formulas
     x = Var("X")
     domain_axiom = Forall("X", BOOL, lor(Eq(x, TRUE), Eq(x, FALSE)))
     distinct_axiom = lnot(Eq(TRUE, FALSE))
     return FolProblem(
-        definitions=definitions,
+        definitions=tuple(definitions),
         goal=goal,
         domain_axiom=domain_axiom,
         distinct_axiom=distinct_axiom,
@@ -472,7 +439,3 @@ def to_fol(state: TranslationState) -> FolProblem:
         fresh_counter=state.fn_counter,
     )
 
-
-def translate_formula(phi: Term, ctx: TypeContext) -> FolProblem:
-    """Convenience composition of run_translation and to_fol."""
-    return to_fol(run_translation(phi, ctx))

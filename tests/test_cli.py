@@ -231,6 +231,27 @@ def test_verify_of_a_big_one_valued_table_builds_no_entries(tmp_path):
     assert int(peak_kb) < 100 * 1024
 
 
+@pytest.mark.parametrize("command", ["check", "translate", "prove"])
+def test_closed_stdout_is_an_io_error(listing, command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "foolkit.cli", command, listing],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.endswith("error: standard output is closed\n")
+    assert done.stderr.count("error:") == 1
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+
+
 def test_prove_refutes_both_modes(tmp_path, capsys):
     path = tmp_path / "p.p"
     path.write_text("tff(c, conjecture, ![X : $o] : (X | ~X)).\n")

@@ -66,6 +66,32 @@ def test_bool_variables_strict():
         parse_problem(text, strict=True)
 
 
+_STRICT_DECLS = (
+    "tff(s_s, type, s : $tType).\n"
+    "tff(d_p, type, p : s > $o).\n"
+    "tff(d_q, type, q : $o).\n"
+    "tff(d_f, type, f : s > s).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["q = q", "![X : s] : (p(X) = q)", "~(q = q)", "![X : s] : ~(p(X) = q)"],
+)
+def test_boolean_equality_rejected_in_strict_mode(body):
+    text = _STRICT_DECLS + f"tff(a, axiom, {body}).\n"
+    parse_problem(text)
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, strict=True)
+    assert "boolean equality is not allowed in strict mode" in str(err.value)
+    assert "'a'" in str(err.value)
+
+
+def test_non_boolean_equality_under_a_quantifier_accepted_in_strict_mode():
+    problem = parse_problem(_STRICT_DECLS + "tff(a, axiom, ![X : s] : (f(X) = X)).\n", strict=True)
+    assert len(problem.formulas) == 5
+
+
 def test_unified_ite_and_let_forms():
     text = """\
 tff(s_s, type, s : $tType).
@@ -111,6 +137,27 @@ def test_reserved_prefix_rejected_in_dialect():
     with pytest.raises(ParseError) as err:
         parse_problem("tff(t, type, sk_fool_0 : $int).\n")
     assert "reserved" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "decl",
+    ["fool_bool : $tType", "fool_true : s", "fool_false : s", "'fool_true' : $o"],
+)
+def test_emitted_boolean_names_rejected_in_dialect_declarations(decl):
+    text = f"tff(s_s, type, s : $tType).\ntff(t, type, {decl}).\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert "reserved" in str(err.value)
+    parse_problem(text, strict=True)  # emitted problems declare them
+
+
+@pytest.mark.parametrize("name", ["fool_bool", "fool_true", "fool_false", "sk_fool_3"])
+def test_reserved_names_are_not_inferred_as_constants(name):
+    base = "tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem(base + f"tff(a, axiom, c = {name}).\n")
+    assert f"unbound function symbol {name!r}" in str(err.value)
+    assert parse_problem(base + "tff(a, axiom, c = d).\n").signature.fn_sig("d") is not None
 
 
 def test_includes_rejected():

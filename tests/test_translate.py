@@ -1,6 +1,7 @@
 """The four lowering steps, the driver, and conversion to legal
 first-order problems."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -41,6 +42,7 @@ from foolkit import (
 )
 from foolkit.prover import clausify
 from foolkit.semantics import table_count
+from foolkit.tptp import print_fol_tff0
 from foolkit.terms import (
     FALSE,
     FORMULA_CONTEXT,
@@ -529,10 +531,16 @@ def test_to_fol_output_is_first_order(ctx):
 
 
 def test_to_fol_requires_terminated_state(ctx):
-    phi = Eq(App("f", (land(App("p0"), App("q0")),)), App("c"))
-    state = fresh_state(phi, ctx)
-    with pytest.raises(ValueError):
-        to_fol(state)
+    in_term = Eq(App("f", (land(App("p0"), App("q0")),)), App("c"))
+    ite = Eq(Ite(App("p0"), App("c"), App("h", (App("c"),))), App("c"))
+    for phi in (in_term, ite):
+        with pytest.raises(ValueError):
+            to_fol(fresh_state(phi, ctx))
+        # also when the residue sits in a definition behind a first-order goal
+        state = fresh_state(Eq(App("c"), App("c")), ctx)
+        state.defs.append(phi)
+        with pytest.raises(ValueError):
+            to_fol(state)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +608,20 @@ def test_generated_clausify_is_pinned():
     assert got == golden
 
 
+def _emitted(phi, ctx):
+    fol = to_fol(run_translation(phi, ctx))
+    text = print_fol_tff0(fol).encode()
+    return {"predicate_split": fol.predicate_split, "sha256": hashlib.sha256(text).hexdigest()}
+
+
+def test_emitted_problems_are_pinned():
+    """The predicate split and the SHA-256 of the emitted standard text
+    of every pinned input."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "emitted.json").read_text())
+    got = {name: _emitted(phi, ctx) for name, phi, ctx in _translation_inputs()}
+    assert got == golden
+
+
 _LETTERS = {
     "bound": "b", "free": "f", None: "-",
     FORMULA_CONTEXT: "F", TERM_CONTEXT: "T", NO_CONTEXT: "N",
@@ -664,6 +686,23 @@ def test_deep_nest_around_one_ite(ctx):
     state = run_translation(Eq(t, App("c")), ctx)
     assert state.step_counts() == {"ite": 1}
     assert state.steps[0][2] == (0,) * 901
+
+
+def test_deep_first_order_nest_needs_no_stack(ctx):
+    """The first-order check, the redex measure and to_fol walk a nest
+    far deeper than the recursion limit.  Deep terms are compared by
+    identity: ``==`` on them would recurse once per level."""
+    t = App("c")
+    for _ in range(5000):
+        t = App("h", (t,))
+    phi = App("pr", (t,))
+    state = TranslationState(current=phi, ctx=ctx)
+    assert is_syntactically_first_order(phi).ok
+    assert redex_measure(phi, ctx) == 0
+    fol = to_fol(state)
+    assert fol.goal is phi
+    assert fol.definitions == ()
+    assert fol.predicate_split == {"pr": "predicate"}
 
 
 def test_fresh_symbols_are_in_scope_after_a_let(ctx):
