@@ -1,8 +1,8 @@
 """Command-line front door: check, translate, verify, prove, bench.
 
 Exit codes are a stable contract: 0 success, 1 logic error (syntax, sort
-or verification failure), 2 I/O error, 3 enumeration overflow, 4 search
-limit hit.
+or verification failure, or input nested too deeply), 2 I/O error, 3
+enumeration overflow, 4 search limit hit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .prover import (
     RULE_MODE,
     clausify,
     saturate,
-    term_positions,
 )
 from .semantics import DomainSpec, EnumerationOverflow, check_model_preservation
 from .terms import (
@@ -178,25 +177,6 @@ def bench_fixture(k: int) -> tuple[list[Clause], TypeContext]:
     return clauses, TypeContext.of(sig)
 
 
-def _mentions_bool(clauses: list[Clause], ctx: TypeContext) -> bool:
-    """True when any clause contains a boolean term (an equation side or
-    argument of boolean sort, or a boolean variable)."""
-
-    def is_bool_term(t) -> bool:
-        if not isinstance(t, App):
-            return False
-        sig = ctx.fn_sig(t.fn)
-        return sig is not None and sig.result == BOOL
-
-    for clause in clauses:
-        if any(sort == BOOL for sort in clause.var_sorts.values()):
-            return True
-        for lit in clause.literals:
-            if any(is_bool_term(sub) for _, _, sub in term_positions(lit)):
-                return True
-    return False
-
-
 def _support_clauses(mode: str) -> list[Clause]:
     """Distinctness of the truth constants, plus the two-element domain
     clause in axiom mode (rule mode replaces it with the inference rule)."""
@@ -223,7 +203,8 @@ def run_bench(k_values, max_clauses: int, max_seconds: float):
     for k in k_values:
         row = {"k": k}
         base, ctx = bench_fixture(k)
-        needs_bool = _mentions_bool(base, ctx)
+        # the fixture mentions a boolean term exactly when it has hypotheses
+        needs_bool = k > 0
         for mode in (AXIOM_MODE, RULE_MODE):
             clauses = list(base)
             if needs_bool:
@@ -357,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except SystemExit as err:
         return int(err.code or 0)
+    except RecursionError:
+        # some walkers recurse once per nesting level of the input
+        print("error: input is nested too deeply (maximum recursion depth exceeded)", file=sys.stderr)
+        return EXIT_LOGIC
     except BrokenPipeError:
         # the reader closed standard output; point it at the null device
         # so the interpreter's own flush at exit cannot fail again

@@ -9,6 +9,10 @@ Two ways to handle the two-element boolean domain:
     containing a non-variable boolean subterm s other than a truth
     constant, the clause ``C[true] | s = false``.
 
+The given-clause loop alone renames premises apart: each given clause
+once to ``V0, V1, ...``, and per pair a copy of the other side shifted
+past it, so paramodulation and resolution rename nothing.
+
 Literal selection is select-nothing: all maximal literals are eligible.
 They are computed once, when a clause is kept; the renamed copies the
 binary rules work on have the same ones, because the ordering does not
@@ -146,7 +150,8 @@ class _Saturation:
         # maximal-literal indices of each kept clause, by clause id
         self.eligible: dict[int, list[int]] = {}
         self.passive: list[tuple[int, int]] = []
-        self.processed: list[int] = []
+        # each processed clause renamed to V0, V1, ... with its variable count
+        self.processed: list[tuple[Clause, int]] = []
         self.next_id = 1
         self.empty: Clause | None = None
         self.stats: dict[str, float] = {
@@ -207,20 +212,18 @@ class _Saturation:
 
     # -- inference rules ----------------------------------------------------
 
-    def paramodulate(self, from_clause: Clause, into_clause: Clause) -> None:
-        """Ordered paramodulation from positive equations of one clause
-        into non-variable subterm positions of the other."""
-        fc, counter = rename_clause(from_clause, 0)
-        ic, _ = rename_clause(into_clause, counter)
-        merged = {**fc.var_sorts, **ic.var_sorts}
+    def paramodulate(self, first: Clause, second: Clause) -> None:
+        """Ordered paramodulation from positive equations of the first clause
+        into non-variable subterm positions of the second, renamed apart."""
+        merged = {**first.var_sorts, **second.var_sorts}
         sort_of = self.sort_of_factory(merged)
-        for fi in self.eligible[from_clause.id]:
-            flit = fc.literals[fi]
+        for fi in self.eligible[first.id]:
+            flit = first.literals[fi]
             if not (flit.positive and flit.is_equation):
                 continue
             for l, r in ((flit.lhs, flit.rhs), (flit.rhs, flit.lhs)):
-                for ii in self.eligible[into_clause.id]:
-                    ilit = ic.literals[ii]
+                for ii in self.eligible[second.id]:
+                    ilit = second.literals[ii]
                     for side, path, sub in term_positions(ilit):
                         if isinstance(sub, Var):
                             continue
@@ -232,11 +235,11 @@ class _Saturation:
                         rewritten = _replace_in_literal(ilit, side, path, r)
                         literals = [
                             apply_subst_literal(rewritten, theta),
-                            *_rest(fc.literals, fi, theta),
-                            *_rest(ic.literals, ii, theta),
+                            *_rest(first.literals, fi, theta),
+                            *_rest(second.literals, ii, theta),
                         ]
                         self.record_new(
-                            literals, merged, "paramodulation", (from_clause.id, into_clause.id)
+                            literals, merged, "paramodulation", (first.id, second.id)
                         )
 
     def fool_paramodulate(self, clause: Clause) -> None:
@@ -259,19 +262,18 @@ class _Saturation:
                     literals, clause.var_sorts, "fool_paramodulation", (clause.id,)
                 )
 
-    def resolve(self, c1: Clause, c2: Clause) -> None:
-        a, counter = rename_clause(c1, 0)
-        b, _ = rename_clause(c2, counter)
-        merged = {**a.var_sorts, **b.var_sorts}
+    def resolve(self, first: Clause, second: Clause) -> None:
+        """Binary resolution between two clauses renamed apart."""
+        merged = {**first.var_sorts, **second.var_sorts}
         sort_of = self.sort_of_factory(merged)
-        for i in self.eligible[c1.id]:
-            for j in self.eligible[c2.id]:
-                l1, l2 = a.literals[i], b.literals[j]
+        for i in self.eligible[first.id]:
+            for j in self.eligible[second.id]:
+                l1, l2 = first.literals[i], second.literals[j]
                 if l1.positive == l2.positive:
                     continue
                 for theta in unify_atoms(l1, l2, sort_of):
-                    literals = _rest(a.literals, i, theta) + _rest(b.literals, j, theta)
-                    self.record_new(literals, merged, "resolution", (c1.id, c2.id))
+                    literals = _rest(first.literals, i, theta) + _rest(second.literals, j, theta)
+                    self.record_new(literals, merged, "resolution", (first.id, second.id))
 
     def factor(self, clause: Clause) -> None:
         sort_of = self.sort_of_factory(clause.var_sorts)
@@ -325,21 +327,24 @@ class _Saturation:
                 return self.result("limit")
             _, cid = heapq.heappop(self.passive)
             given = self.clauses[cid]
-            self.processed.append(cid)
+            renamed, count = rename_clause(given, 0)
+            self.processed.append((renamed, count))
             self.stats["processed"] += 1
 
             self.factor(given)
             self.equality_resolve(given)
             if self.config.bool_mode == RULE_MODE:
                 self.fool_paramodulate(given)
-            for pid in list(self.processed):
+            for partner, partner_count in self.processed:
                 if time.monotonic() > deadline:
                     return self.result("limit")
-                partner = self.clauses[pid]
-                self.paramodulate(given, partner)
-                if pid != cid:
-                    self.paramodulate(partner, given)
-                self.resolve(given, partner)
+                # a V0 copy against the other kept clause shifted past it
+                # (renaming a V copy again would number V10 before V2)
+                shifted, _ = rename_clause(self.clauses[partner.id], count)
+                self.paramodulate(renamed, shifted)
+                if partner.id != cid:
+                    self.paramodulate(partner, rename_clause(given, partner_count)[0])
+                self.resolve(renamed, shifted)
                 if self.empty is not None:
                     return self.result("refuted")
             if self.empty is not None:

@@ -18,7 +18,7 @@ lowering step applies at any occurrence.
 
 Some walks keep their own loops because they need no context and the
 classifier would only slow them down: ``subterm_positions`` (clause
-terms in the prover, about half the cost per node), ``free_fns`` and
+terms in the prover, about half the cost per node), ``free_fns``,
 ``free_vars_ordered`` (run on every lowering step), and ``tptp._render``,
 which carries one formula/term flag and is no shorter when driven by
 the classifier.

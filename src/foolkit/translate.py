@@ -122,15 +122,7 @@ class TranslationState:
 
 
 # ---------------------------------------------------------------------------
-# occurrences (classified in terms.py; what needs sorts lives here)
-
-
-def _clash(occ: Occurrence) -> set[str]:
-    """Locally bound let symbols occurring free in the subterm.
-
-    A step applies only where there are none, so a step's context needs
-    only the variables bound above it."""
-    return free_fns(occ.term) & occ.lets if occ.lets else set()
+# the redex measure (occurrences are classified in terms.py)
 
 
 def redex_measure(phi: Term, ctx: TypeContext) -> int:
@@ -208,6 +200,8 @@ def _ite(state: TranslationState, occ: Occurrence) -> Term:
 def _rename_bound_in(t: Term, names: set[str], state: TranslationState) -> Term:
     """Rename binders whose bound name lies in ``names`` to fresh
     variables, innermost first."""
+    if not names:
+        return t
     new = []
     for kid in children(t):
         new.append(_rename_bound_in(kid, names, state))
@@ -271,7 +265,9 @@ _CORES = {
 def _single_step(state: TranslationState, kind: str, path: tuple[int, ...], target: Target) -> TranslationState:
     chi = state.formula_at(target)
     occ = occurrence_at(chi, path)
-    clash = _clash(occ)
+    # a step applies only where no let symbol bound above occurs free, so
+    # its context needs only the variables bound above it
+    clash = free_fns(occ.term) & occ.lets
     if clash:
         raise ValueError(f"term has free occurrences of locally bound symbols {sorted(clash)}")
     new = _CORES[kind](state, occ)
@@ -311,26 +307,37 @@ def step4_let(state: TranslationState, path: tuple[int, ...], target: Target = "
 # the driver
 
 
-def _lower(state: TranslationState, target: Target, occ: Occurrence, path: tuple[int, ...]) -> Term:
+def _lower(
+    state: TranslationState, target: Target, occ: Occurrence, path: tuple[int, ...]
+) -> tuple[Term, frozenset[str]]:
     """Lower the occurrence's children left to right, then the occurrence
-    itself if it is an eligible redex; return the lowered term."""
+    itself if it is an eligible redex; return the lowered term and the
+    let symbols bound above it that occur free in it, which it clashes
+    with: a step applies only where there are none."""
     t = occ.term
     kids = children(t)
     new = []
+    clash = frozenset()
     for i, kid in enumerate(kids):
-        new.append(_lower(state, target, child_occurrence(occ, i, kid), path + (i,)))
+        lowered, kid_clash = _lower(state, target, child_occurrence(occ, i, kid), path + (i,))
+        new.append(lowered)
+        if kid_clash:  # a let's own symbol is bound in its scope, child 1
+            clash |= kid_clash - {t.fn} if isinstance(t, Let) and i == 1 else kid_clash
+    if isinstance(t, App) and t.fn in occ.lets:
+        clash |= {t.fn}
     if any(a is not b for a, b in zip(new, kids)):  # untouched subtrees are kept
         occ = occ._replace(term=with_children(t, tuple(new)))
     kind = redex_kind(occ.term, occ.strict)
-    if kind is None or _clash(occ):
-        return occ.term
+    if kind is None or clash:
+        return occ.term, clash
     lowered = _CORES[kind](state, occ)
     state.steps.append((kind, target, path))
     if kind == "let":
         # the let's symbol no longer binds anything, so redexes in the
         # scope that mention it are eligible now, in the let's own context
         return _lower(state, target, occ._replace(term=lowered), path)
-    return lowered
+    # nothing clashed, and the replacement adds only a fresh symbol
+    return lowered, frozenset()
 
 
 def _lower_targets(state: TranslationState, bound: int) -> None:
@@ -338,7 +345,7 @@ def _lower_targets(state: TranslationState, bound: int) -> None:
     including those appended while the passes run."""
     target: Target = "current"
     while target == "current" or target < len(state.defs):
-        lowered = _lower(state, target, Occurrence(state.formula_at(target)), ())
+        lowered, _ = _lower(state, target, Occurrence(state.formula_at(target)), ())
         state._set_formula(target, lowered)
         if len(state.steps) > bound:
             raise AssertionError(

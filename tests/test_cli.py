@@ -231,6 +231,31 @@ def test_verify_of_a_big_one_valued_table_builds_no_entries(tmp_path):
     assert int(peak_kb) < 100 * 1024
 
 
+def test_deep_input_is_one_error_line(tmp_path):
+    # The axioms are conjoined into one left-deep chain, and some walkers
+    # recurse once per level; a 400-deep negation nest already stops the
+    # parser.  Either way the contract is exit 1 with one error line.
+    wide = tmp_path / "wide.p"
+    wide.write_text(
+        "tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(d_p, type, p : s > $o).\n"
+        + "".join(f"tff(a{i}, axiom, p(c)).\n" for i in range(3000))
+    )
+    deep = tmp_path / "deep.p"
+    deep.write_text("tff(d_q, type, q : $o).\ntff(n, axiom, " + "~(" * 400 + "q" + ")" * 400 + ").\n")
+    runs = [("check", deep)] + [(c, p) for c in ("translate", "prove", "verify") for p in (wide, deep)]
+    for command, path in runs:
+        done = subprocess.run(
+            [sys.executable, "-m", "foolkit.cli", command, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 1, (command, path.name, done.stderr[-500:])
+        assert "Traceback" not in done.stderr, (command, path.name)
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (command, path.name, lines[:3])
+
+
 @pytest.mark.parametrize("command", ["check", "translate", "prove"])
 def test_closed_stdout_is_an_io_error(listing, command):
     read_end, write_end = os.pipe()
