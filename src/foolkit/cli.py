@@ -1,8 +1,9 @@
 """Command-line front door: check, translate, verify, prove, bench.
 
 Exit codes are a stable contract: 0 success, 1 logic error (syntax, sort
-or verification failure, or input nested too deeply), 2 I/O error, 3
-enumeration overflow, 4 search limit hit.
+or verification failure, or input nested too deeply), 2 I/O error
+(including input that is not UTF-8 text), 3 enumeration overflow, 4
+search limit hit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        raise SystemExit(EXIT_IO) from err
+    except UnicodeDecodeError as err:
+        print(f"error: {path}: not UTF-8 text: {err}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from err
 
 

@@ -21,12 +21,19 @@ grammar.  Strict mode also admits the names that are reserved (and
 rejected) in dialect input, since emitted problems contain them: the
 ``sk_fool_`` symbol prefix and the boolean sort's emitted names
 ``fool_bool``, ``fool_true`` and ``fool_false``.
+
+The lexer is one pass of one regular expression.  A token is
+``(kind, text, pos)`` with ``pos`` its offset into the text; the line
+and column of an offset are worked out (``_line_col``) only when an
+error is raised, and a formula's line is counted forward from the
+previous formula's.  ``_name`` is the one place that unquotes a name.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .terms import (
     AND,
@@ -96,63 +103,51 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
+# The last group matches any character the others do not, so every
+# offset of the text starts a match.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
+    r"""(?P<skip>\s+|%[^\n]*)
       | (?P<dollar>\$[a-z][A-Za-z0-9_]*)
       | (?P<lower>[a-z][A-Za-z0-9_]*)
       | (?P<upper>[A-Z][A-Za-z0-9_]*)
       | (?P<int>\d+)
       | (?P<quoted>'(?:[^'\\]|\\.)*')
       | (?P<op><=>|<~>|=>|<=|!=|:=|[()\[\],.:~&|=!?*>])
+      | (?P<bad>.)
     """,
     re.X,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the text; see _line_col
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset ``pos``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, pos - line_start + 1))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + lexeme.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_line_col(text, m.start()))
+        if kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
-def _unquote(text: str) -> str:
-    body = text[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def _name(tok: Token) -> str:
+    """The symbol a lower, int or quoted token spells."""
+    return _ESCAPE.sub(r"\1", tok.text[1:-1]) if tok.kind == "quoted" else tok.text
 
 
 _LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -232,6 +227,7 @@ _LEGACY_LET = {"$let", "$let_tt", "$let_tf", "$let_ft", "$let_ff"}
 
 class _Parser:
     def __init__(self, text: str, strict: bool) -> None:
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
         self.strict = strict
@@ -241,6 +237,8 @@ class _Parser:
         for name, sig in ARITHMETIC_FNS.items():
             self.signature.fns[name] = sig
         self.numbers: set[str] = set()
+        # the line of the last formula start, counted forward from there
+        self.line, self.line_pos = 1, 0
 
     # token plumbing
 
@@ -255,7 +253,7 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
     def accept(self, text: str) -> bool:
@@ -265,18 +263,15 @@ class _Parser:
         self.pos += 1
         return True
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, *_line_col(self.text, tok.pos))
 
     def parse_symbol(self, what: str) -> tuple[str, Token]:
         """A lower-case or quoted symbol, unquoted, and its token."""
         tok = self.next()
-        if tok.kind == "lower":
-            return tok.text, tok
-        if tok.kind == "quoted":
-            return _unquote(tok.text), tok
-        raise ParseError(f"invalid {what} {tok.text!r}", tok.line, tok.col)
+        if tok.kind not in ("lower", "quoted"):
+            raise self.error(f"invalid {what} {tok.text!r}", tok)
+        return _name(tok), tok
 
     # grammar
 
@@ -285,23 +280,23 @@ class _Parser:
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.text == "include":
-                raise self.fail("include directives are not supported")
+                raise self.error("include directives are not supported", tok)
             if tok.text != "tff":
-                raise self.fail(f"expected a tff annotated formula, found {tok.text!r}")
+                raise self.error(f"expected a tff annotated formula, found {tok.text!r}", tok)
             problem.formulas.append(self.parse_annotated())
         self._load(problem)
         return problem
 
     def parse_annotated(self) -> AnnotatedFormula:
         start = self.expect("tff")
+        self.line += self.text.count("\n", self.line_pos, start.pos)
+        self.line_pos = start.pos
         self.expect("(")
         name = self.parse_name()
         self.expect(",")
         role_tok = self.next()
         if role_tok.text not in ROLES:
-            raise ParseError(
-                f"unsupported role {role_tok.text!r}", role_tok.line, role_tok.col
-            )
+            raise self.error(f"unsupported role {role_tok.text!r}", role_tok)
         self.expect(",")
         if role_tok.text == "type":
             payload: SortDecl | SymbolDecl | Term = self.parse_type_payload()
@@ -309,43 +304,29 @@ class _Parser:
             # later declarations) may refer to them.
             if isinstance(payload, SortDecl):
                 if self.signature.sort(payload.name) is not None:
-                    raise ParseError(
-                        f"duplicate sort declaration {payload.name!r}",
-                        start.line,
-                        start.col,
-                    )
+                    raise self.error(f"duplicate sort declaration {payload.name!r}", start)
                 self.signature.declare_sort(payload.name)
             else:
                 if self.signature.fn_sig(payload.name) is not None:
-                    raise ParseError(
-                        f"duplicate symbol declaration {payload.name!r}",
-                        start.line,
-                        start.col,
-                    )
+                    raise self.error(f"duplicate symbol declaration {payload.name!r}", start)
                 self.signature.declare_fn(payload.name, payload.sig)
         else:
             payload = self.parse_expr()
         self.expect(")")
         self.expect(".")
-        return AnnotatedFormula(name, role_tok.text, payload, line=start.line)
+        return AnnotatedFormula(name, role_tok.text, payload, line=self.line)
 
     def parse_name(self) -> str:
         tok = self.next()
-        if tok.kind in ("lower", "int"):
-            return tok.text
-        if tok.kind == "quoted":
-            return _unquote(tok.text)
-        raise ParseError(f"invalid formula name {tok.text!r}", tok.line, tok.col)
+        if tok.kind not in ("lower", "int", "quoted"):
+            raise self.error(f"invalid formula name {tok.text!r}", tok)
+        return _name(tok)
 
     def parse_type_payload(self) -> SortDecl | SymbolDecl:
         wrapped = self.accept("(")
         name, tok = self.parse_symbol("declared name")
         if not self.strict and _is_reserved_name(name):
-            raise ParseError(
-                f"the name {name!r} is reserved for emitted problems",
-                tok.line,
-                tok.col,
-            )
+            raise self.error(f"the name {name!r} is reserved for emitted problems", tok)
         self.expect(":")
         if self.accept("$tType"):
             decl: SortDecl | SymbolDecl = SortDecl(name)
@@ -362,15 +343,15 @@ class _Parser:
                 return BOOL
             got = self.signature.sort(tok.text)
             if got is None:
-                raise ParseError(f"unknown sort {tok.text}", tok.line, tok.col)
+                raise self.error(f"unknown sort {tok.text}", tok)
             return got
         if tok.kind in ("lower", "quoted"):
-            name = _unquote(tok.text) if tok.kind == "quoted" else tok.text
+            name = _name(tok)
             got = self.signature.sort(name)
             if got is None:
-                raise ParseError(f"unknown sort {name!r}", tok.line, tok.col)
+                raise self.error(f"unknown sort {name!r}", tok)
             return got
-        raise ParseError(f"expected a sort, found {tok.text!r}", tok.line, tok.col)
+        raise self.error(f"expected a sort, found {tok.text!r}", tok)
 
     def parse_type(self) -> TypeSig:
         where = self.peek()
@@ -385,14 +366,10 @@ class _Parser:
             sig = TypeSig(tuple(args), result)
         else:
             if len(args) > 1:
-                raise ParseError(
-                    "product type without a result sort", where.line, where.col
-                )
+                raise self.error("product type without a result sort", where)
             sig = TypeSig((), args[0])
         if self.strict and any(s == BOOL for s in sig.args):
-            raise ParseError(
-                "$o may only be a result sort in strict mode", where.line, where.col
-            )
+            raise self.error("$o may only be a result sort in strict mode", where)
         return sig
 
     # formulas / terms (one unified expression grammar)
@@ -408,9 +385,7 @@ class _Parser:
                 items.append(self.parse_unit())
             nxt = self.peek()
             if nxt.text in _BINOPS:
-                raise ParseError(
-                    "mixing binary operators requires parentheses", nxt.line, nxt.col
-                )
+                raise self.error("mixing binary operators requires parentheses", nxt)
             out = items[0]
             for item in items[1:]:
                 out = App(_CONNECTIVE_OF[op], (out, item))
@@ -420,12 +395,10 @@ class _Parser:
             right = self.parse_unit()
             nxt = self.peek()
             if nxt.text in _BINOPS:
-                raise ParseError(
-                    f"{tok.text} is not associative; use parentheses", nxt.line, nxt.col
-                )
+                raise self.error(f"{tok.text} is not associative; use parentheses", nxt)
             return App(_CONNECTIVE_OF[tok.text], (first, right))
         if tok.text == "<~>":
-            raise ParseError("the <~> connective is not supported", tok.line, tok.col)
+            raise self.error("the <~> connective is not supported", tok)
         return first
 
     def parse_unit(self) -> Term:
@@ -452,19 +425,11 @@ class _Parser:
         while True:
             var_tok = self.next()
             if var_tok.kind != "upper":
-                raise ParseError(
-                    f"expected a variable, found {var_tok.text!r}",
-                    var_tok.line,
-                    var_tok.col,
-                )
+                raise self.error(f"expected a variable, found {var_tok.text!r}", var_tok)
             self.expect(":")
             sort = self.parse_sort()
             if self.strict and sort == BOOL:
-                raise ParseError(
-                    "boolean variables are not allowed in strict mode",
-                    var_tok.line,
-                    var_tok.col,
-                )
+                raise self.error("boolean variables are not allowed in strict mode", var_tok)
             binds.append((var_tok.text, sort))
             if not self.accept(","):
                 break
@@ -494,9 +459,8 @@ class _Parser:
             return App(tok.text, ())
         if tok.kind in ("lower", "quoted"):
             self.next()
-            name = _unquote(tok.text) if tok.kind == "quoted" else tok.text
-            return App(name, self.parse_optional_args())
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            return App(_name(tok), self.parse_optional_args())
+        raise self.error(f"unexpected token {tok.text!r}", tok)
 
     def parse_optional_args(self) -> tuple[Term, ...]:
         if not self.accept("("):
@@ -516,7 +480,7 @@ class _Parser:
             return FALSE
         if word in _LEGACY_ITE:
             if self.strict:
-                raise ParseError(f"{word} is not allowed in strict mode", tok.line, tok.col)
+                raise self.error(f"{word} is not allowed in strict mode", tok)
             self.expect("(")
             cond = self.parse_expr()
             self.expect(",")
@@ -527,11 +491,11 @@ class _Parser:
             return Ite(cond, then, els)
         if word in _LEGACY_LET:
             if self.strict:
-                raise ParseError(f"{word} is not allowed in strict mode", tok.line, tok.col)
+                raise self.error(f"{word} is not allowed in strict mode", tok)
             return self.parse_let(word, tok)
         if word in ARITHMETIC_FNS:
             return App(word, self.parse_optional_args())
-        raise ParseError(f"unsupported builtin {word}", tok.line, tok.col)
+        raise self.error(f"unsupported builtin {word}", tok)
 
     def parse_let(self, word: str, where: Token) -> Term:
         self.expect("(")
@@ -541,39 +505,32 @@ class _Parser:
             sig = self.parse_type()
             self.expect(",")
             head_tok = self.next()
-            head = _unquote(head_tok.text) if head_tok.kind == "quoted" else head_tok.text
+            head = _name(head_tok)
             if head != fn:
-                raise ParseError(
-                    f"let head {head!r} does not match the declared symbol {fn!r}",
-                    head_tok.line,
-                    head_tok.col,
+                raise self.error(
+                    f"let head {head!r} does not match the declared symbol {fn!r}", head_tok
                 )
             formals: list[str] = []
             if self.accept("("):
                 while True:
                     var_tok = self.next()
                     if var_tok.kind != "upper":
-                        raise ParseError(
-                            f"let formals must be variables, found {var_tok.text!r}",
-                            var_tok.line,
-                            var_tok.col,
+                        raise self.error(
+                            f"let formals must be variables, found {var_tok.text!r}", var_tok
                         )
                     formals.append(var_tok.text)
                     if not self.accept(","):
                         break
                 self.expect(")")
             if len(formals) != len(set(formals)):
-                raise ParseError(
-                    f"{DUPLICATE_LET_FORMAL}: let formals must be pairwise distinct",
-                    head_tok.line,
-                    head_tok.col,
+                raise self.error(
+                    f"{DUPLICATE_LET_FORMAL}: let formals must be pairwise distinct", head_tok
                 )
             if len(formals) != sig.arity:
-                raise ParseError(
+                raise self.error(
                     f"let head has {len(formals)} formals but the type declares "
                     f"{sig.arity} arguments",
-                    head_tok.line,
-                    head_tok.col,
+                    head_tok,
                 )
             params = tuple(zip(formals, sig.args))
             self.expect(":=")
@@ -581,11 +538,9 @@ class _Parser:
             # Legacy form: no type annotation, so only constant bindings
             # (the bound symbol's sort is inferred from the body).
             if self.peek().text == "(":
-                raise ParseError(
-                    f"{word} with parameters is not supported; "
-                    "use $let with a type annotation",
-                    where.line,
-                    where.col,
+                raise self.error(
+                    f"{word} with parameters is not supported; use $let with a type annotation",
+                    where,
                 )
             params = ()
             self.expect(",")
@@ -606,9 +561,7 @@ class _Parser:
                 conjectures += 1
                 if conjectures > 1:
                     raise ParseError("at most one conjecture is allowed", af.line)
-        for number in sorted(self.numbers):
-            if sig.fn_sig(number) is None:
-                sig.fns[number] = TypeSig((), INT)
+        _declare_numbers(sig, self.numbers)
 
         self._infer_undeclared_constants(problem)
 
@@ -630,7 +583,7 @@ class _Parser:
                     f"in formula {af.name!r}: {err.kind}: {err}", af.line
                 ) from err
             if self.strict:
-                self._strict_check(ctx, af)
+                self._strict_check(af)
 
     def _infer_undeclared_constants(self, problem: Problem) -> None:
         """Give undeclared nullary symbols the sort forced by their use.
@@ -658,13 +611,14 @@ class _Parser:
         def walk(ctx: TypeContext, t: Term) -> bool:
             changed = False
             if isinstance(t, Eq):
-                ls, rs = try_sort(ctx, t.left), try_sort(ctx, t.right)
-                if ls is not None and rs is None and is_orphan(ctx, t.right):
-                    sig.declare_fn(t.right.fn, TypeSig((), ls))
-                    changed = True
-                elif rs is not None and ls is None and is_orphan(ctx, t.left):
-                    sig.declare_fn(t.left.fn, TypeSig((), rs))
-                    changed = True
+                # an orphan has no sort, so only the other side is inferred
+                for orphan, other in ((t.right, t.left), (t.left, t.right)):
+                    if is_orphan(ctx, orphan):
+                        known = try_sort(ctx, other)
+                        if known is not None:
+                            sig.declare_fn(orphan.fn, TypeSig((), known))
+                            changed = True
+                        break
             if isinstance(t, App):
                 fsig = ctx.fn_sig(t.fn)
                 if fsig is not None and len(t.args) == fsig.arity:
@@ -695,15 +649,30 @@ class _Parser:
                 if isinstance(af.payload, Term):
                     progress |= walk(ctx, af.payload)
 
-    def _strict_check(self, ctx: TypeContext, af: AnnotatedFormula) -> None:
+    def _strict_check(self, af: AnnotatedFormula) -> None:
+        # Strict input binds no boolean variable and has no let or ite, so
+        # an equation side is boolean exactly when it is an equation, a
+        # quantifier, or an application whose result sort is $o; the two
+        # sides of a checked equation have one sort, so the left decides.
         for _, occ in occurrences(af.payload):  # type: ignore[arg-type]
             t = occ.term
-            if isinstance(t, Eq) and infer_sort(ctx.with_vars(occ.variables), t.left) == BOOL:
+            if isinstance(t, Eq) and (
+                isinstance(t.left, (Eq, Forall, Exists))
+                or (isinstance(t.left, App) and self.signature.fns[t.left.fn].result == BOOL)
+            ):
                 raise ParseError(
                     f"in formula {af.name!r}: boolean equality is not allowed "
                     "in strict mode",
                     af.line,
                 )
+
+
+def _declare_numbers(sig: Signature, numbers: set[str]) -> None:
+    """Give each numeral that is not declared otherwise the sort $int, in
+    sorted order."""
+    for number in sorted(numbers):
+        if sig.fn_sig(number) is None:
+            sig.fns[number] = TypeSig((), INT)
 
 
 def parse_problem(text: str, strict: bool = False) -> Problem:
@@ -722,10 +691,8 @@ def parse_formula(text: str, ctx: TypeContext) -> Term:
     term = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    for number in parser.numbers:
-        if ctx.fn_sig(number) is None:
-            ctx.sig.fns[number] = TypeSig((), INT)
+        raise parser.error(f"trailing input {tok.text!r}", tok)
+    _declare_numbers(ctx.sig, parser.numbers)
     infer_sort(ctx, term)
     return term
 
@@ -774,13 +741,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: bool, in_formula: bool) ->
         return t.name
 
     if isinstance(t, Eq):
-        left = _render(t.left, ctx, strict, False)
-        right = _render(t.right, ctx, strict, False)
-        if _needs_operand_parens(t.left):
-            left = f"({left})"
-        if _needs_operand_parens(t.right):
-            right = f"({right})"
-        return f"{left} = {right}"
+        return _render_equation(t, "=", ctx, strict)
 
     if isinstance(t, (Forall, Exists)):
         symbol = "!" if isinstance(t, Forall) else "?"
@@ -826,13 +787,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: bool, in_formula: bool) ->
         if t.fn == NOT:
             arg = t.args[0]
             if isinstance(arg, Eq):
-                left = _render(arg.left, ctx, strict, False)
-                right = _render(arg.right, ctx, strict, False)
-                if _needs_operand_parens(arg.left):
-                    left = f"({left})"
-                if _needs_operand_parens(arg.right):
-                    right = f"({right})"
-                return f"{left} != {right}"
+                return _render_equation(arg, "!=", ctx, strict)
             inner = _render(arg, ctx, strict, True)
             if isinstance(arg, (Forall, Exists)) or _is_equality_shaped(arg):
                 return f"~({inner})"
@@ -852,6 +807,16 @@ def _render(t: Term, ctx: TypeContext | None, strict: bool, in_formula: bool) ->
         return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
 
     raise TypeError(f"not a term: {t!r}")
+
+
+def _render_equation(eq: Eq, op: str, ctx: TypeContext | None, strict: bool) -> str:
+    """``=`` or ``!=`` between the two sides, each parenthesized where
+    the reader would otherwise take it apart."""
+    sides = []
+    for side in (eq.left, eq.right):
+        text = _render(side, ctx, strict, False)
+        sides.append(f"({text})" if _needs_operand_parens(side) else text)
+    return f"{sides[0]} {op} {sides[1]}"
 
 
 def _flatten_chain(fn: str, t: Term) -> list[Term]:

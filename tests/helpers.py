@@ -123,3 +123,54 @@ def mutate_wrong_constant(state, i):
     return _with_def(
         state, i, binds, App(body.fn, (body.args[0], Eq(atom.left, FALSE)))
     )
+
+
+def named_texts():
+    """(name, text) for every corpus problem and fixture."""
+    import corpus
+    import fixtures
+
+    groups = [
+        ("PRESERVATION", corpus.PRESERVATION),
+        ("REFUTATION", corpus.REFUTATION),
+        ("SATISFIABLE", corpus.SATISFIABLE),
+        ("fixtures", [
+            ("VERIFICATION_LISTING", fixtures.VERIFICATION_LISTING),
+            ("CONTAINS_ITE", fixtures.CONTAINS_ITE),
+            ("SUBSET_SORTED", fixtures.SUBSET_SORTED),
+        ]),
+    ]
+    return [(f"{group}/{name}", text) for group, entries in groups for name, text, *_ in entries]
+
+
+# Pieces a text mutation inserts: tokens of every kind, tokens the
+# dialect reserves or rejects, characters the lexer rejects, and the
+# shapes that make an emitted problem compare booleans.
+TEXT_SNIPPETS = (
+    "(", ")", ",", ".", ":", "[", "]", "=", "!=", "~", "&", "|", "=>", "<=>",
+    "<~>", "!", "?", "*", ">", ":=", "$o", "$i", "$int", "$tType", "$true",
+    "$false", "$ite", "$let", "$ite_t", "$let_tt", "$sum", "$greater", "$foo",
+    "X", "Y", "x", "c", "f(", "p(c)", "'q r'", "'", "\\", "12", "@", "%", "\n",
+    " ", "tff(", "include", "axiom", "type", "conjecture", "lemma",
+    " = $true", "$true = ", " = p(c)", "sk_fool_1", "'fool_bool'",
+)
+
+
+def mutate_text(rng, text):
+    """One seeded truncation, insertion, deletion or replacement, or an
+    equation with a truth constant after a closing parenthesis, where an
+    atom may end."""
+    kind = rng.randrange(5)
+    at = rng.randrange(len(text) + 1)
+    if kind == 0:
+        return text[:at]
+    if kind == 1:
+        return text[:at] + rng.choice(TEXT_SNIPPETS) + text[at:]
+    if kind == 4:
+        ends = [i + 1 for i, char in enumerate(text) if char == ")"] or [at]
+        at = rng.choice(ends)
+        return text[:at] + rng.choice((" = $true", " != $false")) + text[at:]
+    end = min(len(text), at + rng.randint(1, 8))
+    if kind == 2:
+        return text[:at] + text[end:]
+    return text[:at] + rng.choice(TEXT_SNIPPETS) + text[end:]

@@ -1,16 +1,23 @@
 """Exit codes, outputs and the bench table."""
 
+import contextlib
+import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foolkit.cli import main, run_bench
 
 from fixtures import CONTAINS_ITE, VERIFICATION_LISTING
+from helpers import mutate_text, named_texts
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +51,61 @@ def test_check_reports_sort_errors(tmp_path, capsys):
 def test_check_missing_file(capsys):
     assert main(["check", "/nonexistent/problem.p"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "verify", "prove"])
+def test_non_utf8_input_is_an_io_error(tmp_path, command):
+    path = tmp_path / "latin1.p"
+    path.write_bytes(b"tff(f, axiom, $true). % caf\xe9 \xff\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "foolkit.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 2, done.stderr[-500:]
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines[:3]
+
+
+_TEXTS = [text for _, text in named_texts()]
+_COMMANDS = [
+    ["check"],
+    ["check", "--strict"],
+    ["translate"],
+    ["verify"],
+    ["prove", "--max-seconds", "0.2"],
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    text=st.sampled_from(_TEXTS),
+    mutations=st.integers(0, 2),
+    seed=st.integers(0, 2**32),
+    junk=st.binary(max_size=3),
+    command=st.sampled_from(_COMMANDS),
+)
+def test_main_never_raises(text, mutations, seed, junk, command):
+    """On a corpus text with up to two mutations and a few bytes that may
+    not be UTF-8, every command returns an exit code of the contract and
+    prints no traceback."""
+    rng = random.Random(seed)
+    for _ in range(mutations):
+        text = mutate_text(rng, text)
+    data = text.encode()
+    at = rng.randrange(len(data) + 1)
+    data = data[:at] + junk + data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.p")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:]])
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_translate_writes_strict_output(listing, tmp_path, capsys):

@@ -1,5 +1,12 @@
 """Dialect parsing, both printers, and the strict-mode checks."""
 
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
 from foolkit import (
@@ -18,10 +25,14 @@ from foolkit import (
     run_translation,
     to_fol,
 )
-from foolkit.terms import INT, TRUE
-from foolkit.tptp import SortDecl, SymbolDecl
+from foolkit.terms import BUILTIN_FNS, INT, TRUE
+from foolkit.tptp import ARITHMETIC_FNS, SortDecl, SymbolDecl
 
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
+from helpers import mutate_text, named_texts
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_empty_input():
@@ -202,6 +213,71 @@ def test_mixed_operators_need_parentheses():
         parse_problem("tff(a, axiom, $true & $true | $true).\n")
     with pytest.raises(ParseError):
         parse_problem("tff(a, axiom, $true => $true => $true).\n")
+
+
+def test_parse_formula_declares_numerals_in_sorted_order():
+    """Numerals are declared in one order whatever the string hash seed,
+    as the problem loader declares them."""
+    child = (
+        "from foolkit import BOOL, Signature, TypeContext, TypeSig, parse_formula\n"
+        "from foolkit.terms import INT\n"
+        "sig = Signature()\n"
+        "sig.declare_fn('p', TypeSig((INT,), BOOL))\n"
+        "parse_formula(' & '.join(f'p({n})' for n in range(15, 9, -1)), TypeContext.of(sig))\n"
+        "print(*sig.user_fns())\n"
+    )
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+        )
+        assert done.stdout == "p 10 11 12 13 14 15\n", (seed, done.stderr[-500:])
+
+
+def _reader_inputs():
+    """(name, text) for the corpus and fixture problems, the golden
+    standard files and the emitted text of every corpus problem, each
+    as written and with eight seeded mutations."""
+    dialect = named_texts()
+    golden = [(f"golden/{path.name}", path.read_text()) for path in sorted(GOLDEN.glob("*.tff0"))]
+    emitted = []
+    for name, text in dialect:
+        problem = parse_problem(text)
+        fol = to_fol(run_translation(problem.goal_formula(), problem.ctx))
+        emitted.append((f"emitted/{name}", print_fol_tff0(fol)))
+    for name, text in dialect + golden + emitted:
+        yield name, text
+        rng = random.Random(name)
+        for i in range(8):
+            yield f"{name}#{i}", mutate_text(rng, text)
+
+
+def _reading(text, strict):
+    """The error with its location, or each formula's name, role and
+    line and the order of the declared sorts and symbols."""
+    try:
+        problem = parse_problem(text, strict=strict)
+    except ParseError as err:
+        return [str(err), err.line, err.col]
+    sig = problem.signature
+    return {
+        "formulas": [[f.name, f.role, f.line] for f in problem.formulas],
+        "sorts": list(sig.sorts),
+        "fns": [n for n in sig.fns if n not in BUILTIN_FNS and n not in ARITHMETIC_FNS],
+    }
+
+
+def test_parse_errors_are_pinned():
+    """Messages, lines and columns of the reader's errors, and formula
+    lines and signature order where it succeeds, in both modes."""
+    golden = json.loads((GOLDEN / "parse_errors.json").read_text())
+    got = {
+        name: {"dialect": _reading(text, False), "strict": _reading(text, True)}
+        for name, text in _reader_inputs()
+    }
+    assert got == golden
 
 
 # ---------------------------------------------------------------------------
