@@ -1,5 +1,6 @@
 """Ordering, unification, clausification and the saturation kernel."""
 
+import hashlib
 import itertools
 import json
 import pathlib
@@ -540,6 +541,41 @@ def test_refutation_proofs_are_pinned():
             config = ProverConfig(bool_mode=mode, max_clauses=5000, max_seconds=60)
             outcome = saturate(result.clauses, result.ctx, config)
             assert outcome.render_proof() == SEARCH["proofs"][f"{name}/{mode}"], (name, mode)
+
+
+CAPPED = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "prover_search_capped.json").read_text()
+)
+
+
+def capped_searches() -> dict:
+    """Verdict, stats and a digest of every kept clause for the satisfiable
+    problems and bench k = 1, 2, 3 in both modes, at the benchmark's
+    2000-clause cap."""
+    out = {}
+    for mode in (AXIOM_MODE, RULE_MODE):
+        problems = []
+        for name, text in corpus.SATISFIABLE:
+            result = clausify(translate_text(text))
+            problems.append((name, result.clauses, result.ctx))
+        for k in (1, 2, 3):
+            clauses, ctx = bench_fixture(k)
+            problems.append((f"bench-k{k}", clauses + _support_clauses(mode), ctx))
+        for name, clauses, ctx in problems:
+            config = ProverConfig(bool_mode=mode, max_clauses=2000, max_seconds=600)
+            outcome = saturate(clauses, ctx, config)
+            lines = []
+            for cid in sorted(outcome.clauses):
+                clause = outcome.clauses[cid]
+                note = ", ".join([clause.rule, *map(str, clause.parents)])
+                lines.append(f"{cid}. {clause.render()} [{note}]\n")
+            digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+            out[f"{name}/{mode}"] = [outcome.verdict, outcome.stats, digest]
+    return out
+
+
+def test_capped_searches_are_pinned():
+    assert capped_searches() == CAPPED
 
 
 def test_deadline_is_checked_between_partners(monkeypatch):
