@@ -8,7 +8,7 @@ target and derived variable equations multiply the damage; the dedicated
 rule generates a linear number of clauses instead.
 """
 
-from foolkit.cli import run_bench
+from foolkit.bench import run_bench
 
 rows = run_bench([0, 1, 2, 3, 4, 5], max_clauses=100_000, max_seconds=60)
 

@@ -4,13 +4,17 @@ Unit weights throughout; precedence is false, then true, then all other
 symbols by arity and name.  Both are fixed, not configurable.  That
 makes true and false the two smallest ground terms of every sort and
 orients ``anything = true`` the way the boolean handling needs.
+
+Literals compare by the multiset extension of the KBO over their
+equation sides.  A multiset is a plain list, built once per literal when
+``maximal_literal_indices`` orders a clause, and ``multiset_greater``
+cancels common elements by list removal; the eligible literals are those
+of counting multisets.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-from ..terms import App, FALSE_NAME, Term, TRUE_NAME, Var
+from ..terms import App, FALSE_NAME, TRUE, Term, TRUE_NAME, Var
 from .clauses import Clause, Literal, term_vars
 
 
@@ -68,26 +72,29 @@ def kbo_greater_or_equal(s: Term, t: Term) -> bool:
 # literal ordering: multiset extension over equation encodings
 
 
-def _literal_multiset(lit: Literal) -> Counter:
+def _literal_multiset(lit: Literal) -> list[Term]:
     """Positive s=t compares as {s, t}; negative as {s, s, t, t}.
     Predicate atoms compare via their atom-equals-true encoding."""
-    rhs = lit.rhs if lit.rhs is not None else App(TRUE_NAME)
-    sides = [lit.lhs, rhs]
-    ms: Counter = Counter()
-    for side in sides:
-        ms[side] += 1 if lit.positive else 2
-    return ms
+    rhs = lit.rhs if lit.rhs is not None else TRUE
+    if lit.positive:
+        return [lit.lhs, rhs]
+    return [lit.lhs, lit.lhs, rhs, rhs]
 
 
-def multiset_greater(a: Counter, b: Counter) -> bool:
-    if a == b:
+def multiset_greater(a: list[Term], b: list[Term]) -> bool:
+    """a > b in the multiset extension of the KBO: after cancelling the
+    elements a and b have in common, every element left in b is below
+    some element left in a, and something is left."""
+    only_b = list(b)
+    only_a = []
+    for x in a:
+        if x in only_b:
+            only_b.remove(x)
+        else:
+            only_a.append(x)
+    if not only_a and not only_b:
         return False
-    only_a = a - b
-    only_b = b - a
-    for y in only_b:
-        if not any(kbo_greater(x, y) for x in only_a):
-            return False
-    return True
+    return all(any(kbo_greater(x, y) for x in only_a) for y in only_b)
 
 
 def literal_greater(l1: Literal, l2: Literal) -> bool:
@@ -98,14 +105,11 @@ def maximal_literal_indices(clause: Clause) -> list[int]:
     """Indices of literals with no strictly greater literal in the clause.
 
     With no selection function, exactly these literals are eligible for
-    inferences.
+    inferences.  Each literal's multiset is built once per call.
     """
-    out = []
-    for i, lit in enumerate(clause.literals):
-        if not any(
-            literal_greater(other, lit)
-            for j, other in enumerate(clause.literals)
-            if j != i
-        ):
-            out.append(i)
-    return out
+    multisets = [_literal_multiset(lit) for lit in clause.literals]
+    return [
+        i
+        for i, ms in enumerate(multisets)
+        if not any(multiset_greater(other, ms) for j, other in enumerate(multisets) if j != i)
+    ]

@@ -9,14 +9,20 @@ Two ways to handle the two-element boolean domain:
     containing a non-variable boolean subterm s other than a truth
     constant, the clause ``C[true] | s = false``.
 
-The given-clause loop alone renames premises apart: each given clause
-once to ``V0, V1, ...``, and per pair a copy of the other side shifted
-past it, so paramodulation and resolution rename nothing.
+Each kept clause's literal data is derived once, when it is kept: its
+eligible literals, its sorted variable names (``record_new`` trims its
+variable sorts to the variables that occur) and, in the index, its
+literal shapes.
+
+The given-clause loop alone renames premises apart, from those variable
+names: each given clause once to ``V0, V1, ...``, and per pair a copy of
+the other side shifted past it, so paramodulation and resolution rename
+nothing.
 
 Literal selection is select-nothing: all maximal literals are eligible.
-They are computed once, when a clause is kept; the renamed copies the
-binary rules work on have the same ones, because the ordering does not
-change under an injective renaming of variables.
+The renamed copies the binary rules work on have the same ones as the
+kept clause, because the ordering does not change under an injective
+renaming of variables.
 
 Redundancy handling is tautology deletion plus forward subsumption by
 variable renaming, nothing stronger.  The subsumption candidates come
@@ -50,7 +56,7 @@ from .unification import (
     apply_subst_literal,
     is_variant,
     mgu,
-    rename_clause,
+    rename_variables,
     unify_atoms,
 )
 
@@ -147,8 +153,10 @@ class _Saturation:
         self.config = config
         self.clauses: dict[int, Clause] = {}
         self.kept = VariantIndex()
-        # maximal-literal indices of each kept clause, by clause id
+        # maximal-literal indices and sorted variable names of each kept
+        # clause, by clause id
         self.eligible: dict[int, list[int]] = {}
+        self.variables: dict[int, list[str]] = {}
         self.passive: list[tuple[int, int]] = []
         # each processed clause renamed to V0, V1, ... with its variable count
         self.processed: list[tuple[Clause, int]] = []
@@ -207,6 +215,7 @@ class _Saturation:
         self.clauses[clause.id] = clause
         self.kept.add(clause)
         self.eligible[clause.id] = maximal_literal_indices(clause)
+        self.variables[clause.id] = sorted(clause.var_sorts)
         self.stats["kept"] += 1
         heapq.heappush(self.passive, (len(clause.literals), clause.id))
 
@@ -327,7 +336,8 @@ class _Saturation:
                 return self.result("limit")
             _, cid = heapq.heappop(self.passive)
             given = self.clauses[cid]
-            renamed, count = rename_clause(given, 0)
+            names = self.variables[cid]
+            renamed, count = rename_variables(given, names, 0)
             self.processed.append((renamed, count))
             self.stats["processed"] += 1
 
@@ -340,10 +350,12 @@ class _Saturation:
                     return self.result("limit")
                 # a V0 copy against the other kept clause shifted past it
                 # (renaming a V copy again would number V10 before V2)
-                shifted, _ = rename_clause(self.clauses[partner.id], count)
+                shifted, _ = rename_variables(
+                    self.clauses[partner.id], self.variables[partner.id], count
+                )
                 self.paramodulate(renamed, shifted)
                 if partner.id != cid:
-                    self.paramodulate(partner, rename_clause(given, partner_count)[0])
+                    self.paramodulate(partner, rename_variables(given, names, partner_count)[0])
                 self.resolve(renamed, shifted)
                 if self.empty is not None:
                     return self.result("refuted")

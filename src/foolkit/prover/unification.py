@@ -4,6 +4,13 @@ literal-shape index that finds subsumption-by-variant candidates.
 Clause terms contain only variables and applications.  Unification is
 sort-aware when given a sort function, so a boolean variable never binds
 to a term of another sort.
+
+Substitution returns a subterm in which it binds no variable as the same
+object, so ground and untouched arguments are shared, not rebuilt.  The
+index stores each clause with its literal shapes and computes a query's
+shapes once per lookup; the variant search pairs a literal only with
+literals of equal shape, which is necessary for one to map onto the
+other, so the subsumption answers are those of trying every literal.
 """
 
 from __future__ import annotations
@@ -18,17 +25,26 @@ SortOf = Callable[[Term], Sort]
 
 
 def apply_subst(t: Term, subst: Subst) -> Term:
+    """t under subst.  A subterm in which subst binds no variable comes
+    back as the same object, so ground and untouched arguments are shared,
+    not rebuilt."""
     if not subst:
         return t
     if isinstance(t, Var):
-        got = subst.get(t.name)
-        return got if got is not None else t
-    return App(t.fn, tuple(apply_subst(a, subst) for a in t.args))
+        return subst.get(t.name, t)
+    args = tuple(apply_subst(a, subst) for a in t.args)
+    for new, old in zip(args, t.args):
+        if new is not old:
+            return App(t.fn, args)
+    return t
 
 
 def apply_subst_literal(lit: Literal, subst: Subst) -> Literal:
+    lhs = apply_subst(lit.lhs, subst)
     rhs = apply_subst(lit.rhs, subst) if lit.rhs is not None else None
-    return Literal(lit.positive, apply_subst(lit.lhs, subst), rhs)
+    if lhs is lit.lhs and rhs is lit.rhs:
+        return lit
+    return Literal(lit.positive, lhs, rhs)
 
 
 def occurs(name: str, t: Term) -> bool:
@@ -95,55 +111,94 @@ def unify_atoms(l1: Literal, l2: Literal, sort_of: SortOf | None = None) -> list
 
 
 def rename_clause(clause: Clause, start: int) -> tuple[Clause, int]:
-    """Rename the clause's variables to fresh V<k> names."""
+    """Rename the clause's variables, in sorted order, to fresh V<k> names."""
+    return rename_variables(clause, sorted(clause.variables()), start)
+
+
+def rename_variables(clause: Clause, names: list[str], start: int) -> tuple[Clause, int]:
+    """Rename ``names``, which must list every variable of the clause, to
+    ``V<start>, V<start+1>, ...`` in list order."""
     mapping: Subst = {}
     sorts: dict[str, Sort] = {}
-    counter = start
-    for var in sorted(clause.variables()):
-        fresh = f"V{counter}"
-        counter += 1
+    for k, var in enumerate(names, start):
+        fresh = f"V{k}"
         mapping[var] = Var(fresh)
         sorts[fresh] = clause.var_sorts[var]
     literals = tuple(apply_subst_literal(lit, mapping) for lit in clause.literals)
     renamed = Clause(literals, sorts, clause.id, clause.rule, clause.parents)
-    return renamed, counter
+    return renamed, start + len(names)
+
+
+def _match_term(x: Term, y: Term, ren: dict[str, str]) -> dict[str, str] | None:
+    """Extend an injective variable renaming so x maps onto y exactly."""
+    if isinstance(x, Var):
+        if not isinstance(y, Var):
+            return None
+        bound = ren.get(x.name)
+        if bound is not None:
+            return ren if bound == y.name else None
+        if y.name in ren.values():
+            return None
+        out = dict(ren)
+        out[x.name] = y.name
+        return out
+    if not isinstance(y, App) or x.fn != y.fn or len(x.args) != len(y.args):
+        return None
+    for xa, ya in zip(x.args, y.args):
+        got = _match_term(xa, ya, ren)
+        if got is None:
+            return None
+        ren = got
+    return ren
 
 
 def _match_literal(a: Literal, b: Literal, renaming: dict[str, str]) -> dict[str, str] | None:
     """Extend an injective variable renaming so a maps onto b exactly."""
     if a.positive != b.positive or a.is_equation != b.is_equation:
         return None
-
-    def match_term(x: Term, y: Term, ren: dict[str, str]) -> dict[str, str] | None:
-        if isinstance(x, Var):
-            if not isinstance(y, Var):
-                return None
-            bound = ren.get(x.name)
-            if bound is not None:
-                return ren if bound == y.name else None
-            if y.name in ren.values():
-                return None
-            out = dict(ren)
-            out[x.name] = y.name
-            return out
-        if not isinstance(y, App) or x.fn != y.fn or len(x.args) != len(y.args):
-            return None
-        for xa, ya in zip(x.args, y.args):
-            got = match_term(xa, ya, ren)
-            if got is None:
-                return None
-            ren = got
-        return ren
-
     if not a.is_equation:
-        return match_term(a.lhs, b.lhs, renaming)
+        return _match_term(a.lhs, b.lhs, renaming)
     for left, right in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
-        ren = match_term(a.lhs, left, renaming)
+        ren = _match_term(a.lhs, left, renaming)
         if ren is not None:
-            ren = match_term(a.rhs, right, ren)
+            ren = _match_term(a.rhs, right, ren)
             if ren is not None:
                 return ren
     return None
+
+
+def _renames_into(
+    c: tuple[Literal, ...], shapes: list[str], d: tuple[Literal, ...], slots: dict[str, list[int]]
+) -> bool:
+    """True when a variable renaming maps the literals c injectively into
+    d.  ``shapes`` are the shapes of c's literals, ``slots`` the positions
+    of d's literals by shape: a literal is tried only against the
+    literals of its own shape, the only ones ``_match_literal`` can map
+    it onto, in their order in d."""
+
+    def assign(i: int, used: frozenset[int], renaming: dict[str, str]) -> bool:
+        if i == len(c):
+            return True
+        for j in slots.get(shapes[i], ()):
+            if j in used:
+                continue
+            got = _match_literal(c[i], d[j], renaming)
+            if got is not None and assign(i + 1, used | {j}, got):
+                return True
+        return False
+
+    return assign(0, frozenset(), {})
+
+
+def _shapes(clause: Clause) -> list[str]:
+    return [_literal_shape(lit) for lit in clause.literals]
+
+
+def _slots(shapes: list[str]) -> dict[str, list[int]]:
+    slots: dict[str, list[int]] = {}
+    for j, shape in enumerate(shapes):
+        slots.setdefault(shape, []).append(j)
+    return slots
 
 
 def subsumes_by_variant(c: Clause, d: Clause) -> bool:
@@ -154,19 +209,7 @@ def subsumes_by_variant(c: Clause, d: Clause) -> bool:
     """
     if len(c.literals) > len(d.literals):
         return False
-
-    def assign(i: int, used: set[int], renaming: dict[str, str]) -> bool:
-        if i == len(c.literals):
-            return True
-        for j, target in enumerate(d.literals):
-            if j in used:
-                continue
-            got = _match_literal(c.literals[i], target, renaming)
-            if got is not None and assign(i + 1, used | {j}, got):
-                return True
-        return False
-
-    return assign(0, set(), {})
+    return _renames_into(c.literals, _shapes(c), d.literals, _slots(_shapes(d)))
 
 
 def _skeleton(t: Term) -> str:
@@ -196,36 +239,42 @@ class VariantIndex:
     """Clauses in a trie keyed by their sorted literal shapes, for forward
     subsumption by variant.
 
-    A lookup walks only the paths spelled by sub-multisets of the query's
-    shapes, so it reaches exactly the indexed clauses whose shape multiset
-    the query's contains, and decides each with ``subsumes_by_variant``.
-    Shape containment is a necessary condition of that test, so the answer
-    is the same as trying every indexed clause.
+    Each clause is stored with its literal shapes, and a query's shapes
+    are computed once per lookup.  A lookup walks only the paths spelled
+    by sub-multisets of the query's shapes, so it reaches exactly the
+    indexed clauses whose shape multiset the query's contains, and decides
+    each by the search of ``subsumes_by_variant``, which pairs literals of
+    equal shape only.  Shape equality is necessary for a literal to map
+    onto another, so the answer is the same as trying every indexed clause
+    against every literal.
     """
 
     def __init__(self) -> None:
-        # a node is (clauses ending here, children by next shape)
-        self._root: tuple[list[Clause], dict] = ([], {})
+        # a node is (clauses ending here with their shapes, children by next shape)
+        self._root: tuple[list[tuple[Clause, list[str]]], dict] = ([], {})
 
     def add(self, clause: Clause) -> None:
+        shapes = _shapes(clause)
         node = self._root
-        for shape in sorted(_literal_shape(lit) for lit in clause.literals):
+        for shape in sorted(shapes):
             node = node[1].setdefault(shape, ([], {}))
-        node[0].append(clause)
+        node[0].append((clause, shapes))
 
     def find(self, clause: Clause) -> Clause | None:
         """An indexed clause that subsumes ``clause`` by variant, or None."""
-        shapes = sorted(_literal_shape(lit) for lit in clause.literals)
+        shapes = _shapes(clause)
+        slots = _slots(shapes)
+        ordered = sorted(shapes)
         stack = [(self._root, 0)]
         while stack:
             (ending, children), start = stack.pop()
-            for other in ending:
-                if subsumes_by_variant(other, clause):
+            for other, other_shapes in ending:
+                if _renames_into(other.literals, other_shapes, clause.literals, slots):
                     return other
-            for i in range(start, len(shapes)):
-                if i > start and shapes[i] == shapes[i - 1]:
+            for i in range(start, len(ordered)):
+                if i > start and ordered[i] == ordered[i - 1]:
                     continue  # each sub-multiset is spelled once
-                child = children.get(shapes[i])
+                child = children.get(ordered[i])
                 if child is not None:
                     stack.append((child, i + 1))
         return None

@@ -24,7 +24,7 @@ from foolkit import (
     run_translation,
     to_fol,
 )
-from foolkit.cli import run_bench
+from foolkit.bench import run_bench
 from generate import TermGen
 from foolkit.prover import (
     AXIOM_MODE,

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foolkit.cli import main, run_bench
+from foolkit.bench import run_bench
+from foolkit.cli import main
 
 from fixtures import CONTAINS_ITE, VERIFICATION_LISTING
 from helpers import mutate_text, named_texts

@@ -5,6 +5,7 @@ import itertools
 import json
 import pathlib
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from foolkit.prover import (
     mgu,
     saturate,
 )
-from foolkit.cli import _support_clauses, bench_fixture
+from foolkit.bench import _support_clauses, bench_fixture
 from foolkit.prover import saturation
 from foolkit.prover.ordering import literal_greater, maximal_literal_indices
 from foolkit.prover.clauses import dedup_literals
@@ -47,6 +48,7 @@ from foolkit.prover.unification import (
     VariantIndex,
     apply_subst,
     apply_subst_literal,
+    rename_clause,
     subsumes_by_variant,
     unify_atoms,
 )
@@ -606,9 +608,14 @@ _terms = st.recursive(
     ),
     max_leaves=4,
 )
+_variables = st.sampled_from([Var("X"), Var("Y"), Var("Z")])
+# the last two strategies draw few shapes, such as p(X) and p(Y) or X = a
+# and Y = a, so that clauses often have several literals of one shape
 _literals = st.one_of(
     st.builds(Literal, st.booleans(), _terms, _terms),
     st.builds(lambda positive, t: Literal(positive, App("p", (t,))), st.booleans(), _terms),
+    st.builds(lambda positive, x: Literal(positive, App("p", (x,))), st.booleans(), _variables),
+    st.builds(Literal, st.booleans(), _variables, st.sampled_from([App("a"), App("b")])),
 )
 _clauses = st.lists(_literals, min_size=1, max_size=3).map(lambda lits: Clause(tuple(lits)))
 
@@ -641,6 +648,146 @@ def test_variant_index_agrees_with_scan(data):
         found = index.find(query)
         assert (found is not None) == any(subsumes_by_variant(c, query) for c in kept)
         assert found is None or (found in kept and subsumes_by_variant(found, query))
+
+
+def _reference_match_literal(a, b, renaming):
+    """Extend an injective variable renaming so a maps onto b exactly."""
+    if a.positive != b.positive or a.is_equation != b.is_equation:
+        return None
+
+    def match_term(x, y, ren):
+        if isinstance(x, Var):
+            if not isinstance(y, Var):
+                return None
+            bound = ren.get(x.name)
+            if bound is not None:
+                return ren if bound == y.name else None
+            if y.name in ren.values():
+                return None
+            return {**ren, x.name: y.name}
+        if not isinstance(y, App) or x.fn != y.fn or len(x.args) != len(y.args):
+            return None
+        for xa, ya in zip(x.args, y.args):
+            ren = match_term(xa, ya, ren)
+            if ren is None:
+                return None
+        return ren
+
+    if not a.is_equation:
+        return match_term(a.lhs, b.lhs, renaming)
+    for left, right in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
+        ren = match_term(a.lhs, left, renaming)
+        if ren is not None:
+            ren = match_term(a.rhs, right, ren)
+            if ren is not None:
+                return ren
+    return None
+
+
+def _reference_subsumes(c, d):
+    """``subsumes_by_variant`` as first written: every literal of c is
+    tried against every unused literal of d, whatever its shape."""
+    if len(c.literals) > len(d.literals):
+        return False
+
+    def assign(i, used, renaming):
+        if i == len(c.literals):
+            return True
+        for j, target in enumerate(d.literals):
+            if j in used:
+                continue
+            got = _reference_match_literal(c.literals[i], target, renaming)
+            if got is not None and assign(i + 1, used | {j}, got):
+                return True
+        return False
+
+    return assign(0, set(), {})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_subsumes_by_variant_agrees_with_the_unfiltered_search(data):
+    c = data.draw(_clauses)
+    for d in (data.draw(_clauses), _disguised(data, c), c):
+        assert subsumes_by_variant(c, d) == _reference_subsumes(c, d)
+        assert subsumes_by_variant(d, c) == _reference_subsumes(d, c)
+
+
+# ---------------------------------------------------------------------------
+# the literal ordering agrees with its Counter-based definition
+
+
+def _counter_multiset(lit):
+    rhs = lit.rhs if lit.rhs is not None else TRUE
+    ms = Counter()
+    for side in (lit.lhs, rhs):
+        ms[side] += 1 if lit.positive else 2
+    return ms
+
+
+def _counter_multiset_greater(a, b):
+    if a == b:
+        return False
+    only_a = a - b
+    only_b = b - a
+    return all(any(kbo_greater(x, y) for x in only_a) for y in only_b)
+
+
+def _reference_literal_greater(l1, l2):
+    return _counter_multiset_greater(_counter_multiset(l1), _counter_multiset(l2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_literals, _literals)
+def test_literal_greater_agrees_with_counter_multisets(l1, l2):
+    assert literal_greater(l1, l2) == _reference_literal_greater(l1, l2)
+    assert literal_greater(l1, l1) is False
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_literals, min_size=1, max_size=5))
+def test_maximal_literals_agree_with_counter_multisets(literals):
+    expected = [
+        i
+        for i, lit in enumerate(literals)
+        if not any(
+            _reference_literal_greater(other, lit)
+            for j, other in enumerate(literals)
+            if j != i
+        )
+    ]
+    assert maximal_literal_indices(Clause(tuple(literals))) == expected
+
+
+# ---------------------------------------------------------------------------
+# substitution shares what it leaves unchanged; renaming numbers as before
+
+
+def test_apply_subst_returns_unbound_subterms_unchanged():
+    ground = App("g2", (App("f", (App("a"),)), App("b")))
+    term = App("g2", (ground, App("f", (Var("X"),))))
+    assert apply_subst(term, {"Y": App("a")}) is term
+    assert apply_subst(ground, {"X": App("b")}) is ground
+    got = apply_subst(term, {"X": App("b")})
+    assert got == App("g2", (ground, App("f", (App("b"),))))
+    assert got.args[0] is ground
+    lit = Literal(True, ground, Var("X"))
+    assert apply_subst_literal(lit, {"Y": App("a")}) is lit
+    assert apply_subst_literal(lit, {"X": App("a")}).lhs is ground
+
+
+def test_rename_clause_numbers_only_occurring_variables_in_sorted_order():
+    # B is listed but does not occur; the variables are numbered A, Y
+    clause = Clause(
+        (Literal(True, App("g2", (Var("Y"), Var("A"))), App("f", (Var("Y"),))),),
+        {"Y": S, "B": BOOL, "A": S},
+        id=7,
+    )
+    renamed, count = rename_clause(clause, 3)
+    assert count == 5
+    assert renamed.render() == "g2(V4, V3) = f(V4)"
+    assert renamed.var_sorts == {"V3": S, "V4": S}
+    assert renamed.id == 7
 
 
 # ---------------------------------------------------------------------------
