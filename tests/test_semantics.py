@@ -1,12 +1,16 @@
 """Evaluation, enumeration, and the model-preservation oracle."""
 
 import dataclasses
+import functools
 import itertools
 import json
+import math
 import pathlib
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from foolkit import (
     App,
@@ -35,7 +39,11 @@ from foolkit import (
 )
 from generate import TermGen
 from foolkit.semantics import DEFAULT_CAP, table_count
-from foolkit.terms import FALSE, TRUE, Sort, subst_free_vars, term_to_str
+from foolkit.terms import BUILTIN_FNS, FALSE, TRUE, Sort, free_fns, subst_free_vars, term_to_str
+from test_acceptance import MUTATION_FIXTURES, MUTATIONS, translate_problem
+from test_properties import closed, lean_generator
+
+import helpers
 
 S = Sort("s")
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -379,6 +387,117 @@ def test_oracle_reports_are_pinned():
             item["overflow"] = True
         got.append(item)
     assert got == golden["random"]
+
+
+# ---------------------------------------------------------------------------
+# the oracle against brute force
+
+
+def brute_force_report(phi, state, spec):
+    """``(checked, render())`` of check_model_preservation, by definition:
+    every joint table of the base and fresh symbols, in lexicographic
+    order, each judged with ``models``."""
+    ctx = state.ctx
+    fresh = sorted(state.fresh_symbols)
+    translation = functools.reduce(land, [*state.defs, state.current])
+    base = sorted(
+        fn
+        for fn in free_fns(phi) | free_fns(translation)
+        if fn not in BUILTIN_FNS and fn not in fresh
+    )
+
+    def tables(fn):
+        sig = ctx.fn_sig(fn)
+        points = list(itertools.product(*(range(spec.size(s)) for s in sig.args)))
+        values = itertools.product(range(spec.size(sig.result)), repeat=len(points))
+        return [dict(zip(points, row)) for row in values]
+
+    base_tables = [tables(fn) for fn in base]
+    fresh_tables = [tables(fn) for fn in fresh]
+    checked = math.prod(map(len, base_tables + fresh_tables))
+    found = []
+    for row in itertools.product(*base_tables):
+        b = Interpretation(dict(spec.sizes), dict(zip(base, row)))
+        models_of_translation = [
+            i
+            for i in (
+                Interpretation(b.sizes, {**b.tables, **dict(zip(fresh, ext))})
+                for ext in itertools.product(*fresh_tables)
+            )
+            if models(i, translation)
+        ]
+        if models(b, phi):
+            if not models_of_translation:
+                found.append(("extension", b))
+        else:
+            found.extend(("reduct", i) for i in models_of_translation)
+    lines = [f"COUNTEREXAMPLE {direction} {i.dump()}" for direction, i in found]
+    return checked, "\n".join(lines) or f"OK {checked}"
+
+
+def spec_of(state, size):
+    sorts = state.ctx.sig.sorts.values()
+    return DomainSpec({s: size for s in sorts if not s.is_bool and not s.name.startswith("$")})
+
+
+def _random_case(seed):
+    gen, _ = lean_generator(seed)
+    phi = closed(gen, gen.formula())
+    return phi, run_translation(phi, TypeContext.of(gen.sig))
+
+
+def _mutation_case(mutation):
+    name, mutate, args = mutation
+    _, phi, state = translate_problem(MUTATION_FIXTURES[name])
+    return phi, mutate(state, *args)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    case=st.one_of(
+        st.integers(0, 2**32).map(_random_case),
+        st.sampled_from(MUTATIONS).map(_mutation_case),
+    ),
+    size=st.sampled_from([2, 3]),
+)
+def test_oracle_agrees_with_brute_force(case, size):
+    """On random closed formulas and on the seeded mutations, the oracle
+    gives exactly the report and count of the brute-force definition."""
+    phi, state = case
+    spec = spec_of(state, size)
+    symbols = (free_fns(phi) | set().union(*map(free_fns, [*state.defs, state.current]))) - BUILTIN_FNS
+    assume(table_count(state.ctx, spec, symbols) <= 3000)
+    report = check_model_preservation(phi, state, spec)
+    assert (report.checked, report.render()) == brute_force_report(phi, state, spec)
+
+
+# p is binary over a 3-element carrier, and only p(c, c) is ever read
+UNREAD_CELLS = (
+    "tff(s_s, type, s : $tType).\ntff(s_t, type, t : $tType).\n"
+    "tff(d_c, type, c : s).\ntff(d_p, type, p : (s * s) > $o).\n"
+    "tff(d_w, type, w : $o > t).\n"
+    "tff(f1, axiom, w(~p(c, c)) = w($true)).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mutate, directions",
+    [(helpers.mutate_drop, {"reduct"}), (helpers.mutate_negate_named, {"reduct", "extension"})],
+)
+def test_failing_blocks_list_every_member_in_order(mutate, directions):
+    """A counterexample that leaves cells of p unread stands for every
+    table of p that agrees on the cells read; each one is listed, and the
+    list is in lexicographic order."""
+    problem, phi, state = translate_problem(UNREAD_CELLS)
+    mutated = mutate(state, 0)
+    spec = helpers.domain_spec_for(problem, {"s": 3})
+    report = check_model_preservation(phi, mutated, spec)
+    lines = report.render().split("\n")
+    # c, p(c, c) and w are read; the 8 other cells of p are not
+    for direction in directions:
+        assert sum(line.split()[1] == direction for line in lines) == 6 * 2**8
+    assert len(lines) == len(directions) * 6 * 2**8
+    assert (report.checked, report.render()) == brute_force_report(phi, mutated, spec)
 
 
 def test_pinned_mutations_reach_depth_two():
