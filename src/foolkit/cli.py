@@ -68,6 +68,9 @@ def _parse_domains(spec_text: str | None, problem) -> DomainSpec:
                     file=sys.stderr,
                 )
                 raise SystemExit(EXIT_IO)
+            if name in named:
+                print(f"error: bad domain spec {chunk!r}, sort {name!r} is given twice", file=sys.stderr)
+                raise SystemExit(EXIT_IO)
             named[name] = int(size)
     return DomainSpec({sort: named.get(name, 2) for name, sort in sorts.items()})
 

@@ -6,24 +6,30 @@ are never stored in tables.  Enumeration is lexicographic over symbol
 tables, symbols sorted by name, so counterexamples are reproducible.
 
 There is one evaluator: a term is compiled once into nested closures
-over a slot-indexed variable assignment and a list of tables, one slot
-per free symbol and per let.  ``eval_term`` compiles and runs a term
-once; the oracle compiles the input formula, each definition and the
-rewritten formula once per check and then only refills table slots.
+over a slot-indexed variable assignment and one cell store, where the
+entry of the symbol or let in table slot k at a point is the cell
+(k, *point).  ``eval_term`` compiles a term, stores every table entry
+and runs it once; the oracle compiles the input formula, each
+definition and the rewritten formula once per check and then only sets
+cells.
 
-The oracle's extension search enumerates the fresh symbols in sorted
-order, runs each definition (and the rewritten formula) as soon as every
-fresh symbol it mentions has a table, and drops the branch when one
-fails; when the input formula holds it stops at the first extension.
-Every branch that could yield a counterexample is still enumerated, so
-the reports are those of the full product.  What is checked depends only
-on which fresh symbols each definition mentions, never on what the
-translation claims about them.
+A closure that reads a cell missing from the store raises KeyError with
+the cell, and the oracle searches table cells depth-first on that
+signal, as SEM does (Zhang and Zhang, IJCAI 1995): a cell gets a value
+only when a closure first reads it, and the run is resumed once per
+value of its carrier.  A run that finishes stands for the block of every
+interpretation agreeing with it on the cells it read, because the
+closures are deterministic and saw no other cell.  The search is
+for-all over the symbols of the input and there-exists over the fresh
+symbols of the translation: inside the extension search a fresh cell
+branches in place, while a first read of a base cell restarts the whole
+base run with that cell split.  What is pruned depends only on which
+cells the oracle's own closures read, never on what the translation
+claims.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Mapping
@@ -50,7 +56,6 @@ from .terms import (
     TypeContext,
     Var,
     free_fns,
-    land,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -131,33 +136,36 @@ _CONNECTIVES = {
 
 class _Program:
     """Terms compiled to closures over one slot-indexed assignment list
-    and one table list.
+    and one cell store.
 
     Each quantifier, let parameter and free variable owns an assignment
-    slot; each free function symbol and each let owns a table slot.  A
-    closure returns the value its term has under what the slots hold, so
-    a term compiled once is re-evaluated by refilling slots, not by
-    walking it again.
+    slot; each free function symbol and each let owns a table slot k, and
+    ``cells[(k, *point)]`` is its entry at the point.  A closure returns
+    the value its term has under what the slots and cells hold, so a term
+    compiled once is re-evaluated by refilling them, not by walking it
+    again.  Symbols in ``zero`` map into a one-element carrier: they are
+    compiled to 0 and own no cells.
     """
 
-    def __init__(self, sizes: dict[Sort, int]) -> None:
+    def __init__(self, sizes: dict[Sort, int], zero=frozenset()) -> None:
         self.sizes = sizes
+        self.zero = zero
         self.assign: list[int] = []
-        self.tables: list = []
+        self.cells: dict[tuple[int, ...], int] = {}
         self.free_vars: dict[str, int] = {}
         self.fns: dict[str, int] = {}
+        self.slots = itertools.count()
 
     def fn_slot(self, fn: str) -> int:
         if fn not in self.fns:
-            self.fns[fn] = len(self.tables)
-            self.tables.append(None)
+            self.fns[fn] = next(self.slots)
         return self.fns[fn]
 
     def compile(self, t: Term):
         return self._term(t, {}, {})
 
     def _term(self, t: Term, bound: dict[str, int], lets: dict[str, int]):
-        A, T = self.assign, self.tables
+        A, C = self.assign, self.cells
         if isinstance(t, Var):
             i = bound.get(t.name)
             if i is None:
@@ -172,19 +180,22 @@ class _Program:
                 return lambda: 1
             if t.fn == FALSE_NAME:
                 return lambda: 0
+            if t.fn in self.zero and t.fn not in lets:
+                return lambda: 0
             args = [self._term(a, bound, lets) for a in t.args]
             if t.fn in _CONNECTIVES:
                 return _CONNECTIVES[t.fn](*args)
             k = lets[t.fn] if t.fn in lets else self.fn_slot(t.fn)
             if not args:
-                return lambda: T[k][()]
+                cell = (k,)
+                return lambda: C[cell]
             if len(args) == 1:
                 (a,) = args
-                return lambda: T[k][(a(),)]
+                return lambda: C[k, a()]
             if len(args) == 2:
                 a, b = args
-                return lambda: T[k][(a(), b())]
-            return lambda: T[k][tuple([f() for f in args])]
+                return lambda: C[k, a(), b()]
+            return lambda: C[(k, *[f() for f in args])]
 
         if isinstance(t, Ite):
             c = self._term(t.cond, bound, lets)
@@ -217,25 +228,23 @@ class _Program:
             inner = {**bound, **{x: i for (x, _), i in zip(t.params, slots)}}
             # the body sees the outer meaning of the let's own symbol
             body = self._term(t.body, inner, lets)
-            k = len(T)
-            T.append(None)
+            k = next(self.slots)
             scope = self._term(t.scope, bound, {**lets, t.fn: k})
             points = list(itertools.product(*(range(self.sizes[s]) for _, s in t.params)))
+            entries = [((k, *point), point) for point in points]
 
             def let():
-                table = {}
-                for point in points:
+                for cell, point in entries:
                     for i, value in zip(slots, point):
                         A[i] = value
-                    table[point] = body()
-                T[k] = table
+                    C[cell] = body()
                 return scope()
             return let
 
         raise TypeError(f"not a term: {t!r}")
 
 
-def _fill(slots: dict[str, int], values: dict, into: list, kind: str) -> None:
+def _fill(slots: dict[str, int], values: Mapping, into, kind: str) -> None:
     for name, i in slots.items():
         try:
             into[i] = values[name]
@@ -252,7 +261,10 @@ def eval_term(interp: Interpretation, t: Term) -> int:
     program = _Program(interp.sizes)
     run = program.compile(t)
     _fill(program.free_vars, interp.assign, program.assign, "variable")
-    _fill(program.fns, interp.tables, program.tables, "function symbol")
+    tables: dict[int, Mapping] = {}
+    _fill(program.fns, interp.tables, tables, "function symbol")
+    for k, table in tables.items():
+        program.cells.update(((k, *args), value) for args, value in table.items())
     return run()
 
 
@@ -290,8 +302,8 @@ class _ZeroTable(Mapping):
         return math.prod(self.sizes)
 
 
-def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
-    """A function giving every table of the symbol, in lexicographic order.
+def _shape(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
+    """The carrier sizes of the symbol's arguments and of its result.
 
     A symbol into a one-element carrier has one table however many
     entries it has, so the interpretation count does not bound those.
@@ -300,13 +312,7 @@ def _table_space(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
     sizes = [spec.size(s) for s in sig.args]
     if math.prod(sizes) > cap:
         raise EnumerationOverflow(cap, "table entries")
-    rng = spec.size(sig.result)
-    if rng == 1:
-        return lambda: (_ZeroTable(sizes),)
-    points = list(itertools.product(*map(range, sizes)))
-    # map and zip, not a generator expression: no Python frame per table
-    every = itertools.repeat(points)
-    return lambda: map(dict, map(zip, every, itertools.product(range(rng), repeat=len(points))))
+    return sizes, spec.size(sig.result)
 
 
 def table_count(ctx: TypeContext, spec: DomainSpec, symbols, cap: int = DEFAULT_CAP) -> int:
@@ -332,32 +338,31 @@ def table_count(ctx: TypeContext, spec: DomainSpec, symbols, cap: int = DEFAULT_
     return total
 
 
-def _search(spaces, tables: list, checks):
-    """Yield once per joint table assignment that passes every check.
+def _tables(layout, fixed: dict):
+    """Every joint table of the symbols that agrees with ``fixed``, in
+    lexicographic order, as (entries, tables by name).
 
-    ``spaces[i]`` is (slot, tables) of one symbol, with ``tables`` from
-    ``_table_space``; ``tables[slot]`` receives each of its tables in
-    lexicographic order, the first symbol varying slowest.  ``checks[i]``
-    runs once the first i symbols have tables, and a branch is dropped as
-    soon as one returns 0.
+    ``layout`` lists (name, table slot, argument sizes, result size), names
+    sorted; ``fixed`` maps cells (slot, *point) to values.  ``entries`` is
+    the value of every cell, symbol by symbol and point by point, so
+    members compare in the order they are listed.
     """
-
-    def rec(level: int):
-        if level == len(spaces):
-            yield
-            return
-        slot, tables_of = spaces[level]
-        check = checks[level + 1]
-        for tables[slot] in tables_of():
-            if check():
-                yield from rec(level + 1)
-
-    if checks[0]():
-        yield from rec(0)
-
-
-def _always() -> int:
-    return 1
+    shapes = []
+    ranges = []
+    for fn, slot, sizes, rng in layout:
+        if rng == 1:
+            shapes.append((fn, _ZeroTable(sizes), None))
+            continue
+        points = list(itertools.product(*map(range, sizes)))
+        shapes.append((fn, None, points))
+        cells = [(slot, *point) for point in points]
+        ranges.extend((fixed[cell],) if cell in fixed else range(rng) for cell in cells)
+    for entries in itertools.product(*ranges):
+        values = iter(entries)  # each table takes its entries off the front
+        yield entries, {
+            fn: zero if points is None else dict(zip(points, values))
+            for fn, zero, points in shapes
+        }
 
 
 def enumerate_interpretations(
@@ -377,10 +382,42 @@ def enumerate_interpretations(
     if table_count(ctx, spec, names, cap) > cap:
         raise EnumerationOverflow(cap)
     sizes = dict(spec.sizes)
-    spaces = [(i, _table_space(ctx, spec, fn, cap)) for i, fn in enumerate(names)]
-    tables = [None] * len(names)
-    for _ in _search(spaces, tables, [_always] * (len(names) + 1)):
-        yield Interpretation(sizes, dict(zip(names, tables)))
+    layout = [(fn, None, *_shape(ctx, spec, fn, cap)) for fn in names]
+    for _, tables in _tables(layout, {}):
+        yield Interpretation(sizes, tables)
+
+
+def _split(steps, cells: dict, ranges: dict, leaf, start: int = 0) -> bool:
+    """Run the steps in order under every way of giving values to the
+    cells they read among those of the table slots in ``ranges``.
+
+    A step that returns a false value ends its run.  A run that reads
+    such a cell while it is missing from ``cells`` is resumed at the same
+    step once per value of ``ranges[slot]``, in order: the steps before it
+    read only cells that stay as they were.  A missing cell of another
+    slot propagates to the caller's search.  Each run that ends passes the
+    value of its last step to ``leaf``; once ``leaf`` returns a true
+    value the search stops and returns True.
+    """
+    i, result = start, 1
+    try:
+        for i in range(start, len(steps)):
+            result = steps[i]()
+            if not result:
+                break
+    except KeyError as unread:
+        cell = unread.args[0]
+        if cell[0] not in ranges:
+            raise
+    else:
+        return leaf(result)
+    try:
+        for cells[cell] in ranges[cell[0]]:
+            if _split(steps, cells, ranges, leaf, i):
+                return True
+    finally:
+        del cells[cell]
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -424,50 +461,72 @@ def check_model_preservation(
       reduct: every model of the definitions plus the rewritten formula
         is a model of phi.
 
-    Original-symbol tables stay fixed during the extension search; only
-    the translation-introduced symbols are enumerated, pruned as the
-    module docstring says.  ``checked`` is the size of the full product.
+    The search branches on table cells as the module docstring says.  A
+    base run evaluates phi and then searches the fresh cells for models
+    of the translation: when phi holds it stops at the first, otherwise
+    it collects them all.  A block that fails a direction is expanded
+    into its members only to list them, sorted into lexicographic order:
+    base symbols by name, then fresh ones, each point by point.
+    ``checked`` is the size of the full product.
     """
     ctx = translated.ctx
     fresh = sorted(translated.fresh_symbols)
     checks = [*translated.defs, translated.current]
-    base_symbols = sorted(
+    base = sorted(
         fn
         for fn in free_fns(phi).union(*map(free_fns, checks))
         if fn not in BUILTIN_FNS and fn not in fresh
     )
-    total = table_count(ctx, spec, base_symbols + fresh, cap)
+    total = table_count(ctx, spec, base + fresh, cap)
     if total > cap:
         raise EnumerationOverflow(cap)
+    shape = {fn: _shape(ctx, spec, fn, cap) for fn in base + fresh}
 
     sizes = dict(spec.sizes)
-    program = _Program(sizes)
+    program = _Program(sizes, zero={fn for fn, (_, rng) in shape.items() if rng == 1})
     phi_holds = program.compile(phi)
-    # a check runs as soon as every fresh symbol it mentions has a table
-    level_of = {fn: i + 1 for i, fn in enumerate(fresh)}
-    by_level: list[list[Term]] = [[] for _ in range(len(fresh) + 1)]
-    for d in checks:
-        by_level[max((level_of[fn] for fn in free_fns(d) if fn in level_of), default=0)].append(d)
-    ext_checks = [
-        program.compile(functools.reduce(land, ds)) if ds else _always for ds in by_level
-    ]
+    translation = [program.compile(d) for d in checks]
     _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
+    cells = program.cells
+    base_ranges, fresh_ranges = (
+        {program.fns[fn]: range(shape[fn][1]) for fn in names if fn in program.fns}
+        for names in (base, fresh)
+    )
 
-    tables = program.tables
-    base_spaces = [(program.fn_slot(fn), _table_space(ctx, spec, fn, cap)) for fn in base_symbols]
-    ext_spaces = [(program.fn_slot(fn), _table_space(ctx, spec, fn, cap)) for fn in fresh]
-    no_checks = [_always] * (len(base_symbols) + 1)
-    report = PreservationReport(checked=total)
+    def read(ranges) -> dict:
+        return {cell: value for cell, value in cells.items() if cell[0] in ranges}
 
-    def snapshot(names) -> Interpretation:
-        return Interpretation(sizes, {fn: tables[program.fns[fn]] for fn in names})
+    def base_run():
+        holds = phi_holds()
+        blocks = []  # the fresh cells of each block of models of the translation
 
-    for _ in _search(base_spaces, tables, no_checks):
-        extensions = _search(ext_spaces, tables, ext_checks)
-        if phi_holds():
-            if not any(True for _ in extensions):  # one extension is enough
-                report.counterexamples.append(("extension", snapshot(base_symbols)))
+        def model(ok):
+            if ok:
+                blocks.append(None if holds else read(fresh_ranges))
+            return ok and holds  # when phi holds, one extension is enough
+
+        _split(translation, cells, fresh_ranges, model)
+        return holds, blocks
+
+    base_layout, fresh_layout = (
+        [(fn, program.fns.get(fn), *shape[fn]) for fn in names] for names in (base, fresh)
+    )
+    found = []  # (entries, direction, interpretation) of each failing member
+
+    def judge(result):
+        holds, blocks = result
+        if bool(holds) == bool(blocks):
+            return
+        if holds:
+            direction, tails = "extension", [((), {})]
         else:
-            for _ in extensions:
-                report.counterexamples.append(("reduct", snapshot(base_symbols + fresh)))
-    return report
+            direction = "reduct"
+            tails = [member for block in blocks for member in _tables(fresh_layout, block)]
+        for entries, tables in _tables(base_layout, read(base_ranges)):
+            for tail_entries, tail in tails:
+                interp = Interpretation(sizes, {**tables, **tail})
+                found.append((entries + tail_entries, direction, interp))
+
+    _split([base_run], cells, base_ranges, judge)
+    found.sort(key=lambda member: member[0])
+    return PreservationReport(total, [(direction, interp) for _, direction, interp in found])

@@ -154,6 +154,18 @@ def test_bad_domain_size(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error: bad domain spec")
 
 
+@pytest.mark.parametrize("spec", ["s=2,s=3", "s=2, s=2"])
+def test_domain_sort_named_twice(tmp_path, capsys, spec):
+    path = tmp_path / "p.p"
+    path.write_text("tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(f, axiom, c = c).\n")
+    assert main(["verify", str(path), "--domains", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: bad domain spec")
+    assert "given twice" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
