@@ -147,7 +147,7 @@ class _Program:
     compiled to 0 and own no cells.
     """
 
-    def __init__(self, sizes: dict[Sort, int], zero=frozenset()) -> None:
+    def __init__(self, sizes: dict[Sort, int], zero: frozenset[str] = frozenset()) -> None:
         self.sizes = sizes
         self.zero = zero
         self.assign: list[int] = []
@@ -163,6 +163,29 @@ class _Program:
 
     def compile(self, t: Term):
         return self._term(t, {}, {})
+
+    def compile_points(self, t: Term, limit: int) -> list:
+        """t as one closure per point of its leading universal quantifiers,
+        as far as they have at most ``limit`` points, in the order their
+        loops visit them; t holds iff each closure returns 1."""
+        A = self.assign
+        bound: dict[str, int] = {}
+        slots, carriers = [], []
+        while isinstance(t, Forall) and math.prod(map(len, carriers)) * self.sizes[t.sort] <= limit:
+            bound[t.var] = len(A)
+            slots.append(len(A))
+            A.append(0)
+            carriers.append(range(self.sizes[t.sort]))
+            t = t.body
+        body = self._term(t, bound, {})
+
+        def at(point):
+            def step():
+                for i, value in zip(slots, point):
+                    A[i] = value
+                return body()
+            return step
+        return [at(point) for point in itertools.product(*carriers)]
 
     def _term(self, t: Term, bound: dict[str, int], lets: dict[str, int]):
         A, C = self.assign, self.cells
@@ -483,9 +506,13 @@ def check_model_preservation(
     shape = {fn: _shape(ctx, spec, fn, cap) for fn in base + fresh}
 
     sizes = dict(spec.sizes)
-    program = _Program(sizes, zero={fn for fn, (_, rng) in shape.items() if rng == 1})
+    program = _Program(sizes, frozenset(fn for fn, (_, rng) in shape.items() if rng == 1))
     phi_holds = program.compile(phi)
-    translation = [program.compile(d) for d in checks]
+    # each check runs as one step per point of its leading universal
+    # quantifiers, so a split resumes at the point that read the cell; a
+    # check gets no more steps than the fresh tables have cells
+    fresh_cells = sum(math.prod(args) for args, rng in map(shape.get, fresh) if rng > 1)
+    translation = [step for d in checks for step in program.compile_points(d, fresh_cells)]
     _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
     cells = program.cells
     base_ranges, fresh_ranges = (

@@ -471,6 +471,21 @@ def test_oracle_agrees_with_brute_force(case, size):
     assert (report.checked, report.render()) == brute_force_report(phi, state, spec)
 
 
+@pytest.mark.parametrize("mutate", [None, helpers.mutate_drop, helpers.mutate_negate_named])
+def test_shadowed_leading_quantifiers_agree_with_brute_force(mutate):
+    """The inner X shadows the outer one and ranges over another carrier."""
+    problem, phi, state = translate_problem(
+        "tff(s_s, type, s : $tType).\ntff(s_t, type, t : $tType).\n"
+        "tff(d_w, type, w : $o > s).\ntff(d_p, type, p : t > $o).\n"
+        "tff(f1, axiom, ![X : s] : ![X : t] : (w(p(X) & p(X)) = w(~p(X) | ~p(X)))).\n"
+    )
+    translated = mutate(state, 0) if mutate else state
+    spec = helpers.domain_spec_for(problem, {"s": 2, "t": 3})
+    report = check_model_preservation(phi, translated, spec)
+    assert report.ok == (mutate is None)
+    assert (report.checked, report.render()) == brute_force_report(phi, translated, spec)
+
+
 # p is binary over a 3-element carrier, and only p(c, c) is ever read
 UNREAD_CELLS = (
     "tff(s_s, type, s : $tType).\ntff(s_t, type, t : $tType).\n"
