@@ -170,19 +170,21 @@ class _Program:
         loops visit them; t holds iff each closure returns 1."""
         A = self.assign
         bound: dict[str, int] = {}
-        slots, carriers = [], []
+        carriers = []
+        first = len(A)  # the quantifiers' slots are A[first:last]
         while isinstance(t, Forall) and math.prod(map(len, carriers)) * self.sizes[t.sort] <= limit:
             bound[t.var] = len(A)
-            slots.append(len(A))
             A.append(0)
             carriers.append(range(self.sizes[t.sort]))
             t = t.body
+        last = len(A)
         body = self._term(t, bound, {})
+        if not carriers:
+            return [body]
 
         def at(point):
             def step():
-                for i, value in zip(slots, point):
-                    A[i] = value
+                A[first:last] = point
                 return body()
             return step
         return [at(point) for point in itertools.product(*carriers)]
