@@ -288,8 +288,10 @@ def eval_term(interp: Interpretation, t: Term) -> int:
     _fill(program.free_vars, interp.assign, program.assign, "variable")
     tables: dict[int, Mapping] = {}
     _fill(program.fns, interp.tables, tables, "function symbol")
+    cells = program.cells
     for k, table in tables.items():
-        program.cells.update(((k, *args), value) for args, value in table.items())
+        for args, value in table.items():
+            cells[(k, *args)] = value
     return run()
 
 
