@@ -546,7 +546,7 @@ def check_model_preservation(
 
     def judge(result):
         holds, blocks = result
-        if bool(holds) == bool(blocks):
+        if bool(holds) == bool(blocks):  # both directions hold on the block
             return
         if holds:
             direction, tails = "extension", [((), {})]
