@@ -550,34 +550,64 @@ CAPPED = json.loads(
 )
 
 
-def capped_searches() -> dict:
-    """Verdict, stats and a digest of every kept clause for the satisfiable
-    problems and bench k = 1, 2, 3 in both modes, at the benchmark's
-    2000-clause cap."""
+def search_digest(outcome) -> str:
+    """A sha256 of every kept clause, one ``id. clause [rule, parents]``
+    line each, in id order."""
+    lines = []
+    for cid in sorted(outcome.clauses):
+        clause = outcome.clauses[cid]
+        note = ", ".join([clause.rule, *map(str, clause.parents)])
+        lines.append(f"{cid}. {clause.render()} [{note}]\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def _searches_at_the_cap(problems_of) -> dict:
+    """Verdict, stats and kept-clause digest of each problem that
+    ``problems_of(mode)`` lists, in both modes at the 2000-clause cap."""
     out = {}
     for mode in (AXIOM_MODE, RULE_MODE):
-        problems = []
-        for name, text in corpus.SATISFIABLE:
-            result = clausify(translate_text(text))
-            problems.append((name, result.clauses, result.ctx))
+        for name, clauses, ctx in problems_of(mode):
+            config = ProverConfig(bool_mode=mode, max_clauses=2000, max_seconds=600)
+            outcome = saturate(clauses, ctx, config)
+            out[f"{name}/{mode}"] = [outcome.verdict, outcome.stats, search_digest(outcome)]
+    return out
+
+
+def _clausified(entries):
+    out = []
+    for name, text in entries:
+        result = clausify(translate_text(text))
+        out.append((name, result.clauses, result.ctx))
+    return out
+
+
+def capped_searches() -> dict:
+    """The satisfiable problems and bench k = 1, 2, 3 in both modes, at the
+    benchmark's 2000-clause cap."""
+
+    def problems_of(mode):
+        problems = _clausified(corpus.SATISFIABLE)
         for k in (1, 2, 3):
             clauses, ctx = bench_fixture(k)
             problems.append((f"bench-k{k}", clauses + _support_clauses(mode), ctx))
-        for name, clauses, ctx in problems:
-            config = ProverConfig(bool_mode=mode, max_clauses=2000, max_seconds=600)
-            outcome = saturate(clauses, ctx, config)
-            lines = []
-            for cid in sorted(outcome.clauses):
-                clause = outcome.clauses[cid]
-                note = ", ".join([clause.rule, *map(str, clause.parents)])
-                lines.append(f"{cid}. {clause.render()} [{note}]\n")
-            digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-            out[f"{name}/{mode}"] = [outcome.verdict, outcome.stats, digest]
-    return out
+        return problems
+
+    return _searches_at_the_cap(problems_of)
+
+
+def refutation_searches() -> dict:
+    """The refutation problems in both modes, at the benchmark's
+    2000-clause cap: axiom mode's counters are pinned nowhere else."""
+    return _searches_at_the_cap(lambda mode: _clausified(corpus.REFUTATION))
 
 
 def test_capped_searches_are_pinned():
     assert capped_searches() == CAPPED
+
+
+def test_refutation_searches_are_pinned():
+    golden = (pathlib.Path(__file__).parent / "golden" / "prover_search_refutation.json")
+    assert refutation_searches() == json.loads(golden.read_text())
 
 
 def test_deadline_is_checked_between_partners(monkeypatch):
