@@ -78,16 +78,6 @@ class Clause:
             return "$false"
         return " | ".join(lit.render() for lit in self.literals)
 
-    def is_tautology(self) -> bool:
-        """Some literal is ``t = t``, or some atom occurs with both signs."""
-        signs: dict = {}
-        for lit in self.literals:
-            if lit.positive and lit.lhs == lit.rhs:
-                return True
-            if signs.setdefault(lit.atom(), lit.positive) != lit.positive:
-                return True
-        return False
-
 
 def term_vars(t: Term, out: list[str]) -> list[str]:
     """Append every variable occurrence in t to out, leftmost first.
@@ -115,13 +105,25 @@ def term_positions(lit: Literal):
                 yield side, path, sub
 
 
-def dedup_literals(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
-    """The literals without repeats of a sign and atom, first kept."""
-    seen = set()
-    out = []
+def judge_literals(literals) -> tuple[tuple[Literal, ...], bool]:
+    """The literals without repeats of a sign and atom, first kept, and
+    whether they form a tautology: some literal is ``t = t``, or some atom
+    occurs with both signs.
+
+    One pass with one ``atom()`` per literal; ``t = t`` is the equation
+    whose atom holds one term.
+    """
+    signs: dict = {}
+    kept = []
+    tautology = False
     for lit in literals:
-        key = (lit.positive, lit.atom())
-        if key not in seen:
-            seen.add(key)
-            out.append(lit)
-    return tuple(out)
+        atom = lit.atom()
+        sign = 1 if lit.positive else 2
+        seen = signs.get(atom, 0)
+        if seen & sign:
+            continue
+        if seen or (lit.positive and lit.rhs is not None and len(atom) == 1):
+            tautology = True
+        signs[atom] = seen | sign
+        kept.append(lit)
+    return tuple(kept), tautology

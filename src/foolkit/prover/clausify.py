@@ -32,7 +32,7 @@ from ..terms import (
     subst_free_vars,
 )
 from ..translate import FolProblem
-from .clauses import Clause, Literal, dedup_literals
+from .clauses import Clause, Literal, judge_literals
 from .unification import apply_subst_literal
 
 
@@ -163,7 +163,7 @@ class _Clausifier:
             else:
                 raise TypeError(f"unexpected clause atom {atom!r}")
         # _canonicalize keeps only the sorts of the variables that occur
-        return Clause(dedup_literals(tuple(literals)), self.var_sorts)
+        return Clause(judge_literals(literals)[0], self.var_sorts)
 
     def formula_clauses(self, formula: Term) -> list[Clause]:
         tree = self.skolemize(formula, True, [], {})

@@ -48,7 +48,7 @@ from ..terms import (
     Var,
     replace_at,
 )
-from .clauses import Clause, Literal, dedup_literals, term_positions
+from .clauses import Clause, Literal, judge_literals, term_positions
 from .ordering import kbo_greater_or_equal, maximal_literal_indices
 from .unification import (
     VariantIndex,
@@ -119,12 +119,13 @@ def is_bool_domain_clause(clause: Clause) -> bool:
 
 
 def has_var_var_equation(clause: Clause) -> bool:
+    return _has_var_var_equation(clause.literals)
+
+
+def _has_var_var_equation(literals: tuple[Literal, ...]) -> bool:
     return any(
-        lit.is_equation
-        and isinstance(lit.lhs, Var)
-        and isinstance(lit.rhs, Var)
-        and lit.lhs != lit.rhs
-        for lit in clause.literals
+        isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var) and lit.lhs != lit.rhs
+        for lit in literals
     )
 
 
@@ -148,6 +149,15 @@ def _replace_in_literal(lit: Literal, side: int, path: tuple[int, ...], new: Ter
 
 
 class _Saturation:
+    """One given-clause run.
+
+    ``copies`` holds each renamed copy the loop asks for, by clause id and
+    first V number, so a copy is made once per run. That bounds it to one
+    copy per processed clause and offset, an offset being 0 or the
+    variable count of a processed clause. The engine lives for one
+    ``saturate`` call, and the copies go with it.
+    """
+
     def __init__(self, ctx: TypeContext, config: ProverConfig) -> None:
         self.ctx = ctx
         self.config = config
@@ -158,6 +168,8 @@ class _Saturation:
         self.eligible: dict[int, list[int]] = {}
         self.variables: dict[int, list[str]] = {}
         self.passive: list[tuple[int, int]] = []
+        # renamed copies of kept clauses, by (clause id, first V number)
+        self.copies: dict[tuple[int, int], Clause] = {}
         # each processed clause renamed to V0, V1, ... with its variable count
         self.processed: list[tuple[Clause, int]] = []
         self.next_id = 1
@@ -196,20 +208,21 @@ class _Saturation:
     def record_new(self, literals, var_sorts, rule: str, parents: tuple[int, ...]) -> None:
         self.stats["generated"] += 1
         self.stats[rule] += 1
-        clause = Clause(dedup_literals(tuple(literals)), dict(var_sorts), rule=rule, parents=parents)
-        clause.var_sorts = clause.trimmed_var_sorts()
-        if has_var_var_equation(clause):
+        literals, tautology = judge_literals(literals)
+        if _has_var_var_equation(literals):
             self.stats["var_var_equation_clauses"] += 1
-        if clause.is_empty:
-            clause.id = 0
-            self.empty = clause
+        if not literals:
+            self.empty = Clause((), {}, 0, rule, parents)
             return
-        if clause.is_tautology():
+        if tautology:
             self.stats["tautologies"] += 1
             return
+        # var_sorts is the caller's dict until the clause is kept
+        clause = Clause(literals, var_sorts, rule=rule, parents=parents)
         if self.kept.find(clause) is not None:
             self.stats["subsumed"] += 1
             return
+        clause.var_sorts = clause.trimmed_var_sorts()
         clause.id = self.next_id
         self.next_id += 1
         self.clauses[clause.id] = clause
@@ -218,6 +231,16 @@ class _Saturation:
         self.variables[clause.id] = sorted(clause.var_sorts)
         self.stats["kept"] += 1
         heapq.heappush(self.passive, (len(clause.literals), clause.id))
+
+    def renamed_copy(self, cid: int, start: int) -> Clause:
+        """Kept clause ``cid`` with its sorted variables renamed to
+        ``V<start>, V<start+1>, ...``, made once per run."""
+        key = (cid, start)
+        copy = self.copies.get(key)
+        if copy is None:
+            copy, _ = rename_variables(self.clauses[cid], self.variables[cid], start)
+            self.copies[key] = copy
+        return copy
 
     # -- inference rules ----------------------------------------------------
 
@@ -336,8 +359,7 @@ class _Saturation:
                 return self.result("limit")
             _, cid = heapq.heappop(self.passive)
             given = self.clauses[cid]
-            names = self.variables[cid]
-            renamed, count = rename_variables(given, names, 0)
+            renamed, count = self.renamed_copy(cid, 0), len(self.variables[cid])
             self.processed.append((renamed, count))
             self.stats["processed"] += 1
 
@@ -350,12 +372,10 @@ class _Saturation:
                     return self.result("limit")
                 # a V0 copy against the other kept clause shifted past it
                 # (renaming a V copy again would number V10 before V2)
-                shifted, _ = rename_variables(
-                    self.clauses[partner.id], self.variables[partner.id], count
-                )
+                shifted = self.renamed_copy(partner.id, count)
                 self.paramodulate(renamed, shifted)
                 if partner.id != cid:
-                    self.paramodulate(partner, rename_variables(given, names, partner_count)[0])
+                    self.paramodulate(partner, self.renamed_copy(cid, partner_count))
                 self.resolve(renamed, shifted)
                 if self.empty is not None:
                     return self.result("refuted")

@@ -43,7 +43,7 @@ from foolkit.prover import (
 from foolkit.bench import _support_clauses, bench_fixture
 from foolkit.prover import saturation
 from foolkit.prover.ordering import literal_greater, maximal_literal_indices
-from foolkit.prover.clauses import dedup_literals
+from foolkit.prover.clauses import judge_literals
 from foolkit.prover.unification import (
     VariantIndex,
     apply_subst,
@@ -610,6 +610,42 @@ def test_refutation_searches_are_pinned():
     assert refutation_searches() == json.loads(golden.read_text())
 
 
+class _Forgetful(dict):
+    """A cache that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_each_renamed_copy_is_made_once_per_run(monkeypatch):
+    """The loop renames a kept clause at most once per first V number, and
+    searches as a run that renames afresh for every pair does."""
+    clauses, ctx = bench_fixture(2)
+    inputs = clauses + _support_clauses(AXIOM_MODE)
+    config = ProverConfig(bool_mode=AXIOM_MODE, max_clauses=2000, max_seconds=600)
+    rename = saturation.rename_variables
+
+    def run(cache):
+        keys = []
+
+        def recording(clause, names, start):
+            keys.append((clause.id, start))
+            return rename(clause, names, start)
+
+        monkeypatch.setattr(saturation, "rename_variables", recording)
+        engine = saturation._Saturation(ctx, config)
+        if cache is not None:
+            engine.copies = cache
+        outcome = engine.run(inputs)
+        return [outcome.verdict, outcome.stats, search_digest(outcome)], keys
+
+    cached, keys = run(None)
+    reference, reference_keys = run(_Forgetful())
+    assert len(keys) == len(set(keys))
+    assert len(set(reference_keys)) == len(set(keys)) < len(reference_keys)
+    assert cached == reference == CAPPED["bench-k2/axiom"]
+
+
 def test_deadline_is_checked_between_partners(monkeypatch):
     clauses, ctx = bench_fixture(3)
     inputs = clauses + _support_clauses(AXIOM_MODE)
@@ -867,21 +903,47 @@ def test_unify_atoms_agrees_with_an_mgu_fold(l1, l2):
     assert unify_atoms(l1, l2) == _unifiers(l1, l2, None)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(_literals, max_size=5))
-def test_tautology_and_dedup_agree_with_pairwise_definitions(literals):
-    clause = Clause(tuple(literals))
+# besides the literals above: t = t and t != t, and equations between
+# two variables, equal or not
+_judged_literals = st.one_of(
+    _literals,
+    st.builds(lambda positive, t: Literal(positive, t, t), st.booleans(), _terms),
+    st.builds(Literal, st.booleans(), _variables, _variables),
+)
+
+
+def _echo(lit, how):
+    """The literal again, its complement, or its equation sides swapped."""
+    if how == "complement":
+        return lit.negated()
+    if how == "swapped" and lit.is_equation:
+        return Literal(lit.positive, lit.rhs, lit.lhs)
+    return lit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_tautology_and_dedup_agree_with_pairwise_definitions(data):
+    literals = data.draw(st.lists(_judged_literals, max_size=4))
+    if literals:
+        echoes = st.tuples(st.sampled_from(literals), st.sampled_from(["same", "complement", "swapped"]))
+        literals += [_echo(lit, how) for lit, how in data.draw(st.lists(echoes, max_size=3))]
+    literals = data.draw(st.permutations(literals))
     reflexive = any(x.positive and x.is_equation and x.lhs == x.rhs for x in literals)
     complementary = any(
         x.positive != y.positive and _equal_atoms(x, y)
         for x, y in itertools.combinations(literals, 2)
     )
-    assert clause.is_tautology() == (reflexive or complementary)
     kept = []
     for x in literals:
         if not any(x.positive == y.positive and _equal_atoms(x, y) for y in kept):
             kept.append(x)
-    assert dedup_literals(tuple(literals)) == tuple(kept)
+    assert judge_literals(literals) == (tuple(kept), reflexive or complementary)
+    var_var = any(
+        x.is_equation and isinstance(x.lhs, Var) and isinstance(x.rhs, Var) and x.lhs != x.rhs
+        for x in literals
+    )
+    assert var_var == saturation.has_var_var_equation(Clause(tuple(kept)))
 
 
 def _domain_shaped(clause):
