@@ -277,21 +277,29 @@ def _fill(slots: dict[str, int], values: Mapping, into, kind: str) -> None:
             raise KeyError(f"{kind} {name!r} not interpreted") from None
 
 
+class _TableCells(dict):
+    """A cell store whose missing cells ``(k, *args)`` read ``tables[k][args]``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tables: dict[int, Mapping] = {}
+
+    def __missing__(self, cell: tuple[int, ...]) -> int:
+        return self.tables[cell[0]][cell[1:]]
+
+
 def eval_term(interp: Interpretation, t: Term) -> int:
     """The value of t, an element of the carrier of t's sort.
 
     The interpretation must cover every free variable and free function
-    symbol of t; a missing entry raises KeyError.
+    symbol of t; a missing entry raises KeyError.  The closures read the
+    interpretation's tables in place, so no entry is copied.
     """
     program = _Program(interp.sizes)
+    cells = program.cells = _TableCells()
     run = program.compile(t)
     _fill(program.free_vars, interp.assign, program.assign, "variable")
-    tables: dict[int, Mapping] = {}
-    _fill(program.fns, interp.tables, tables, "function symbol")
-    cells = program.cells
-    for k, table in tables.items():
-        for args, value in table.items():
-            cells[(k, *args)] = value
+    _fill(program.fns, interp.tables, cells.tables, "function symbol")
     return run()
 
 
