@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..terms import App, Sort, Term, Var, subterm_positions, term_to_str
@@ -105,7 +106,7 @@ def term_positions(lit: Literal):
                 yield side, path, sub
 
 
-def judge_literals(literals) -> tuple[tuple[Literal, ...], bool]:
+def judge_literals(literals: Iterable[Literal]) -> tuple[tuple[Literal, ...], bool]:
     """The literals without repeats of a sign and atom, first kept, and
     whether they form a tautology: some literal is ``t = t``, or some atom
     occurs with both signs.

@@ -9,15 +9,18 @@ Two ways to handle the two-element boolean domain:
     containing a non-variable boolean subterm s other than a truth
     constant, the clause ``C[true] | s = false``.
 
-Each kept clause's literal data is derived once, when it is kept: its
-eligible literals, its sorted variable names (``record_new`` trims its
-variable sorts to the variables that occur) and, in the index, its
-literal shapes.
+``record_new`` judges a conclusion before it builds anything for it: one
+pass over its literals drops repeats and finds a tautology, and only a
+non-tautology becomes a ``Clause`` for the subsumption query.  Each kept
+clause's literal data is derived once, when it is kept: its variable
+sorts trimmed to the variables that occur, its eligible literals, its
+sorted variable names and, in the index, its literal shapes.
 
 The given-clause loop alone renames premises apart, from those variable
-names: each given clause once to ``V0, V1, ...``, and per pair a copy of
-the other side shifted past it, so paramodulation and resolution rename
-nothing.
+names: each given clause to ``V0, V1, ...``, and per pair a copy of the
+other side shifted past it, so paramodulation and resolution rename
+nothing.  A copy is kept by clause and first V number for the rest of
+the run, so each is made once however many pairs use it.
 
 Literal selection is select-nothing: all maximal literals are eligible.
 The renamed copies the binary rules work on have the same ones as the

@@ -926,7 +926,8 @@ def _echo(lit, how):
 def test_tautology_and_dedup_agree_with_pairwise_definitions(data):
     literals = data.draw(st.lists(_judged_literals, max_size=4))
     if literals:
-        echoes = st.tuples(st.sampled_from(literals), st.sampled_from(["same", "complement", "swapped"]))
+        kinds = st.sampled_from(["same", "complement", "swapped"])
+        echoes = st.tuples(st.sampled_from(literals), kinds)
         literals += [_echo(lit, how) for lit, how in data.draw(st.lists(echoes, max_size=3))]
     literals = data.draw(st.permutations(literals))
     reflexive = any(x.positive and x.is_equation and x.lhs == x.rhs for x in literals)

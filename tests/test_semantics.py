@@ -114,6 +114,10 @@ def test_missing_interpretation_entries():
         eval_term(i, Var("X"))
     with pytest.raises(KeyError):
         eval_term(i, App("mystery"))
+    # f is interpreted, but its table has no entry at c's value
+    i = interp({S: 2}, {"c": {(): 1}, "f": {(0,): 1}})
+    with pytest.raises(KeyError):
+        eval_term(i, App("f", (App("c"),)))
 
 
 # ---------------------------------------------------------------------------
