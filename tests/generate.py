@@ -205,3 +205,135 @@ class TermGen:
             for name, sort in self.free_pool.items()
         }
         return Interpretation(dict(spec.sizes), tables, assign)
+
+
+# ---------------------------------------------------------------------------
+# lowering shapes: problem texts whose lowering is dominated by one kind
+# of step, at a range of sizes
+
+SHAPE_DECLS = """\
+tff(s_s, type, s : $tType).
+tff(d_c, type, c : s).
+tff(d_d, type, d : s).
+tff(d_f, type, f : s > s).
+tff(d_h, type, h : (s * s) > s).
+tff(d_g, type, g : ($o * s) > s).
+tff(d_w, type, w : $o > s).
+tff(d_p, type, p : s > $o).
+tff(d_q, type, q : (s * s) > $o).
+"""
+
+
+def _shape_conditions(n: int) -> str:
+    return "".join(f"tff(d_b{i}, type, b{i} : $o).\n" for i in range(n))
+
+
+def _shape_literal(rng: random.Random, atom: str) -> str:
+    return atom if rng.random() < 0.5 else f"~{atom}"
+
+
+def let_nest_text(rng: random.Random, depth: int, quantified: bool) -> str:
+    """``depth`` nested lets, each defining a constant or a unary symbol
+    from the previous one.  Quantified nests sit under ``![X : s]``, so the
+    lifted symbols take X as an extra argument, and some scopes rebind X,
+    which the lift must rename."""
+    other = "X" if quantified else "d"
+
+    def build(i: int, prev: str) -> str:
+        if i == depth:
+            return _shape_literal(rng, f"p({prev})")
+        name = f"a{i}"
+        rhs = f"f({prev})" if rng.random() < 0.5 else f"h({prev}, {other})"
+        if rng.random() < 0.3:
+            head, sig, body, use = f"{name}(Y)", "s > s", f"h(Y, {prev})", f"{name}({other})"
+        else:
+            head, sig, body, use = name, "s", rhs, name
+        scope = build(i + 1, use)
+        if quantified and rng.random() < 0.3:
+            scope = f"(q({use}, X) {rng.choice('&|')} ![X : s] : {scope})"
+        return f"$let({name} : {sig}, {head} := {body}, {scope})"
+
+    body = build(0, "c")
+    if quantified:
+        body = f"![X : s] : {body}"
+    return SHAPE_DECLS + f"tff(a, axiom, {body}).\n"
+
+
+def mixed_let_text(rng: random.Random, depth: int) -> str:
+    """Nested lets under ``![X : s]`` whose bodies hold if-then-else terms
+    and whose scopes hold formulas in term contexts and if-then-else
+    conditions that mention the let's symbol, so those redexes are lowered
+    only once the let is lifted."""
+
+    def build(i: int, prev: str) -> str:
+        if i == depth:
+            return _shape_literal(rng, f"p({prev})")
+        name = f"a{i}"
+        body = rng.choice([f"$ite(b{i}, {prev}, f({prev}))", f"h({prev}, X)"])
+        if rng.random() < 0.5:
+            use = f"q(w(p({name}) {rng.choice('&|')} b{i}), {name})"
+        else:
+            use = f"p($ite(p({name}), X, {name}))"
+        return f"$let({name} : s, {name} := {body}, ({use} & {build(i + 1, name)}))"
+
+    return SHAPE_DECLS + _shape_conditions(depth) + f"tff(a, axiom, ![X : s] : {build(0, 'c')}).\n"
+
+
+def ite_chain_text(rng: random.Random, n: int, quantified: bool) -> str:
+    """``g(b_i & b_{i+1}, $ite(b_i, ..., c)) = c`` with n nested levels; a
+    quantified chain ends in X, so every named if-then-else takes X."""
+    term = "X" if quantified else "c"
+    for i in range(n - 1, -1, -1):
+        guard = f"b{i} {rng.choice('&|')} b{i + 1}"
+        els = rng.choice(["c", "d"])
+        term = f"g({guard}, $ite({_shape_literal(rng, f'b{i}')}, {term}, {els}))"
+    body = f"{term} = c"
+    if quantified:
+        body = f"![X : s] : ({body})"
+    return SHAPE_DECLS + _shape_conditions(n + 1) + f"tff(a, axiom, {body}).\n"
+
+
+def ite_tree_text(rng: random.Random, depth: int) -> str:
+    """A balanced if-then-else tree with 2^depth leaves under f."""
+
+    def build(level: int) -> str:
+        if level == depth:
+            return rng.choice(["c", "d", "f(c)", "h(c, d)"])
+        cond = _shape_literal(rng, rng.choice([f"b{level}", f"p({rng.choice('cd')})"]))
+        return f"$ite({cond}, {build(level + 1)}, {build(level + 1)})"
+
+    return SHAPE_DECLS + _shape_conditions(depth) + f"tff(a, axiom, f({build(0)}) = c).\n"
+
+
+def naming_text(rng: random.Random, count: int) -> str:
+    """count conjuncts w(A) = w(B) over one variable, so every side is a
+    formula in a term context."""
+    ops = ("&", "|", "=>", "<=>")
+    atoms = ["p(X)", "q(X, c)"]
+    parts = []
+    for _ in range(count):
+        left = f"({_shape_literal(rng, atoms[0])} {rng.choice(ops)} {_shape_literal(rng, atoms[1])})"
+        right = f"({_shape_literal(rng, atoms[1])} {rng.choice(ops)} {_shape_literal(rng, atoms[0])})"
+        parts.append(f"(w({left}) = w({right}))")
+    return SHAPE_DECLS + "tff(a, axiom, ![X : s] : (" + " & ".join(parts) + ")).\n"
+
+
+def lowering_shapes(seed: int = 0):
+    """(name, problem text) for let nests of depth 5 to 40, lets mixed with
+    the other redexes, if-then-else
+    chains of 10 to 100 levels, if-then-else trees and naming problems.
+    The parser takes about 8 frames per chain level, so a 120-level chain
+    does not parse under pytest at the default recursion limit."""
+    rng = random.Random(seed)
+    for depth in (5, 10, 20, 30, 40):
+        for quantified in (False, True):
+            yield f"let-{depth}{'-forall' if quantified else ''}", let_nest_text(rng, depth, quantified)
+    for depth in (5, 10, 20):
+        yield f"mixed-let-{depth}", mixed_let_text(rng, depth)
+    for n in (10, 30, 60, 100):
+        for quantified in (False, True):
+            yield f"chain-{n}{'-forall' if quantified else ''}", ite_chain_text(rng, n, quantified)
+    for depth in (3, 5, 7):
+        yield f"tree-{depth}", ite_tree_text(rng, depth)
+    for count in (5, 20, 40):
+        yield f"naming-{count}", naming_text(rng, count)

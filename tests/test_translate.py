@@ -59,7 +59,7 @@ from foolkit.translate import TranslationState, redex_measure
 
 import corpus
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
-from generate import TermGen
+from generate import TermGen, lowering_shapes
 
 
 def fresh_state(phi, ctx):
@@ -619,6 +619,30 @@ def test_emitted_problems_are_pinned():
     of every pinned input."""
     golden = json.loads((pathlib.Path(__file__).parent / "golden" / "emitted.json").read_text())
     got = {name: _emitted(phi, ctx) for name, phi, ctx in _translation_inputs()}
+    assert got == golden
+
+
+def _shape_run(text):
+    """What lowering a problem text gives: the translation record, the
+    goal's redex measure, the predicate split and the emitted SHA-256."""
+    problem = parse_problem(text)
+    phi = problem.goal_formula()
+    state = run_translation(phi, problem.ctx)
+    fol = to_fol(state)
+    text = print_fol_tff0(fol).encode()
+    return {
+        **_record(state),
+        "redex_measure": redex_measure(phi, problem.ctx),
+        "predicate_split": fol.predicate_split,
+        "sha256": hashlib.sha256(text).hexdigest(),
+    }
+
+
+def test_lowering_shapes_are_pinned():
+    """Let nests, lets mixed with other redexes, if-then-else chains and
+    trees, and naming problems, each at a range of sizes."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "lowering_shapes.json").read_text())
+    got = {name: _shape_run(text) for name, text in lowering_shapes()}
     assert got == golden
 
 
