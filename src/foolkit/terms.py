@@ -6,15 +6,23 @@ function symbols applied through ``App``; binders (quantifiers and let
 definitions) annotate their bound names with sorts, so sort checking is
 pure bottom-up synthesis.
 
-This module is also the one occurrence classifier: ``child_occurrence``
-says what a position means for the subterm there (its context, the
-binders above it and, through ``redex_kind``, the lowering step that
-applies to it).  ``occurrence_at`` follows it along one path;
-``occurrences`` walks a whole term with it, and is what the first-order
-check, ``translate.redex_measure``, ``translate.to_fol`` (its first-order
-check and predicate split) and the strict-mode equality check in
-``tptp`` iterate over.  A formula is syntactically first-order when no
-lowering step applies at any occurrence.
+This module is also the one occurrence classifier: ``child_context``
+says which context a position puts the subterm there in, strict and
+effective, and ``child_occurrence`` adds the binders above it; through
+``redex_kind`` they say which lowering step applies to it.  Two walks
+read them:
+
+* ``contexts`` yields each subterm with its two contexts and nothing
+  else.  The first-order check, ``translate.redex_measure``, the
+  terminated-check and predicate-split scan of ``translate.to_fol`` and
+  the strict-mode equality check in ``tptp`` run on it;
+* ``occurrences`` also builds each subterm's path and binders.  It runs
+  only where those are needed: to find the witness path of a failed
+  first-order check, and the paths of the atoms ``to_fol`` rewrites.
+  ``occurrence_at`` follows one path.
+
+A formula is syntactically first-order when no lowering step applies at
+any occurrence.
 
 Some walks keep their own loops because they need no context and the
 classifier would only slow them down: ``subterm_positions`` (clause
@@ -23,6 +31,10 @@ terms in the prover, about half the cost per node), ``free_fns``,
 which carries one formula/term flag and is no shorter when driven by
 the classifier.
 
+``with_children`` keeps a node whose children are all unchanged, so the
+rewrites built on it (``subst_free_vars``, the let lift in
+``translate``) return an untouched subtree as the same object.
+
 Terms are immutable values.  All operations here are pure and safe to
 call from multiple threads.
 """
@@ -30,6 +42,7 @@ call from multiple threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -323,6 +336,11 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def with_children(t: Term, new: tuple[Term, ...]) -> Term:
+    """``t`` with the children ``new``; ``t`` itself when each of them is
+    the child already there."""
+    kids = children(t)
+    if len(new) == len(kids) and all(map(is_, new, kids)):
+        return t
     if isinstance(t, Var):
         if new:
             raise ValueError("a variable has no children")
@@ -475,23 +493,49 @@ class Occurrence(NamedTuple):
     effective: str = FORMULA_CONTEXT
 
 
+_FORMULA_ARG = (FORMULA_CONTEXT, FORMULA_CONTEXT)
+_TERM_ARG = (TERM_CONTEXT, TERM_CONTEXT)
+
+
+def child_context(t: Term, i: int, effective: str) -> tuple[str, str]:
+    """The strict and the effective context of child ``i`` of ``t``, where
+    ``t`` stands in the effective context ``effective``."""
+    if isinstance(t, App):
+        return _FORMULA_ARG if t.fn in CONNECTIVES else _TERM_ARG
+    if isinstance(t, Let):
+        return NO_CONTEXT, TERM_CONTEXT if i == 0 else effective
+    if isinstance(t, (Forall, Exists)) or (i == 0 and isinstance(t, Ite)):
+        return _FORMULA_ARG
+    return _TERM_ARG  # Eq, and the branches of an Ite
+
+
 def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
     """``kid``, child ``i`` of the occurrence, with its strict context,
     binders and effective context."""
     t = occ.term
+    strict, effective = child_context(t, i, occ.effective)
     variables, lets = occ.variables, occ.lets
-    if isinstance(t, App):
-        strict = FORMULA_CONTEXT if t.fn in CONNECTIVES else TERM_CONTEXT
-    elif isinstance(t, (Forall, Exists)):
+    if isinstance(t, (Forall, Exists)):
         variables += ((t.var, t.sort),)
-        return Occurrence(kid, FORMULA_CONTEXT, variables, lets, FORMULA_CONTEXT)
     elif isinstance(t, Let):
         if i == 0:
-            return Occurrence(kid, NO_CONTEXT, variables + t.params, lets, TERM_CONTEXT)
-        return Occurrence(kid, NO_CONTEXT, variables, lets | {t.fn}, occ.effective)
-    else:  # Eq, or Ite, whose condition is a formula
-        strict = FORMULA_CONTEXT if i == 0 and isinstance(t, Ite) else TERM_CONTEXT
-    return Occurrence(kid, strict, variables, lets, strict)
+            variables += t.params
+        else:
+            lets |= {t.fn}
+    return Occurrence(kid, strict, variables, lets, effective)
+
+
+def contexts(t: Term) -> Iterator[tuple[Term, str, str]]:
+    """Every subterm of ``t`` with its strict and effective context, in the
+    order of ``occurrences``; iterative, with no paths and no binders."""
+    stack = [(t, NO_CONTEXT, FORMULA_CONTEXT)]
+    while stack:
+        item = stack.pop()
+        yield item
+        cur, _, effective = item
+        kids = children(cur)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], *child_context(cur, i, effective)))
 
 
 def occurrences(t: Term) -> Iterator[tuple[tuple[int, ...], Occurrence]]:
@@ -582,11 +626,17 @@ _REASONS = {
 def is_syntactically_first_order(t: Term) -> FirstOrderCheck:
     """No lowering step applies anywhere in ``t``; otherwise the witness is
     the leftmost-outermost occurrence where one does."""
-    for path, occ in occurrences(t):
-        kind = redex_kind(occ.term, occ.strict)
-        if kind is not None:
-            return FirstOrderCheck(False, path, _REASONS[kind])
-    return FirstOrderCheck(True)
+    for sub, strict, _ in contexts(t):
+        if redex_kind(sub, strict) is not None:
+            break
+    else:
+        return FirstOrderCheck(True)
+    path, kind = next(
+        (path, kind)
+        for path, occ in occurrences(t)
+        if (kind := redex_kind(occ.term, occ.strict)) is not None
+    )
+    return FirstOrderCheck(False, path, _REASONS[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +648,7 @@ def subst_free_vars(t: Term, mapping: dict[str, Term]) -> Term:
 
     Replacement terms are inserted as-is, so the caller must ensure they
     cannot be captured (the translation only inserts fresh variables).
+    A subtree with nothing to replace is returned as the same object.
     """
     if not mapping:
         return t
@@ -605,19 +656,14 @@ def subst_free_vars(t: Term, mapping: dict[str, Term]) -> Term:
         return mapping.get(t.name, t)
     if isinstance(t, (Forall, Exists)):
         inner = {k: v for k, v in mapping.items() if k != t.var}
-        body = subst_free_vars(t.body, inner)
-        return type(t)(t.var, t.sort, body)
+        return with_children(t, (subst_free_vars(t.body, inner),))
     if isinstance(t, Let):
         formals = {x for x, _ in t.params}
         inner = {k: v for k, v in mapping.items() if k not in formals}
-        return Let(
-            t.fn,
-            t.params,
-            subst_free_vars(t.body, inner),
-            subst_free_vars(t.scope, mapping),
+        return with_children(
+            t, (subst_free_vars(t.body, inner), subst_free_vars(t.scope, mapping))
         )
-    kids = tuple(subst_free_vars(k, mapping) for k in children(t))
-    return with_children(t, kids)
+    return with_children(t, tuple(subst_free_vars(k, mapping) for k in children(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,10 @@ from .terms import (
     TypeSig,
     Var,
     children,
+    contexts,
     free_vars,
     land,
     lnot,
-    occurrences,
 )
 from .typecheck import DUPLICATE_LET_FORMAL, SortError, check_formula, infer_sort
 
@@ -237,6 +237,10 @@ class _Parser:
         for name, sig in ARITHMETIC_FNS.items():
             self.signature.fns[name] = sig
         self.numbers: set[str] = set()
+        # the nullary symbols read outside the scope of a let binding them,
+        # and the symbols of the lets whose scope is being read
+        self.constants: set[str] = set()
+        self.let_scopes: list[str] = []
         # the line of the last formula start, counted forward from there
         self.line, self.line_pos = 1, 0
 
@@ -459,7 +463,10 @@ class _Parser:
             return App(tok.text, ())
         if tok.kind in ("lower", "quoted"):
             self.next()
-            return App(_name(tok), self.parse_optional_args())
+            name, args = _name(tok), self.parse_optional_args()
+            if not args and name not in self.let_scopes:
+                self.constants.add(name)
+            return App(name, args)
         raise self.error(f"unexpected token {tok.text!r}", tok)
 
     def parse_optional_args(self) -> tuple[Term, ...]:
@@ -546,7 +553,9 @@ class _Parser:
             self.expect(",")
         body = self.parse_expr()
         self.expect(",")
+        self.let_scopes.append(fn)
         scope = self.parse_expr()
+        self.let_scopes.pop()
         self.expect(")")
         return Let(fn, params, body, scope)
 
@@ -563,7 +572,10 @@ class _Parser:
                     raise ParseError("at most one conjecture is allowed", af.line)
         _declare_numbers(sig, self.numbers)
 
-        self._infer_undeclared_constants(problem)
+        # only a nullary symbol that is neither declared nor let-bound
+        # where it is read can be inferred
+        if any(sig.fn_sig(n) is None and not _is_reserved_name(n) for n in self.constants):
+            self._infer_undeclared_constants(problem)
 
         ctx = TypeContext.of(sig)
         for af in problem.formulas:
@@ -654,8 +666,7 @@ class _Parser:
         # an equation side is boolean exactly when it is an equation, a
         # quantifier, or an application whose result sort is $o; the two
         # sides of a checked equation have one sort, so the left decides.
-        for _, occ in occurrences(af.payload):  # type: ignore[arg-type]
-            t = occ.term
+        for t, _, _ in contexts(af.payload):  # type: ignore[arg-type]
             if isinstance(t, Eq) and (
                 isinstance(t.left, (Eq, Forall, Exists))
                 or (isinstance(t.left, App) and self.signature.fns[t.left.fn].result == BOOL)

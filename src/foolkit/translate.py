@@ -13,12 +13,17 @@ steps do all the work:
   4. a let definition is lifted to a fresh top-level symbol that takes
      the let term's free variables as extra arguments.
 
-The driver lowers ``current``, then each definition in order (including
-those appended meanwhile), in one post-order pass each: a node's children
-first, then the node itself if it is an eligible redex, logged as
-``(kind, target, path)`` with the node's path at that moment.  After a
-let is lifted its scope is lowered again in the let's context, since
-redexes that used the let's symbol are eligible now.  So steps come
+The driver lowers ``current``, then each definition a let step adds (in
+order, including those added meanwhile), in one post-order pass each: a
+node's children first, then the node itself if it is an eligible redex,
+logged as ``(kind, target, path)`` with the node's path at that moment.
+The other steps define their symbols with subterms already lowered, which
+keep their contexts in the definition, so their definitions need no pass.
+After a let is lifted its scope is lowered again in the let's context,
+since redexes that used the let's symbol are eligible now.  The lift
+returns each subtree it leaves unchanged as the same object, and the pass
+records what it returned inside a let's scope with its clash set, so the
+second lowering visits only the paths the lift changed.  So steps come
 innermost-leftmost, runs are deterministic and every definition stays
 closed.
 """
@@ -26,6 +31,7 @@ closed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Union
 
 from .terms import (
@@ -51,6 +57,7 @@ from .terms import (
     all_names,
     child_occurrence,
     children,
+    contexts,
     forall_prefix,
     free_fns,
     free_vars,
@@ -130,7 +137,7 @@ def redex_measure(phi: Term, ctx: TypeContext) -> int:
     let nodes, boolean variables in (effective) formula contexts, and
     non-atomic boolean terms in (effective) term contexts.  The effective
     context is the one a let's children have once the let is lifted."""
-    return sum(redex_kind(occ.term, occ.effective) is not None for _, occ in occurrences(phi))
+    return sum(redex_kind(t, effective) is not None for t, _, effective in contexts(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +206,33 @@ def _ite(state: TranslationState, occ: Occurrence) -> Term:
 
 def _rename_bound_in(t: Term, names: set[str], state: TranslationState) -> Term:
     """Rename binders whose bound name lies in ``names`` to fresh
-    variables, innermost first."""
+    variables, innermost first; a subtree with no such binder is returned
+    as the same object."""
     if not names:
         return t
-    new = []
-    for kid in children(t):
-        new.append(_rename_bound_in(kid, names, state))
-    t = with_children(t, tuple(new))
+    t = with_children(t, tuple(_rename_bound_in(kid, names, state) for kid in children(t)))
     if isinstance(t, (Forall, Exists)) and t.var in names:
         v2 = state.fresh_var(base="Y")
         return type(t)(v2, t.sort, subst_free_vars(t.body, {t.var: Var(v2)}))
     if isinstance(t, Let):
         fresh = {x: state.fresh_var(base="Y") for x, _ in t.params if x in names}
-        params = tuple((fresh.get(x, x), s) for x, s in t.params)
-        body = subst_free_vars(t.body, {x: Var(y) for x, y in fresh.items()})
-        return Let(t.fn, params, body, t.scope)
+        if fresh:
+            params = tuple((fresh.get(x, x), s) for x, s in t.params)
+            body = subst_free_vars(t.body, {x: Var(y) for x, y in fresh.items()})
+            return Let(t.fn, params, body, t.scope)
     return t
 
 
 def _replace_fn_apps(t: Term, fn: str, g: str, extra: tuple[Term, ...]) -> Term:
     """Rewrite applications of free occurrences of ``fn`` to ``g`` with the
-    extra arguments appended; shadowing lets cut the replacement off."""
+    extra arguments appended; shadowing lets cut the replacement off.  A
+    subtree with no free occurrence is returned as the same object."""
     if isinstance(t, Let) and t.fn == fn:
-        return Let(t.fn, t.params, _replace_fn_apps(t.body, fn, g, extra), t.scope)
-    new = []
-    for kid in children(t):
-        new.append(_replace_fn_apps(kid, fn, g, extra))
+        return with_children(t, (_replace_fn_apps(t.body, fn, g, extra), t.scope))
+    new = tuple(_replace_fn_apps(kid, fn, g, extra) for kid in children(t))
     if isinstance(t, App) and t.fn == fn:
-        return App(g, tuple(new) + extra)
-    return with_children(t, tuple(new))
+        return App(g, new + extra)
+    return with_children(t, new)
 
 
 def _let(state: TranslationState, occ: Occurrence) -> Term:
@@ -307,51 +312,91 @@ def step4_let(state: TranslationState, path: tuple[int, ...], target: Target = "
 # the driver
 
 
-def _lower(
-    state: TranslationState, target: Target, occ: Occurrence, path: tuple[int, ...]
-) -> tuple[Term, frozenset[str]]:
-    """Lower the occurrence's children left to right, then the occurrence
-    itself if it is an eligible redex; return the lowered term and the
-    let symbols bound above it that occur free in it, which it clashes
-    with: a step applies only where there are none."""
-    t = occ.term
-    kids = children(t)
-    new = []
-    clash = frozenset()
-    for i, kid in enumerate(kids):
-        lowered, kid_clash = _lower(state, target, child_occurrence(occ, i, kid), path + (i,))
-        new.append(lowered)
-        if kid_clash:  # a let's own symbol is bound in its scope, child 1
-            clash |= kid_clash - {t.fn} if isinstance(t, Let) and i == 1 else kid_clash
-    if isinstance(t, App) and t.fn in occ.lets:
-        clash |= {t.fn}
-    if any(a is not b for a, b in zip(new, kids)):  # untouched subtrees are kept
-        occ = occ._replace(term=with_children(t, tuple(new)))
-    kind = redex_kind(occ.term, occ.strict)
-    if kind is None or clash:
+class _Pass:
+    """One post-order pass over one target.
+
+    ``returned`` holds, by identity, each term the pass has returned
+    inside a let's scope with its clash set, or None when the term was
+    returned at two places with different clash sets.  ``targets`` is the
+    job's list of targets still to lower, to which a let step adds its
+    definition."""
+
+    def __init__(self, state: TranslationState, target: Target, targets: list[Target]) -> None:
+        self.state = state
+        self.target = target
+        self.targets = targets
+        self.returned: dict[int, tuple[Term, frozenset | None]] = {}
+
+    def lower(
+        self, occ: Occurrence, path: tuple[int, ...], again: bool = False
+    ) -> tuple[Term, frozenset[str]]:
+        """Lower the occurrence's children left to right, then the
+        occurrence itself if it is an eligible redex; return the lowered
+        term and the let symbols bound above it that occur free in it,
+        which it clashes with: a step applies only where there are none.
+
+        ``again`` is set below a lifted let, whose scope now stands in the
+        let's place.  The lift leaves every subtree it does not change as
+        the same object, in the same place, so a child the pass has
+        returned before has nothing left to lower and is returned again
+        with its recorded clash set, unvisited.  That set is unchanged: the
+        only binder that went away is the let's own symbol, which the
+        child does not mention.  Only the scope's root changes context,
+        and it is always visited."""
+        t = occ.term
+        kids = children(t)
+        new = []
+        clash = frozenset()
+        for i, kid in enumerate(kids):
+            known = self.returned.get(id(kid)) if again else None
+            if known is not None and known[1] is not None:
+                lowered, kid_clash = known
+            else:
+                lowered, kid_clash = self.lower(child_occurrence(occ, i, kid), path + (i,), again)
+            new.append(lowered)
+            if kid_clash:  # a let's own symbol is bound in its scope, child 1
+                clash |= kid_clash - {t.fn} if isinstance(t, Let) and i == 1 else kid_clash
+        if isinstance(t, App) and t.fn in occ.lets:
+            clash |= {t.fn}
+        if any(map(is_not, new, kids)):  # untouched subtrees are kept
+            occ = occ._replace(term=with_children(t, tuple(new)))
+        kind = redex_kind(occ.term, occ.strict)
+        if kind is None or clash:
+            return self.note(occ, clash)
+        lowered = _CORES[kind](self.state, occ)
+        self.state.steps.append((kind, self.target, path))
+        if kind == "let":
+            self.targets.append(len(self.state.defs) - 1)
+            # the let's symbol no longer binds anything, so redexes in the
+            # scope that mention it are eligible now, in the let's own context
+            return self.lower(occ._replace(term=lowered), path, again=True)
+        # nothing clashed, and the replacement adds only a fresh symbol
+        return self.note(occ._replace(term=lowered), frozenset())
+
+    def note(self, occ: Occurrence, clash: frozenset) -> tuple[Term, frozenset[str]]:
+        """Return the occurrence's term and clash set, recorded if it lies
+        in a let's scope, the only place that is lowered again."""
+        if occ.lets:
+            known = self.returned.get(id(occ.term))
+            same = known is None or known[1] == clash
+            self.returned[id(occ.term)] = (occ.term, clash if same else None)
         return occ.term, clash
-    lowered = _CORES[kind](state, occ)
-    state.steps.append((kind, target, path))
-    if kind == "let":
-        # the let's symbol no longer binds anything, so redexes in the
-        # scope that mention it are eligible now, in the let's own context
-        return _lower(state, target, occ._replace(term=lowered), path)
-    # nothing clashed, and the replacement adds only a fresh symbol
-    return lowered, frozenset()
 
 
 def _lower_targets(state: TranslationState, bound: int) -> None:
-    """One pass over ``current``, then over each definition in order,
-    including those appended while the passes run."""
-    target: Target = "current"
-    while target == "current" or target < len(state.defs):
-        lowered, _ = _lower(state, target, Occurrence(state.formula_at(target)), ())
+    """One pass over ``current``, then over each definition the state
+    already has, then over each definition a let step adds, in order,
+    including those added while the passes run.  The other steps build
+    their definitions from lowered terms that keep their contexts, so a
+    pass over those would find nothing to do."""
+    targets: list[Target] = ["current", *range(len(state.defs))]
+    for target in targets:  # grows while it runs
+        lowered, _ = _Pass(state, target, targets).lower(Occurrence(state.formula_at(target)), ())
         state._set_formula(target, lowered)
         if len(state.steps) > bound:
             raise AssertionError(
                 f"translation exceeded its step bound ({bound}); this is a bug"
             )
-        target = 0 if target == "current" else target + 1
 
 
 def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
@@ -412,25 +457,35 @@ def to_fol(state: TranslationState) -> FolProblem:
     boolean domain axiom and the distinctness axiom."""
     formulas = [*state.defs, state.current]
     usage: dict[str, set[str]] = {}
-    atoms = []  # (formula index, path, symbol) of boolean applications in formula context
-    for k, formula in enumerate(formulas):
-        for path, occ in occurrences(formula):
-            t = occ.term
-            if redex_kind(t, occ.strict) is not None:
+    atoms: list[set[str]] = []  # per formula, the boolean symbols it uses as atoms
+    for formula in formulas:
+        atoms.append(set())
+        for t, strict, effective in contexts(formula):
+            if redex_kind(t, strict) is not None:
                 raise ValueError("to_fol requires a terminated translation state")
             if isinstance(t, App) and t.fn not in BUILTIN_FNS:
                 sig = state.ctx.fn_sig(t.fn)
                 if sig is not None and sig.result == BOOL:
-                    use = "atom" if occ.effective == FORMULA_CONTEXT else "term"
+                    use = "atom" if effective == FORMULA_CONTEXT else "term"
                     usage.setdefault(t.fn, set()).add(use)
                     if use == "atom":
-                        atoms.append((k, path, t.fn))
+                        atoms[-1].add(t.fn)
     split = {fn: "predicate" if uses == {"atom"} else "function" for fn, uses in sorted(usage.items())}
 
     # atoms of function-split symbols become equations with true,
     # deepest-rightmost first so the paths still to visit stay valid
-    for k, path, fn in reversed(atoms):
-        if split[fn] == "function":
+    for k, used in enumerate(atoms):
+        rewrite = {fn for fn in used if split[fn] == "function"}
+        if not rewrite:
+            continue
+        paths = [
+            path
+            for path, occ in occurrences(formulas[k])
+            if occ.effective == FORMULA_CONTEXT
+            and isinstance(occ.term, App)
+            and occ.term.fn in rewrite
+        ]
+        for path in reversed(paths):
             formulas[k] = replace_at(formulas[k], path, Eq(subterm_at(formulas[k], path), TRUE))
     *definitions, goal = formulas
     x = Var("X")

@@ -28,8 +28,10 @@ from foolkit.terms import (
     NO_CONTEXT,
     TERM_CONTEXT,
     Sort,
+    subst_free_vars,
     subterm_at,
     subterm_positions,
+    with_children,
 )
 
 from fixtures import SUBSET_SORTED, VERIFICATION_LISTING
@@ -195,3 +197,26 @@ def test_quantified_boolean_formulas_are_terms():
     from foolkit import check_formula
 
     check_formula(ctx, qbf)  # does not raise
+
+
+def test_with_children_keeps_a_node_whose_children_are_unchanged():
+    t = App("f", (App("c"), Var("X")))
+    assert with_children(t, t.args) is t
+    rebuilt = with_children(t, (App("c"), Var("X")))
+    assert rebuilt == t and rebuilt is not t
+    with pytest.raises(ValueError):
+        with_children(Var("X"), (App("c"),))
+
+
+def test_subst_free_vars_returns_untouched_subtrees():
+    """Only the path to a replaced variable is rebuilt; a subtree in which
+    nothing is replaced, or where a binder shadows the variable, is the
+    same object."""
+    untouched = App("p", (Var("Y"),))
+    shadowed = Forall("X", S, App("p", (Var("X"),)))
+    t = land(land(App("p", (Var("X"),)), untouched), shadowed)
+    got = subst_free_vars(t, {"X": Var("Z")})
+    assert got == land(land(App("p", (Var("Z"),)), untouched), shadowed)
+    assert got.args[0].args[1] is untouched
+    assert got.args[1] is shadowed
+    assert subst_free_vars(t, {"W": Var("Z")}) is t

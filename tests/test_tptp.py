@@ -171,6 +171,60 @@ def test_reserved_names_are_not_inferred_as_constants(name):
     assert parse_problem(base + "tff(a, axiom, c = d).\n").signature.fn_sig("d") is not None
 
 
+_INFERENCE_DECLS = """\
+tff(s_s, type, s : $tType).
+tff(d_c, type, c : s).
+tff(d_f, type, f : s > s).
+tff(d_p, type, p : s > $o).
+"""
+
+
+@pytest.fixture
+def inference_calls(monkeypatch):
+    """The problems the loader ran constant inference on."""
+    from foolkit.tptp import _Parser
+
+    calls = []
+    infer = _Parser._infer_undeclared_constants
+
+    def counting(self, problem):
+        calls.append(problem)
+        infer(self, problem)
+
+    monkeypatch.setattr(_Parser, "_infer_undeclared_constants", counting)
+    return calls
+
+
+def test_all_declared_problem_skips_constant_inference(inference_calls):
+    """Every nullary symbol is declared, let-bound where it is read, a
+    numeral or a truth constant: nothing can be inferred, so the loader
+    does not look, and the signature is the declarations in order."""
+    problem = parse_problem(
+        _INFERENCE_DECLS
+        + "tff(a, axiom, $let(k : s, k := f(c), p(k) & $let(m : s, m := k, p(m))))."
+        + "tff(b, axiom, $greater(3, 2) & $true)."
+    )
+    assert inference_calls == []
+    user = [name for name in problem.signature.fns if name not in BUILTIN_FNS | ARITHMETIC_FNS.keys()]
+    assert user == ["c", "f", "p", "2", "3"]
+
+
+@pytest.mark.parametrize(
+    "axiom, name, sort",
+    [
+        ("e = c", "e", "s"),
+        ("$let(k : s, k := c, p(k) & e = k)", "e", "s"),  # read in a let's scope
+        ("$let(k : s, k := c, p(k)) & k = c", "k", "s"),  # read outside its let
+        ("$let(m : s, m := f(m), p(m))", "m", "s"),  # a let body reads the outer m
+        ("e = 3", "e", "$int"),
+    ],
+)
+def test_undeclared_constants_are_still_inferred(inference_calls, axiom, name, sort):
+    problem = parse_problem(_INFERENCE_DECLS + f"tff(a, axiom, {axiom}).")
+    assert len(inference_calls) == 1
+    assert problem.signature.fn_sig(name) == TypeSig((), problem.signature.sort(sort))
+
+
 def test_includes_rejected():
     with pytest.raises(ParseError) as err:
         parse_problem("include('Axioms/foo.ax').\n")

@@ -50,16 +50,25 @@ from foolkit.terms import (
     TERM_CONTEXT,
     TRUE,
     classify_occurrence,
+    contexts,
     forall_prefix,
     free_fns,
+    occurrences,
+    redex_kind,
     subterm_positions,
     term_to_str,
 )
-from foolkit.translate import TranslationState, redex_measure
+from foolkit.translate import (
+    TranslationState,
+    _Pass,
+    _rename_bound_in,
+    _replace_fn_apps,
+    redex_measure,
+)
 
 import corpus
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
-from generate import TermGen, lowering_shapes
+from generate import TermGen, let_nest_text, lowering_shapes
 
 
 def fresh_state(phi, ctx):
@@ -699,6 +708,137 @@ def test_recorded_steps_replay_through_single_step_api():
         assert replay.defs == state.defs, name
         assert replay.fresh_symbols == state.fresh_symbols, name
         assert replay.steps == state.steps, name
+
+
+# ---------------------------------------------------------------------------
+# the context walk, and lowering a let's scope again after the lift
+
+
+def _replayed_states():
+    """(name, state) for every pinned input before its first step and after
+    each single step of the driver's log; the state is updated in place."""
+    for name, phi, ctx in _translation_inputs():
+        steps = run_translation(phi, ctx).steps
+        state = fresh_state(phi, ctx)
+        yield name, state
+        for kind, target, path in steps:
+            _STEPS[kind](state, path, target)
+            yield name, state
+
+
+def test_context_walk_agrees_with_occurrences():
+    """``contexts`` yields the subterm, strict and effective context of
+    each occurrence, in the order of ``occurrences``."""
+    for name, state in _replayed_states():
+        for formula in [state.current, *state.defs]:
+            walked = [(id(t), strict, effective) for t, strict, effective in contexts(formula)]
+            expected = [(id(occ.term), occ.strict, occ.effective) for _, occ in occurrences(formula)]
+            assert walked == expected, name
+
+
+_REASON_OF = {
+    "let": "let expression",
+    "ite": "ite expression",
+    "bool-var": "variable in formula context",
+    "formula-in-term": "formula in term context",
+}
+
+
+def _first_order_by_occurrences(t):
+    """(ok, witness, reason) of the first-order check, as one scan of
+    ``occurrences``."""
+    for path, occ in occurrences(t):
+        kind = redex_kind(occ.term, occ.strict)
+        if kind is not None:
+            return False, path, _REASON_OF[kind]
+    return True, None, None
+
+
+def test_first_order_check_and_to_fol_agree_with_an_occurrence_scan():
+    """The same verdicts and witnesses on every intermediate state, and
+    ``to_fol`` refuses exactly the states that are not first-order yet."""
+    for name, state in _replayed_states():
+        terminated = True
+        for formula in [state.current, *state.defs]:
+            got = is_syntactically_first_order(formula)
+            assert (got.ok, got.witness, got.reason) == _first_order_by_occurrences(formula), name
+            terminated &= got.ok
+        if terminated:
+            to_fol(state)
+        else:
+            with pytest.raises(ValueError, match="^to_fol requires a terminated translation state$"):
+                to_fol(state)
+
+
+@pytest.mark.parametrize("quantified", [False, True])
+def test_let_nest_is_lowered_in_calls_linear_in_its_output(monkeypatch, quantified):
+    """After a lift only the subtrees the lift changed are lowered again.
+    A 40-deep let nest takes under 3 ``lower`` calls per output node; when
+    each lift revisited its whole scope it took about 17 (4.7 under a
+    quantifier)."""
+    problem = parse_problem(let_nest_text(random.Random(0), 40, quantified))
+    calls = []
+    lower = _Pass.lower
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[1])
+        return lower(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Pass, "lower", counting)
+    state = run_translation(problem.goal_formula(), problem.ctx)
+    nodes = sum(1 for formula in [state.current, *state.defs] for _ in subterm_positions(formula))
+    assert state.step_counts() == {"let": 40}
+    assert len(calls) < 3 * nodes
+
+
+def test_lift_rewrites_keep_untouched_subtrees(ctx):
+    s = ctx.sig.sort("s")
+    state = fresh_state(TRUE, ctx)
+    kept = Forall("Y", s, App("pr", (App("h", (Var("Y"),)),)))
+    touched = App("pr", (App("k"),))
+    scope = land(touched, kept)
+    got = _replace_fn_apps(scope, "k", "g", (Var("X"),))
+    assert got == land(App("pr", (App("g", (Var("X"),)),)), kept)
+    assert got.args[1] is kept
+    assert _replace_fn_apps(kept, "k", "g", (Var("X"),)) is kept
+    renamed = _rename_bound_in(scope, {"Y"}, state)
+    assert renamed.args[0] is touched
+    assert renamed.args[1].var != "Y"
+    assert _rename_bound_in(scope, {"Z"}, state) is scope
+
+
+def test_a_term_shared_inside_and_outside_a_let_is_lowered_at_each_place(ctx):
+    """One term object stands both outside and inside the scope of a let
+    that binds a symbol it reads, so it clashes at one place and not at
+    the other.  Lowering the outer let's scope again after its lift must
+    not take one place's clash set for the other's: the run gives what
+    it gives on a copy of the term."""
+    s = ctx.sig.sort("s")
+    ctx.sig.declare_fn("b", TypeSig((), s))
+
+    def phi(first, second):
+        inner = Let("b", (), App("h", (App("a"),)), land(second, App("pr", (App("b"),))))
+        return Eq(App("f", (Let("a", (), App("c"), land(first, inner)),)), App("c"))
+
+    shared = App("pr", (App("b"),))
+    got = _record(run_translation(phi(shared, shared), ctx))
+    assert got == _record(run_translation(phi(shared, App("pr", (App("b"),))), ctx))
+    assert [kind for kind, _, _ in got["steps"]] == ["let", "let", "formula-in-term"]
+
+
+def test_a_variable_shared_by_a_term_and_a_formula_place_is_lowered_at_each(ctx):
+    """One variable object is an argument and a conjunct in a let's scope:
+    what the pass returned for it at the first place is no answer for the
+    second, where it is a formula."""
+    x = Var("X")
+
+    def phi(first, second):
+        scope = land(Eq(App("f", (first,)), App("a")), second)
+        return Forall("X", BOOL, Let("a", (), App("c"), scope))
+
+    got = _record(run_translation(phi(x, x), ctx))
+    assert got == _record(run_translation(phi(x, Var("X")), ctx))
+    assert [kind for kind, _, _ in got["steps"]] == ["bool-var", "let"]
 
 
 def test_deep_nest_around_one_ite(ctx):
