@@ -222,14 +222,13 @@ class _Saturation:
             return
         # var_sorts is the caller's dict until the clause is kept
         clause = Clause(literals, var_sorts, rule=rule, parents=parents)
-        if self.kept.find(clause) is not None:
+        if self.kept.find_or_add(clause) is not None:
             self.stats["subsumed"] += 1
             return
         clause.var_sorts = clause.trimmed_var_sorts()
         clause.id = self.next_id
         self.next_id += 1
         self.clauses[clause.id] = clause
-        self.kept.add(clause)
         self.eligible[clause.id] = maximal_literal_indices(clause)
         self.variables[clause.id] = sorted(clause.var_sorts)
         self.stats["kept"] += 1

@@ -240,7 +240,8 @@ class VariantIndex:
     subsumption by variant.
 
     Each clause is stored with its literal shapes, and a query's shapes
-    are computed once per lookup.  A lookup walks only the paths spelled
+    are computed once per lookup; ``find_or_add`` stores the shapes its
+    lookup computed.  A lookup walks only the paths spelled
     by sub-multisets of the query's shapes, so it reaches exactly the
     indexed clauses whose shape multiset the query's contains, and decides
     each by the search of ``subsumes_by_variant``, which pairs literals of
@@ -254,15 +255,28 @@ class VariantIndex:
         self._root: tuple[list[tuple[Clause, list[str]]], dict] = ([], {})
 
     def add(self, clause: Clause) -> None:
+        self._add(clause, _shapes(clause))
+
+    def find(self, clause: Clause) -> Clause | None:
+        """An indexed clause that subsumes ``clause`` by variant, or None."""
+        return self._find(clause, _shapes(clause))
+
+    def find_or_add(self, clause: Clause) -> Clause | None:
+        """Like ``find``, but index ``clause`` when nothing subsumes it; its
+        shapes are computed once for both."""
         shapes = _shapes(clause)
+        found = self._find(clause, shapes)
+        if found is None:
+            self._add(clause, shapes)
+        return found
+
+    def _add(self, clause: Clause, shapes: list[str]) -> None:
         node = self._root
         for shape in sorted(shapes):
             node = node[1].setdefault(shape, ([], {}))
         node[0].append((clause, shapes))
 
-    def find(self, clause: Clause) -> Clause | None:
-        """An indexed clause that subsumes ``clause`` by variant, or None."""
-        shapes = _shapes(clause)
+    def _find(self, clause: Clause, shapes: list[str]) -> Clause | None:
         slots = _slots(shapes)
         ordered = sorted(shapes)
         stack = [(self._root, 0)]
