@@ -207,7 +207,9 @@ class _Program:
                 return lambda: 0
             if t.fn in self.zero and t.fn not in lets:
                 return lambda: 0
-            args = [self._term(a, bound, lets) for a in t.args]
+            args = []
+            for a in t.args:  # a comprehension would take a second frame per level
+                args.append(self._term(a, bound, lets))
             if t.fn in _CONNECTIVES:
                 return _CONNECTIVES[t.fn](*args)
             k = lets[t.fn] if t.fn in lets else self.fn_slot(t.fn)

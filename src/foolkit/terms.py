@@ -8,28 +8,34 @@ pure bottom-up synthesis.
 
 This module is also the one occurrence classifier: ``child_context``
 says which context a position puts the subterm there in, strict and
-effective, and ``child_occurrence`` adds the binders above it; through
-``redex_kind`` they say which lowering step applies to it.  Two walks
-read them:
+effective, and ``binders`` says what a node binds in each child (a
+quantifier its variable in its body, a let its formals in its body and
+its symbol in its scope).  ``child_occurrence`` reads both, and through
+``redex_kind`` they say which lowering step applies to a subterm.
+``subst_free_vars``, the let lift's renaming and the lowering driver's
+clash sets in ``translate`` read ``binders`` too.  Two walks read the
+classifier:
 
 * ``contexts`` yields each subterm with its two contexts and nothing
   else.  The first-order check, ``translate.redex_measure``, the
   terminated-check and predicate-split scan of ``translate.to_fol`` and
   the strict-mode equality check in ``tptp`` run on it;
 * ``occurrences`` also builds each subterm's path and binders.  It runs
-  only where those are needed: to find the witness path of a failed
-  first-order check, and the paths of the atoms ``to_fol`` rewrites.
+  only to find the witness path of a failed first-order check.
   ``occurrence_at`` follows one path.
 
 A formula is syntactically first-order when no lowering step applies at
 any occurrence.
 
-Some walks keep their own loops because they need no context and the
-classifier would only slow them down: ``subterm_positions`` (clause
-terms in the prover, about half the cost per node), ``free_fns``,
-``free_vars_ordered`` (run on every lowering step), and ``tptp._render``,
-which carries one formula/term flag and is no shorter when driven by
-the classifier.
+Some walks keep their own loops, and their own copy of the binding rule,
+because they need no context and a shared walk would slow them down:
+``subterm_positions`` (clause terms in the prover, about half the cost
+per node), ``free_vars_ordered`` (run on every lowering step), ``free_fns``
+and ``all_names``; one shared scope walk, or one ``binders`` call per
+child, made these three 1.5-5 times slower per call.  A property test
+checks their copies against ``occurrences``.
+``tptp._render`` carries one formula/term flag and is no shorter when
+driven by the classifier.
 
 ``with_children`` keeps a node whose children are all unchanged, so the
 rewrites built on it (``subst_free_vars``, the let lift in
@@ -423,6 +429,16 @@ def all_names(t: Term) -> set[str]:
 # recursive).
 
 
+def binders(t: Term, i: int) -> tuple[tuple[tuple[str, Sort], ...], str | None]:
+    """The variables, with their sorts, and the let symbol that ``t`` binds
+    in its child ``i``: the one binding rule."""
+    if isinstance(t, (Forall, Exists)):
+        return ((t.var, t.sort),), None
+    if isinstance(t, Let):
+        return (t.params, None) if i == 0 else ((), t.fn)
+    return (), None
+
+
 def free_vars(t: Term) -> set[str]:
     return set(free_vars_ordered(t))
 
@@ -514,15 +530,9 @@ def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
     binders and effective context."""
     t = occ.term
     strict, effective = child_context(t, i, occ.effective)
-    variables, lets = occ.variables, occ.lets
-    if isinstance(t, (Forall, Exists)):
-        variables += ((t.var, t.sort),)
-    elif isinstance(t, Let):
-        if i == 0:
-            variables += t.params
-        else:
-            lets |= {t.fn}
-    return Occurrence(kid, strict, variables, lets, effective)
+    variables, fn = binders(t, i)
+    lets = occ.lets if fn is None else occ.lets | {fn}
+    return Occurrence(kid, strict, occ.variables + variables, lets, effective)
 
 
 def contexts(t: Term) -> Iterator[tuple[Term, str, str]]:
@@ -654,16 +664,12 @@ def subst_free_vars(t: Term, mapping: dict[str, Term]) -> Term:
         return t
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, (Forall, Exists)):
-        inner = {k: v for k, v in mapping.items() if k != t.var}
-        return with_children(t, (subst_free_vars(t.body, inner),))
-    if isinstance(t, Let):
-        formals = {x for x, _ in t.params}
-        inner = {k: v for k, v in mapping.items() if k not in formals}
-        return with_children(
-            t, (subst_free_vars(t.body, inner), subst_free_vars(t.scope, mapping))
-        )
-    return with_children(t, tuple(subst_free_vars(k, mapping) for k in children(t)))
+    new = []
+    for i, kid in enumerate(children(t)):
+        bound = {x for x, _ in binders(t, i)[0]}
+        inner = {k: v for k, v in mapping.items() if k not in bound} if bound else mapping
+        new.append(subst_free_vars(kid, inner))
+    return with_children(t, tuple(new))
 
 
 # ---------------------------------------------------------------------------

@@ -208,12 +208,9 @@ class Problem:
         conjectures = [f.payload for f in self.formulas if f.role == "conjecture"]
         if conjectures:
             parts.append(lnot(conjectures[0]))
-        if not parts:
-            return TRUE
-        out = parts[0]
-        for p in parts[1:]:
-            out = land(out, p)
-        return out
+        if len(parts) < 2:
+            return parts[0] if parts else TRUE
+        return land(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -712,13 +709,21 @@ def parse_formula(text: str, ctx: TypeContext) -> Term:
 # printing: dialect
 
 
-def _sort_str(sort: Sort, strict: bool) -> str:
+class _BoolNames(NamedTuple):
+    """How strict output spells the boolean sort and its two constants."""
+
+    sort: str
+    true: str
+    false: str
+
+
+def _sort_str(sort: Sort, strict: _BoolNames | None) -> str:
     if sort.is_bool:
-        return "'fool_bool'" if strict else "$o"
+        return strict.sort if strict else "$o"
     return _atom_str(sort.name)
 
 
-def _typesig_str(sig: TypeSig, strict: bool, predicate: bool = False) -> str:
+def _typesig_str(sig: TypeSig, strict: _BoolNames | None, predicate: bool = False) -> str:
     result = "$o" if (strict and predicate) else _sort_str(sig.result, strict)
     if not sig.args:
         return result
@@ -744,10 +749,10 @@ class _RenderError(ValueError):
     pass
 
 
-def _render(t: Term, ctx: TypeContext | None, strict: bool, in_formula: bool) -> str:
-    """One renderer for both modes.  Dialect mode needs a context to
-    re-derive let signatures; strict mode renders the truth constants by
-    position and refuses $ite/$let."""
+def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_formula: bool) -> str:
+    """One renderer for both modes; ``strict`` is None in dialect mode.
+    Dialect mode needs a context to re-derive let signatures; strict mode
+    renders the truth constants by position and refuses $ite/$let."""
     if isinstance(t, Var):
         return t.name
 
@@ -792,9 +797,9 @@ def _render(t: Term, ctx: TypeContext | None, strict: bool, in_formula: bool) ->
 
     if isinstance(t, App):
         if t.fn == TRUE_NAME:
-            return "$true" if (in_formula or not strict) else "'fool_true'"
+            return "$true" if (in_formula or not strict) else strict.true
         if t.fn == FALSE_NAME:
-            return "$false" if (in_formula or not strict) else "'fool_false'"
+            return "$false" if (in_formula or not strict) else strict.false
         if t.fn == NOT:
             arg = t.args[0]
             if isinstance(arg, Eq):
@@ -820,7 +825,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: bool, in_formula: bool) ->
     raise TypeError(f"not a term: {t!r}")
 
 
-def _render_equation(eq: Eq, op: str, ctx: TypeContext | None, strict: bool) -> str:
+def _render_equation(eq: Eq, op: str, ctx: TypeContext | None, strict: _BoolNames | None) -> str:
     """``=`` or ``!=`` between the two sides, each parenthesized where
     the reader would otherwise take it apart."""
     sides = []
@@ -831,9 +836,12 @@ def _render_equation(eq: Eq, op: str, ctx: TypeContext | None, strict: bool) -> 
 
 
 def _flatten_chain(fn: str, t: Term) -> list[Term]:
-    if isinstance(t, App) and t.fn == fn:
-        return _flatten_chain(fn, t.args[0]) + [t.args[1]]
-    return [t]
+    """The operands of the left-deep ``fn`` chain ``t``, left to right."""
+    right = []
+    while isinstance(t, App) and t.fn == fn:
+        right.append(t.args[1])
+        t = t.args[0]
+    return [t, *reversed(right)]
 
 
 _NAME_SAFE = re.compile(r"[^A-Za-z0-9_]")
@@ -842,6 +850,17 @@ _NAME_SAFE = re.compile(r"[^A-Za-z0-9_]")
 def _tff_name(prefix: str, name: str) -> str:
     safe = _NAME_SAFE.sub("_", name)
     return f"{prefix}_{safe}"
+
+
+def _unused(base: str, used: set[str]) -> str:
+    """``base``, or the first of ``base_1``, ``base_2``, ... not in
+    ``used``; added to ``used``."""
+    name, k = base, 0
+    while name in used:
+        k += 1
+        name = f"{base}_{k}"
+    used.add(name)
+    return name
 
 
 def print_dialect(problem: Problem) -> str:
@@ -857,9 +876,9 @@ def print_dialect(problem: Problem) -> str:
         if isinstance(af.payload, SortDecl):
             body = f"{_atom_str(af.payload.name)} : $tType"
         elif isinstance(af.payload, SymbolDecl):
-            body = f"{_atom_str(af.payload.name)} : {_typesig_str(af.payload.sig, strict=False)}"
+            body = f"{_atom_str(af.payload.name)} : {_typesig_str(af.payload.sig, strict=None)}"
         else:
-            body = _render(af.payload, ctx, strict=False, in_formula=True)
+            body = _render(af.payload, ctx, strict=None, in_formula=True)
         lines.append(f"tff({_atom_str(af.name)}, {af.role}, {body}).")
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -868,28 +887,37 @@ def print_fol_tff0(fol) -> str:
     """Print a lowered problem as standard monomorphic typed first-order
     text: no $o argument positions, no boolean variables, the boolean
     sort rendered as the user sort 'fool_bool' with constants 'fool_true'
-    and 'fool_false', and the two boolean axioms appended.
+    and 'fool_false', and the two boolean axioms appended.  A name the
+    problem already uses as a sort or symbol is not taken for the boolean
+    sort or a constant, and an annotated formula whose name is taken
+    gets the first free suffix (see ``_unused``).
 
     The output re-parses under the strict grammar; declarations come
     first in original order, then definitions, the goal, and the two
     boolean axioms.
     """
     ctx = fol.ctx
+    used = {*ctx.sig.sorts, *ctx.sig.fns, *ctx.fn_binds}
+    bool_sort, true, false = (_unused(base, used) for base in ("fool_bool", "fool_true", "fool_false"))
+    strict = _BoolNames(f"'{bool_sort}'", f"'{true}'", f"'{false}'")
+    labels: set[str] = set()
     lines = []
+
+    def emit(label: str, role: str, body: str) -> None:
+        lines.append(f"tff({_unused(label, labels)}, {role}, {body}).")
+
     for name in ctx.sig.sorts:
-        if name.startswith("$"):
-            continue
-        lines.append(f"tff({_tff_name('sort', name)}, type, {_atom_str(name)} : $tType).")
-    lines.append("tff(sort_fool_bool, type, 'fool_bool' : $tType).")
-    lines.append("tff(decl_fool_true, type, 'fool_true' : 'fool_bool').")
-    lines.append("tff(decl_fool_false, type, 'fool_false' : 'fool_bool').")
+        if not name.startswith("$"):
+            emit(_tff_name("sort", name), "type", f"{_atom_str(name)} : $tType")
+    emit(_tff_name("sort", bool_sort), "type", f"{strict.sort} : $tType")
+    emit(_tff_name("decl", true), "type", f"{strict.true} : {strict.sort}")
+    emit(_tff_name("decl", false), "type", f"{strict.false} : {strict.sort}")
 
     def declare(name: str, sig: TypeSig) -> None:
         if name in BUILTIN_FNS or name.startswith("$") or name.isdigit():
             return
         predicate = sig.result == BOOL and fol.predicate_split.get(name, "predicate") == "predicate"
-        rendered = _typesig_str(sig, strict=True, predicate=predicate)
-        lines.append(f"tff({_tff_name('decl', name)}, type, {_atom_str(name)} : {rendered}).")
+        emit(_tff_name("decl", name), "type", f"{_atom_str(name)} : {_typesig_str(sig, strict, predicate)}")
 
     for name, sig in ctx.sig.fns.items():
         declare(name, sig)
@@ -898,12 +926,8 @@ def print_fol_tff0(fol) -> str:
             declare(name, sig)
 
     for i, definition in enumerate(fol.definitions):
-        body = _render(definition, None, strict=True, in_formula=True)
-        lines.append(f"tff(def_{i}, axiom, {body}).")
-    goal = _render(fol.goal, None, strict=True, in_formula=True)
-    lines.append(f"tff(goal, hypothesis, {goal}).")
-    dom = _render(fol.domain_axiom, None, strict=True, in_formula=True)
-    lines.append(f"tff(fool_bool_dom, axiom, {dom}).")
-    distinct = _render(fol.distinct_axiom, None, strict=True, in_formula=True)
-    lines.append(f"tff(fool_bool_distinct, axiom, {distinct}).")
+        emit(f"def_{i}", "axiom", _render(definition, None, strict, True))
+    emit("goal", "hypothesis", _render(fol.goal, None, strict, True))
+    emit("fool_bool_dom", "axiom", _render(fol.domain_axiom, None, strict, True))
+    emit("fool_bool_distinct", "axiom", _render(fol.distinct_axiom, None, strict, True))
     return "\n".join(lines) + "\n"

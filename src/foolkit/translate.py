@@ -13,6 +13,9 @@ steps do all the work:
   4. a let definition is lifted to a fresh top-level symbol that takes
      the let term's free variables as extra arguments.
 
+Steps 2-4 name their term by one ``_fresh_symbol``, and the let lift
+reads what a let binds from ``terms.binders``.
+
 The driver lowers ``current``, then each definition a let step adds (in
 order, including those added meanwhile), in one post-order pass each: a
 node's children first, then the node itself if it is an eligible redex,
@@ -26,6 +29,10 @@ records what it returned inside a let's scope with its clash set, so the
 second lowering visits only the paths the lift changed.  So steps come
 innermost-leftmost, runs are deterministic and every definition stays
 closed.
+
+``to_fol`` checks each formula and decides the predicate split on one
+``terms.contexts`` walk, then turns the atoms of function-split symbols
+into equations with true in one rebuild that carries the contexts down.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .terms import (
     BOOL,
     BUILTIN_FNS,
     Eq,
-    Exists,
     FALSE,
     Forall,
     FORMULA_CONTEXT,
@@ -55,6 +61,8 @@ from .terms import (
     Var,
     Occurrence,
     all_names,
+    binders,
+    child_context,
     child_occurrence,
     children,
     contexts,
@@ -68,11 +76,9 @@ from .terms import (
     lnot,
     lor,
     occurrence_at,
-    occurrences,
     redex_kind,
     replace_at,
     subst_free_vars,
-    subterm_at,
     with_children,
 )
 from .typecheck import check_formula, infer_sort
@@ -167,6 +173,16 @@ def _bool_var(state: TranslationState, occ: Occurrence) -> Term:
     return Eq(t, TRUE)
 
 
+def _fresh_symbol(state: TranslationState, binds: list[tuple[str, Sort]], sort: Sort) -> App:
+    """A fresh symbol from the sorts of ``binds`` to ``sort``, added to the
+    state's context and fresh symbols, applied to the variables of
+    ``binds``."""
+    g = state.fresh_fn()
+    state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in binds), sort))
+    state.fresh_symbols.append(g)
+    return App(g, tuple(Var(x) for x, _ in binds))
+
+
 def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
     psi = occ.term
     if occ.strict != TERM_CONTEXT:
@@ -180,12 +196,9 @@ def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
         raise ValueError("occurrence is not a formula")
 
     binds = _free_vars_with_sorts(psi, ctx)
-    g = state.fresh_fn()
-    g_args = tuple(Var(x) for x, _ in binds)
-    state.defs.append(forall_prefix(binds, liff(psi, Eq(App(g, g_args), TRUE))))
-    state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in binds), BOOL))
-    state.fresh_symbols.append(g)
-    return App(g, g_args)
+    gapp = _fresh_symbol(state, binds, BOOL)
+    state.defs.append(forall_prefix(binds, liff(psi, Eq(gapp, TRUE))))
+    return gapp
 
 
 def _ite(state: TranslationState, occ: Occurrence) -> Term:
@@ -194,13 +207,9 @@ def _ite(state: TranslationState, occ: Occurrence) -> Term:
         raise ValueError("path does not address an if-then-else term")
     ctx = state.ctx.with_vars(occ.variables)
     binds = _free_vars_with_sorts(t, ctx)
-    branch_sort = infer_sort(ctx, t.then)
-    g = state.fresh_fn()
-    gapp = App(g, tuple(Var(x) for x, _ in binds))
+    gapp = _fresh_symbol(state, binds, infer_sort(ctx, t.then))
     state.defs.append(forall_prefix(binds, limplies(t.cond, Eq(gapp, t.then))))
     state.defs.append(forall_prefix(binds, limplies(lnot(t.cond), Eq(gapp, t.els))))
-    state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in binds), branch_sort))
-    state.fresh_symbols.append(g)
     return gapp
 
 
@@ -211,16 +220,16 @@ def _rename_bound_in(t: Term, names: set[str], state: TranslationState) -> Term:
     if not names:
         return t
     t = with_children(t, tuple(_rename_bound_in(kid, names, state) for kid in children(t)))
-    if isinstance(t, (Forall, Exists)) and t.var in names:
-        v2 = state.fresh_var(base="Y")
-        return type(t)(v2, t.sort, subst_free_vars(t.body, {t.var: Var(v2)}))
+    variables, _ = binders(t, 0)  # quantifiers and lets bind variables in child 0, .body
+    fresh = {x: state.fresh_var(base="Y") for x, _ in variables if x in names}
+    if not fresh:
+        return t
+    renamed = tuple((fresh.get(x, x), s) for x, s in variables)
+    body = subst_free_vars(t.body, {x: Var(y) for x, y in fresh.items()})
     if isinstance(t, Let):
-        fresh = {x: state.fresh_var(base="Y") for x, _ in t.params if x in names}
-        if fresh:
-            params = tuple((fresh.get(x, x), s) for x, s in t.params)
-            body = subst_free_vars(t.body, {x: Var(y) for x, y in fresh.items()})
-            return Let(t.fn, params, body, t.scope)
-    return t
+        return Let(t.fn, renamed, body, t.scope)
+    ((var, sort),) = renamed
+    return type(t)(var, sort, body)
 
 
 def _replace_fn_apps(t: Term, fn: str, g: str, extra: tuple[Term, ...]) -> Term:
@@ -245,18 +254,10 @@ def _let(state: TranslationState, occ: Occurrence) -> Term:
     s_prime = subst_free_vars(
         t.body, {x: Var(z) for (x, _), (z, _) in zip(t.params, zs)}
     )
-    body_sort = infer_sort(ctx.with_vars(t.params), t.body)
-
-    g = state.fresh_fn()
-    g_args = tuple(Var(z) for z, _ in zs) + tuple(Var(y) for y, _ in outer)
-    state.defs.append(forall_prefix(zs + outer, Eq(App(g, g_args), s_prime)))
-
+    gapp = _fresh_symbol(state, zs + outer, infer_sort(ctx.with_vars(t.params), t.body))
+    state.defs.append(forall_prefix(zs + outer, Eq(gapp, s_prime)))
     scope = _rename_bound_in(t.scope, {y for y, _ in outer}, state)
-    t_prime = _replace_fn_apps(scope, t.fn, g, tuple(Var(y) for y, _ in outer))
-
-    state.ctx = state.ctx.with_fn(g, TypeSig(tuple(s for _, s in zs + outer), body_sort))
-    state.fresh_symbols.append(g)
-    return t_prime
+    return _replace_fn_apps(scope, t.fn, gapp.fn, gapp.args[len(zs):])
 
 
 _CORES = {
@@ -354,8 +355,8 @@ class _Pass:
             else:
                 lowered, kid_clash = self.lower(child_occurrence(occ, i, kid), path + (i,), again)
             new.append(lowered)
-            if kid_clash:  # a let's own symbol is bound in its scope, child 1
-                clash |= kid_clash - {t.fn} if isinstance(t, Let) and i == 1 else kid_clash
+            if kid_clash:
+                clash |= kid_clash - {binders(t, i)[1]}
         if isinstance(t, App) and t.fn in occ.lets:
             clash |= {t.fn}
         if any(map(is_not, new, kids)):  # untouched subtrees are kept
@@ -451,6 +452,19 @@ class FolProblem:
         return self.definitions + (self.domain_axiom, self.distinct_axiom)
 
 
+def _equate_atoms(t: Term, effective: str, rewrite: set[str]) -> Term:
+    """``t``, standing in the effective context, with each atom of a symbol
+    in ``rewrite`` turned into an equation with true; one frame per level,
+    and an untouched subtree is returned as the same object."""
+    new = []
+    for i, kid in enumerate(children(t)):
+        new.append(_equate_atoms(kid, child_context(t, i, effective)[1], rewrite))
+    t = with_children(t, tuple(new))
+    if effective == FORMULA_CONTEXT and isinstance(t, App) and t.fn in rewrite:
+        return Eq(t, TRUE)
+    return t
+
+
 def to_fol(state: TranslationState) -> FolProblem:
     """Turn a terminated translation state into a legal many-sorted
     first-order problem: apply the predicate split and add the two-element
@@ -471,22 +485,10 @@ def to_fol(state: TranslationState) -> FolProblem:
                     if use == "atom":
                         atoms[-1].add(t.fn)
     split = {fn: "predicate" if uses == {"atom"} else "function" for fn, uses in sorted(usage.items())}
-
-    # atoms of function-split symbols become equations with true,
-    # deepest-rightmost first so the paths still to visit stay valid
     for k, used in enumerate(atoms):
         rewrite = {fn for fn in used if split[fn] == "function"}
-        if not rewrite:
-            continue
-        paths = [
-            path
-            for path, occ in occurrences(formulas[k])
-            if occ.effective == FORMULA_CONTEXT
-            and isinstance(occ.term, App)
-            and occ.term.fn in rewrite
-        ]
-        for path in reversed(paths):
-            formulas[k] = replace_at(formulas[k], path, Eq(subterm_at(formulas[k], path), TRUE))
+        if rewrite:
+            formulas[k] = _equate_atoms(formulas[k], FORMULA_CONTEXT, rewrite)
     *definitions, goal = formulas
     x = Var("X")
     domain_axiom = Forall("X", BOOL, lor(Eq(x, TRUE), Eq(x, FALSE)))

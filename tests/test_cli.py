@@ -322,6 +322,43 @@ def test_deep_input_is_one_error_line(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), (command, path.name, lines[:3])
 
 
+def test_verify_reaches_the_depth_translate_reaches(tmp_path):
+    # 800 axioms conjoin into an 800-deep chain; the oracle compiler takes
+    # one frame per level, like the walkers translate runs
+    wide = tmp_path / "wide.p"
+    wide.write_text(
+        "tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(d_p, type, p : s > $o).\n"
+        + "".join(f"tff(a{i}, axiom, p(c)).\n" for i in range(800))
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "foolkit.cli", "verify", str(wide)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout.startswith("OK")
+    assert "Traceback" not in done.stderr
+
+
+def test_translated_output_translates_again_under_strict(tmp_path, capsys):
+    # the emitted file declares fool_bool, fool_true and fool_false as user
+    # names, so translating it again must name the boolean sort otherwise
+    source = tmp_path / "in.p"
+    source.write_text(
+        "tff(s_u, type, u : $tType).\ntff(d_c, type, c : u).\n"
+        "tff(d_p, type, p : (u * $o) > $o).\ntff(a, axiom, ![X : $o] : p(c, X)).\n"
+    )
+    once, twice = tmp_path / "once.tff0", tmp_path / "twice.tff0"
+    assert main(["translate", str(source), "--out", str(once)]) == 0
+    assert main(["translate", "--strict", str(once), "--out", str(twice)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--strict", str(twice)]) == 0, capsys.readouterr().err
+    text = twice.read_text()
+    assert "tff(sort_fool_bool, type, fool_bool : $tType)." in text
+    assert "tff(sort_fool_bool_1, type, 'fool_bool_1' : $tType)." in text
+
+
 @pytest.mark.parametrize("command", ["check", "translate", "prove"])
 def test_closed_stdout_is_an_io_error(listing, command):
     read_end, write_end = os.pipe()

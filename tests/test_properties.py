@@ -27,10 +27,8 @@ from foolkit.prover.unification import apply_subst
 from foolkit.terms import (
     FALSE,
     TRUE,
-    classify_occurrence,
     forall_prefix,
     free_fns,
-    subterm_positions,
 )
 from foolkit.tptp import Problem, SymbolDecl, AnnotatedFormula
 from foolkit.translate import redex_measure
@@ -103,21 +101,30 @@ def test_random_formulas_roundtrip_through_printer():
 
 
 def test_free_vars_ordered_agrees_with_free_vars():
-    from foolkit.terms import free_vars_ordered
+    """``free_vars_ordered``, ``free_fns`` and ``all_names`` keep their own
+    copies of the binding rule; they agree with ``occurrences``, which
+    reads it from ``terms.binders``."""
+    from foolkit.terms import all_names, free_vars_ordered, occurrences
+    from test_translate import _translation_inputs
 
     gen = TermGen(random.Random(41))
-    for _ in range(200):
-        t = gen.formula()
+    draws = [gen.formula() for _ in range(200)]
+    for t in draws + [phi for _, phi, _ in _translation_inputs()]:
         ordered = free_vars_ordered(t)
         assert set(ordered) == free_vars(t)
         assert len(ordered) == len(set(ordered))
+        occs = [occ for _, occ in occurrences(t)]
         # first free occurrences, pre-order, as the classifier sees them
         firsts = dict.fromkeys(
-            u.name
-            for path, u in subterm_positions(t)
-            if isinstance(u, Var) and classify_occurrence(t, path).kind == "free"
+            o.term.name for o in occs if isinstance(o.term, Var) and o.term.name not in dict(o.variables)
         )
         assert ordered == list(firsts)
+        apps = [o for o in occs if isinstance(o.term, App)]
+        assert free_fns(t) == {o.term.fn for o in apps if o.term.fn not in o.lets}
+        names = {o.term.name for o in occs if isinstance(o.term, Var)} | {o.term.fn for o in apps}
+        for o in occs:
+            names |= o.lets | {x for x, _ in o.variables}
+        assert all_names(t) == names
 
 
 def test_translation_leaves_base_symbols_alone():

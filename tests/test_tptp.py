@@ -25,8 +25,9 @@ from foolkit import (
     run_translation,
     to_fol,
 )
-from foolkit.terms import BUILTIN_FNS, INT, TRUE
-from foolkit.tptp import ARITHMETIC_FNS, SortDecl, SymbolDecl
+from foolkit.terms import BUILTIN_FNS, INT, TRUE, App, land
+from foolkit.tptp import ARITHMETIC_FNS, AnnotatedFormula, Problem, SortDecl, SymbolDecl
+from foolkit.translate import TranslationState
 
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
 from helpers import mutate_text, named_texts
@@ -474,3 +475,27 @@ tff(a, axiom, p(c)).
         "tff(fool_bool_dom, axiom, ![X : 'fool_bool'] : (X = 'fool_true' | X = 'fool_false')).",
         "tff(fool_bool_distinct, axiom, 'fool_true' != 'fool_false').",
     ]
+
+
+def test_emitted_formula_names_are_distinct():
+    # 'a b' and a_b both make the name decl_a_b
+    problem = parse_problem("tff(d1, type, 'a b' : $o).\ntff(d2, type, a_b : $o).\ntff(a, axiom, 'a b' | a_b).\n")
+    out = print_fol_tff0(to_fol(run_translation(problem.goal_formula(), problem.ctx)))
+    names = [line[len("tff("):line.index(",")] for line in out.splitlines()]
+    assert len(names) == len(set(names)), names
+    assert "tff(decl_a_b, type, 'a b' : $o)." in out
+    assert "tff(decl_a_b_1, type, a_b : $o)." in out
+
+
+def test_printers_take_a_long_conjunction_chain():
+    sig = Signature()
+    s = sig.declare_sort("s")
+    sig.declare_fn("c", TypeSig((), s))
+    sig.declare_fn("p", TypeSig((s,), BOOL))
+    n = 100_000
+    chain = land(*[App("p", (App("c"),))] * n)
+    conjunction = "(" + " & ".join(["p(c)"] * n) + ")"
+    dialect = print_dialect(Problem([AnnotatedFormula("a", "axiom", chain)], sig))
+    assert dialect == f"tff(a, axiom, {conjunction}).\n"
+    fol = to_fol(TranslationState(current=chain, ctx=TypeContext.of(sig)))
+    assert f"tff(goal, hypothesis, {conjunction})." in print_fol_tff0(fol)
