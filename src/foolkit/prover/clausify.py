@@ -3,8 +3,9 @@
 One polarity-directed walk gives the skolemized negation normal form
 (skolem arguments are the universal variables in scope), then naive
 or-over-and distribution.  The result is equisatisfiable; skolem symbols
-share the reserved generated prefix and continue the translation's
-counter so names never collide.
+are the first ``sk_fool_<n>`` names, counted from 0, that the problem's
+context does not hold, so they never collide with input or translation
+symbols.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..terms import (
     IMPLIES,
     NOT,
     OR,
-    RESERVED_PREFIX,
+    FRESH_PREFIX,
     Sort,
     Term,
     TRUE_NAME,
@@ -49,7 +50,7 @@ class ClausifyResult:
 def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:
     """Clauses for the problem's axioms and goal, with the extended
     context covering the introduced skolem symbols."""
-    state = _Clausifier(problem.ctx, problem.fresh_counter, max_clauses)
+    state = _Clausifier(problem.ctx, max_clauses)
     clauses: list[Clause] = []
     for formula in [*problem.axioms, problem.goal]:
         clauses.extend(state.formula_clauses(formula))
@@ -59,16 +60,16 @@ def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:
 
 
 class _Clausifier:
-    def __init__(self, ctx: TypeContext, counter: int, max_clauses: int) -> None:
+    def __init__(self, ctx: TypeContext, max_clauses: int) -> None:
         self.ctx = ctx
-        self.counter = counter
+        self.counter = 0
         self.max_clauses = max_clauses
         self.var_counter = 0
         self.var_sorts: dict[str, Sort] = {}
 
     def fresh_skolem(self) -> str:
         while True:
-            name = f"{RESERVED_PREFIX}{self.counter}"
+            name = f"{FRESH_PREFIX}{self.counter}"
             self.counter += 1
             if self.ctx.fn_sig(name) is None:
                 return name

@@ -381,8 +381,6 @@ class _Saturation:
                 self.resolve(renamed, shifted)
                 if self.empty is not None:
                     return self.result("refuted")
-            if self.empty is not None:
-                return self.result("refuted")
         return self.result("saturated")
 
     def result(self, verdict: str) -> SaturationResult:

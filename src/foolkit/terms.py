@@ -104,8 +104,9 @@ FALSE_NAME = "$false"
 CONNECTIVES = frozenset({NOT, AND, OR, IMPLIES, IFF})
 BUILTIN_FNS = frozenset(CONNECTIVES | {TRUE_NAME, FALSE_NAME})
 
-# Prefix reserved for symbols introduced by translation and clausification.
-RESERVED_PREFIX = "sk_fool_"
+# Prefix of the symbols introduced by translation and clausification; each
+# generator skips the names its problem already uses, so input may use it too.
+FRESH_PREFIX = "sk_fool_"
 
 
 class Signature:

@@ -17,10 +17,9 @@ arithmetic semantics.  ``include`` directives are rejected.
 
 Strict mode turns off every extension and checks the usual restrictions
 on ``$o``, so emitted standard problems can be re-checked with the same
-grammar.  Strict mode also admits the names that are reserved (and
-rejected) in dialect input, since emitted problems contain them: the
-``sk_fool_`` symbol prefix and the boolean sort's emitted names
-``fool_bool``, ``fool_true`` and ``fool_false``.
+grammar.  No name is reserved beyond the ``$`` words: every generated
+symbol, and the printer's names for the boolean sort and its constants,
+are chosen among the names the problem does not use.
 
 The lexer is one pass of one regular expression.  A token is
 ``(kind, text, pos)`` with ``pos`` its offset into the text; the line
@@ -53,7 +52,6 @@ from .terms import (
     Let,
     NOT,
     OR,
-    RESERVED_PREFIX,
     Signature,
     Sort,
     TRUE,
@@ -82,16 +80,6 @@ ARITHMETIC_FNS: dict[str, TypeSig] = {
 }
 
 ROLES = ("type", "axiom", "hypothesis", "conjecture")
-
-# the standard printer's names for the boolean sort and its two constants
-_EMITTED_BOOL_NAMES = frozenset({"fool_bool", "fool_true", "fool_false"})
-
-
-def _is_reserved_name(name: str) -> bool:
-    """Names dialect input may not declare: those of generated symbols and
-    of the boolean sort in emitted problems."""
-    return name.startswith(RESERVED_PREFIX) or name in _EMITTED_BOOL_NAMES
-
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0) -> None:
@@ -238,6 +226,7 @@ class _Parser:
         # and the symbols of the lets whose scope is being read
         self.constants: set[str] = set()
         self.let_scopes: list[str] = []
+        self.formula_names: set[str] = set()
         # the line of the last formula start, counted forward from there
         self.line, self.line_pos = 1, 0
 
@@ -267,12 +256,12 @@ class _Parser:
     def error(self, message: str, tok: Token) -> ParseError:
         return ParseError(message, *_line_col(self.text, tok.pos))
 
-    def parse_symbol(self, what: str) -> tuple[str, Token]:
-        """A lower-case or quoted symbol, unquoted, and its token."""
+    def parse_symbol(self, what: str) -> str:
+        """A lower-case or quoted symbol, unquoted."""
         tok = self.next()
         if tok.kind not in ("lower", "quoted"):
             raise self.error(f"invalid {what} {tok.text!r}", tok)
-        return _name(tok), tok
+        return _name(tok)
 
     # grammar
 
@@ -321,13 +310,15 @@ class _Parser:
         tok = self.next()
         if tok.kind not in ("lower", "int", "quoted"):
             raise self.error(f"invalid formula name {tok.text!r}", tok)
-        return _name(tok)
+        name = _name(tok)
+        if name in self.formula_names:
+            raise self.error(f"duplicate formula name {name!r}", tok)
+        self.formula_names.add(name)
+        return name
 
     def parse_type_payload(self) -> SortDecl | SymbolDecl:
         wrapped = self.accept("(")
-        name, tok = self.parse_symbol("declared name")
-        if not self.strict and _is_reserved_name(name):
-            raise self.error(f"the name {name!r} is reserved for emitted problems", tok)
+        name = self.parse_symbol("declared name")
         self.expect(":")
         if self.accept("$tType"):
             decl: SortDecl | SymbolDecl = SortDecl(name)
@@ -503,7 +494,7 @@ class _Parser:
 
     def parse_let(self, word: str, where: Token) -> Term:
         self.expect("(")
-        fn, _ = self.parse_symbol("let-bound symbol")
+        fn = self.parse_symbol("let-bound symbol")
         if word == "$let":
             self.expect(":")
             sig = self.parse_type()
@@ -571,7 +562,7 @@ class _Parser:
 
         # only a nullary symbol that is neither declared nor let-bound
         # where it is read can be inferred
-        if any(sig.fn_sig(n) is None and not _is_reserved_name(n) for n in self.constants):
+        if any(sig.fn_sig(n) is None for n in self.constants):
             self._infer_undeclared_constants(problem)
 
         ctx = TypeContext.of(sig)
@@ -610,12 +601,7 @@ class _Parser:
                 return None
 
         def is_orphan(ctx: TypeContext, t: Term) -> bool:
-            return (
-                isinstance(t, App)
-                and not t.args
-                and ctx.fn_sig(t.fn) is None
-                and not _is_reserved_name(t.fn)
-            )
+            return isinstance(t, App) and not t.args and ctx.fn_sig(t.fn) is None
 
         def walk(ctx: TypeContext, t: Term) -> bool:
             changed = False

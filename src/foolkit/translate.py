@@ -51,7 +51,7 @@ from .terms import (
     FORMULA_CONTEXT,
     Ite,
     Let,
-    RESERVED_PREFIX,
+    FRESH_PREFIX,
     Sort,
     TERM_CONTEXT,
     TRUE,
@@ -113,7 +113,7 @@ class TranslationState:
 
     def fresh_fn(self) -> str:
         while True:
-            name = f"{RESERVED_PREFIX}{self.fn_counter}"
+            name = f"{FRESH_PREFIX}{self.fn_counter}"
             self.fn_counter += 1
             if name not in self.used_names and self.ctx.fn_sig(name) is None:
                 self.used_names.add(name)
@@ -445,7 +445,6 @@ class FolProblem:
     distinct_axiom: Term
     ctx: TypeContext
     predicate_split: dict[str, str]
-    fresh_counter: int = 0
 
     @property
     def axioms(self) -> tuple[Term, ...]:
@@ -500,6 +499,5 @@ def to_fol(state: TranslationState) -> FolProblem:
         distinct_axiom=distinct_axiom,
         ctx=state.ctx,
         predicate_split=split,
-        fresh_counter=state.fn_counter,
     )
 

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foolkit import parse_problem, run_translation, to_fol
 from foolkit.bench import run_bench
 from foolkit.cli import main
+from foolkit.prover import clausify
 
 from fixtures import CONTAINS_ITE, VERIFICATION_LISTING
 from helpers import mutate_text, named_texts
@@ -47,6 +49,15 @@ def test_check_reports_sort_errors(tmp_path, capsys):
     assert main(["check", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "ite-branch-mismatch" in err
+
+
+def test_duplicate_formula_names_rejected(tmp_path, capsys):
+    path = tmp_path / "dup.p"
+    path.write_text("tff(a, axiom, $true).\ntff(a, axiom, $true).\ntff(a, axiom, $true).\n")
+    for strict in ([], ["--strict"]):
+        assert main(["check", str(path), *strict]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: 2:5: duplicate formula name 'a'\n"
 
 
 def test_check_missing_file(capsys):
@@ -123,6 +134,13 @@ def test_translate_writes_strict_output(listing, tmp_path, capsys):
     assert out2.read_text() == text
     # and the emitted file passes the strict checker
     assert main(["check", str(out), "--strict"]) == 0
+
+
+def test_translate_to_an_unwritable_path_is_an_io_error(listing, tmp_path, capsys):
+    assert main(["translate", listing, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and captured.err.startswith("error: ")
 
 
 def test_translate_matches_golden_for_ite_distribution(tmp_path):
@@ -357,6 +375,54 @@ def test_translated_output_translates_again_under_strict(tmp_path, capsys):
     text = twice.read_text()
     assert "tff(sort_fool_bool, type, fool_bool : $tType)." in text
     assert "tff(sort_fool_bool_1, type, 'fool_bool_1' : $tType)." in text
+
+
+# declares the emitted boolean names and a generated name, and let-binds
+# another; lowering names an ite, a let and a formula in a term context
+NAMES_PROBLEM = """\
+tff(s_b, type, fool_bool : $tType).
+tff(d_t, type, fool_true : fool_bool).
+tff(d_0, type, sk_fool_0 : fool_bool).
+tff(d_q, type, q : $o > fool_bool).
+tff(d_p, type, p : fool_bool > $o).
+tff(a, axiom, q(p(fool_true) & p(sk_fool_0)) = fool_true & ?[Y : fool_bool] : p(Y)).
+tff(c, conjecture, $let(sk_fool_2 : fool_bool, sk_fool_2 := $ite(p(sk_fool_0), sk_fool_0, fool_true),
+    p(sk_fool_0) => p(sk_fool_2))).
+"""
+
+
+def test_input_may_use_the_generated_and_emitted_names(tmp_path, capsys):
+    """Every generated name is chosen among the names the problem does not
+    use, so no name needs to be reserved in the input."""
+    source, out = tmp_path / "names.p", tmp_path / "names.tff0"
+    source.write_text(NAMES_PROBLEM)
+    assert main(["translate", str(source), "--out", str(out)]) == 0
+    assert main(["check", "--strict", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(source)]) == 0
+    assert capsys.readouterr().out == "OK 512\n"
+    assert main(["prove", str(source)]) == 0
+    assert "verdict=refuted" in capsys.readouterr().out
+
+    problem = parse_problem(NAMES_PROBLEM)
+    state = run_translation(problem.goal_formula(), problem.ctx)
+    fol = to_fol(state)
+    assert state.fresh_symbols == ["sk_fool_1", "sk_fool_3", "sk_fool_4"]
+    assert "tff(sort_fool_bool_1, type, 'fool_bool_1' : $tType)." in out.read_text()
+    # skolems avoid every symbol of the lowered problem; the let-bound
+    # sk_fool_2 is bound only in its own scope, which lowering removes
+    skolems = set(clausify(fol).ctx.fn_binds) - set(fol.ctx.fn_binds)
+    assert skolems == {"sk_fool_2"}
+    assert not skolems & set(problem.signature.fns)
+
+
+def test_prove_of_a_clause_explosion_is_a_limit_exit(tmp_path, capsys):
+    path = tmp_path / "p.p"
+    names = [f"{x}{i}" for i in range(14) for x in "bc"]
+    decls = "".join(f"tff(d_{n}, type, {n} : $o).\n" for n in names)
+    path.write_text(decls + f"tff(a, axiom, {' | '.join(f'(b{i} <=> c{i})' for i in range(14))}).\n")
+    assert main(["prove", str(path)]) == 4
+    assert capsys.readouterr().err == "error: more than 10000 clauses\n"
 
 
 @pytest.mark.parametrize("command", ["check", "translate", "prove"])

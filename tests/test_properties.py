@@ -128,7 +128,7 @@ def test_free_vars_ordered_agrees_with_free_vars():
 
 
 def test_translation_leaves_base_symbols_alone():
-    """Fresh symbols all carry the reserved prefix; the base signature is
+    """Fresh symbols all carry the generated prefix; the base signature is
     never touched."""
     gen, s = lean_generator(23)
     ctx = TypeContext.of(gen.sig)

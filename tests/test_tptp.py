@@ -145,31 +145,25 @@ def test_let_arity_mismatch_and_duplicate_formals():
     assert "duplicate-let-formal" in str(err.value)
 
 
-def test_reserved_prefix_rejected_in_dialect():
-    with pytest.raises(ParseError) as err:
-        parse_problem("tff(t, type, sk_fool_0 : $int).\n")
-    assert "reserved" in str(err.value)
-
-
 @pytest.mark.parametrize(
     "decl",
-    ["fool_bool : $tType", "fool_true : s", "fool_false : s", "'fool_true' : $o"],
+    ["sk_fool_0 : $int", "fool_bool : $tType", "fool_true : s", "fool_false : s", "'fool_true' : $o"],
 )
-def test_emitted_boolean_names_rejected_in_dialect_declarations(decl):
+def test_generated_and_emitted_names_declared_in_both_modes(decl):
+    """Generated symbols and the emitted boolean names are chosen among the
+    names a problem does not use, so input may declare any of them."""
     text = f"tff(s_s, type, s : $tType).\ntff(t, type, {decl}).\n"
-    with pytest.raises(ParseError) as err:
-        parse_problem(text)
-    assert "reserved" in str(err.value)
-    parse_problem(text, strict=True)  # emitted problems declare them
+    for strict in (False, True):
+        problem = parse_problem(text, strict=strict)
+        assert problem.formulas[-1].payload.name == decl.split(" :")[0].strip("'")
 
 
 @pytest.mark.parametrize("name", ["fool_bool", "fool_true", "fool_false", "sk_fool_3"])
-def test_reserved_names_are_not_inferred_as_constants(name):
+def test_generated_and_emitted_names_are_inferred_as_constants(name):
     base = "tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\n"
-    with pytest.raises(ParseError) as err:
-        parse_problem(base + f"tff(a, axiom, c = {name}).\n")
-    assert f"unbound function symbol {name!r}" in str(err.value)
-    assert parse_problem(base + "tff(a, axiom, c = d).\n").signature.fn_sig("d") is not None
+    for strict in (False, True):
+        sig = parse_problem(base + f"tff(a, axiom, c = {name}).\n", strict=strict).signature
+        assert sig.fn_sig(name) == TypeSig((), sig.sort("s"))
 
 
 _INFERENCE_DECLS = """\
