@@ -4,8 +4,8 @@ One polarity-directed walk gives the skolemized negation normal form
 (skolem arguments are the universal variables in scope), then naive
 or-over-and distribution.  The result is equisatisfiable; skolem symbols
 are the first ``sk_fool_<n>`` names, counted from 0, that the problem's
-context does not hold, so they never collide with input or translation
-symbols.
+context does not hold, so they never collide with a symbol of the
+lowered problem.
 """
 
 from __future__ import annotations

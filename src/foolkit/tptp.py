@@ -18,8 +18,8 @@ arithmetic semantics.  ``include`` directives are rejected.
 Strict mode turns off every extension and checks the usual restrictions
 on ``$o``, so emitted standard problems can be re-checked with the same
 grammar.  No name is reserved beyond the ``$`` words: every generated
-symbol, and the printer's names for the boolean sort and its constants,
-are chosen among the names the problem does not use.
+symbol is chosen among the names the problem does not use, and so are
+the printer's names for the boolean sort and its constants.
 
 The lexer is one pass of one regular expression.  A token is
 ``(kind, text, pos)`` with ``pos`` its offset into the text; the line
