@@ -655,6 +655,25 @@ def test_lowering_shapes_are_pinned():
     assert got == golden
 
 
+def _clausify_shape(text):
+    """The clause count of a lowered problem and the SHA-256 of its
+    clauses, one per line: the rendered clause, then its variable sorts."""
+    problem = parse_problem(text)
+    clauses = clausify(to_fol(run_translation(problem.goal_formula(), problem.ctx))).clauses
+    lines = "".join(
+        f"{c.render()} {json.dumps({v: str(s) for v, s in c.var_sorts.items()})}\n" for c in clauses
+    )
+    return {"clauses": len(clauses), "sha256": hashlib.sha256(lines.encode()).hexdigest()}
+
+
+def test_clausify_shapes_are_pinned():
+    """The clauses of the lowering shapes: the large equivalence naming
+    definitions and the if-then-else chain definitions."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "clausify_shapes.json").read_text())
+    got = {name: _clausify_shape(text) for name, text in lowering_shapes()}
+    assert got == golden
+
+
 _LETTERS = {
     "bound": "b", "free": "f", None: "-",
     FORMULA_CONTEXT: "F", TERM_CONTEXT: "T", NO_CONTEXT: "N",
