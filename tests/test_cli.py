@@ -359,6 +359,25 @@ def test_verify_reaches_the_depth_translate_reaches(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_prove_reaches_the_depth_translate_reaches(tmp_path):
+    # the 800-deep chain of axioms reaches clausification, which may take
+    # one frame per connective level and no more
+    wide = tmp_path / "wide.p"
+    wide.write_text(
+        "tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(d_p, type, p : s > $o).\n"
+        + "".join(f"tff(a{i}, axiom, p(c)).\n" for i in range(800))
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "foolkit.cli", "prove", str(wide)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert any(line.startswith("verdict=") for line in done.stdout.splitlines()), done.stdout[:500]
+    assert "Traceback" not in done.stderr
+
+
 def test_translated_output_translates_again_under_strict(tmp_path, capsys):
     # the emitted file declares fool_bool, fool_true and fool_false as user
     # names, so translating it again must name the boolean sort otherwise

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import random
 import time
 from collections import Counter
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+from generate import TermGen
 from foolkit import (
     App,
     BOOL,
@@ -30,6 +32,7 @@ from foolkit import (
 from foolkit.prover import (
     AXIOM_MODE,
     Clause,
+    ClauseExplosion,
     Literal,
     ProverConfig,
     RULE_MODE,
@@ -52,7 +55,25 @@ from foolkit.prover.unification import (
     subsumes_by_variant,
     unify_atoms,
 )
-from foolkit.terms import FALSE, TRUE, Sort, forall_prefix, land, lnot, lor
+from foolkit.terms import (
+    AND,
+    Exists,
+    FALSE,
+    FRESH_PREFIX,
+    Forall,
+    IFF,
+    IMPLIES,
+    NOT,
+    OR,
+    TRUE,
+    Sort,
+    forall_prefix,
+    free_vars,
+    land,
+    lnot,
+    lor,
+    subst_free_vars,
+)
 
 
 S = Sort("s")
@@ -226,6 +247,138 @@ tff(c, conjecture, ![Y : s] : p(Y)).
     assert len(skolems) == 2  # the witness and the counterexample constant
     for name in ("sk_fool_0", "sk_fool_1"):
         assert result.ctx.fn_sig(name) is not None
+
+
+class _ReferenceClausifier:
+    """``clausify`` as first written, in four walks: the skolemized
+    negation normal form as a tree, or-over-and distribution of that tree,
+    literals from each distributed leaf list, and the first-occurrence
+    renaming of each clause."""
+
+    def __init__(self, ctx, max_clauses):
+        self.ctx = ctx
+        self.counter = 0
+        self.max_clauses = max_clauses
+        self.var_counter = 0
+        self.var_sorts = {}
+
+    def fresh_skolem(self):
+        while True:
+            name = f"{FRESH_PREFIX}{self.counter}"
+            self.counter += 1
+            if self.ctx.fn_sig(name) is None:
+                return name
+
+    def fresh_var(self, sort):
+        name = f"V{self.var_counter}"
+        self.var_counter += 1
+        self.var_sorts[name] = sort
+        return name
+
+    def explode(self, count):
+        if count > self.max_clauses:
+            raise ClauseExplosion(f"more than {self.max_clauses} clauses")
+
+    def skolemize(self, t, positive, univ, subst):
+        if isinstance(t, App) and t.fn == NOT:
+            return self.skolemize(t.args[0], not positive, univ, subst)
+        if isinstance(t, App) and t.fn in (AND, OR, IMPLIES):
+            a, b = t.args
+            left = self.skolemize(a, positive != (t.fn == IMPLIES), univ, subst)
+            right = self.skolemize(b, positive, univ, subst)
+            return App(AND if (t.fn == AND) == positive else OR, (left, right))
+        if isinstance(t, App) and t.fn == IFF:
+            a, b = t.args
+            first, second = (
+                App(OR, (self.skolemize(a, pa, univ, subst), self.skolemize(b, pb, univ, subst)))
+                for pa, pb in ((not positive, True), (positive, False))
+            )
+            return App(AND, (first, second))
+        if isinstance(t, (Forall, Exists)):
+            if isinstance(t, Forall) == positive:
+                fresh = self.fresh_var(t.sort)
+                inner = {**subst, t.var: Var(fresh)}
+                return self.skolemize(t.body, positive, univ + [(fresh, t.sort)], inner)
+            sk = self.fresh_skolem()
+            self.ctx = self.ctx.with_fn(sk, TypeSig(tuple(s for _, s in univ), t.sort))
+            witness = App(sk, tuple(Var(v) for v, _ in univ))
+            return self.skolemize(t.body, positive, univ, {**subst, t.var: witness})
+        atom = subst_free_vars(t, subst)
+        return atom if positive else App(NOT, (atom,))
+
+    def distribute(self, t):
+        if isinstance(t, App) and t.fn == AND:
+            out = []
+            for part in t.args:
+                out.extend(self.distribute(part))
+                self.explode(len(out))
+            return out
+        if isinstance(t, App) and t.fn == OR:
+            left = self.distribute(t.args[0])
+            right = self.distribute(t.args[1])
+            self.explode(len(left) * len(right))
+            return [a + b for a in left for b in right]
+        return [[t]]
+
+    def to_clause(self, leaves):
+        literals = []
+        for leaf in leaves:
+            positive = not (isinstance(leaf, App) and leaf.fn == NOT)
+            atom = leaf if positive else leaf.args[0]
+            if atom in (TRUE, FALSE):
+                if positive == (atom == TRUE):
+                    return None
+                continue
+            if isinstance(atom, Eq):
+                literals.append(Literal(positive, atom.left, atom.right))
+            else:
+                literals.append(Literal(positive, atom))
+        return Clause(judge_literals(literals)[0], self.var_sorts)
+
+    def canonicalize(self, clause):
+        order = dict.fromkeys(clause.variable_occurrences())
+        mapping = {v: Var(f"X{i}") for i, v in enumerate(order)}
+        sorts = {f"X{i}": clause.var_sorts[v] for i, v in enumerate(order)}
+        return Clause(tuple(apply_subst_literal(lit, mapping) for lit in clause.literals), sorts)
+
+
+def _reference_clausify(problem, max_clauses):
+    state = _ReferenceClausifier(problem.ctx, max_clauses)
+    clauses = []
+    for formula in [*problem.axioms, problem.goal]:
+        for leaves in state.distribute(state.skolemize(formula, True, [], {})):
+            clause = state.to_clause(leaves)
+            if clause is not None:
+                clauses.append(state.canonicalize(clause))
+        state.explode(len(clauses))
+    return clauses, state.ctx
+
+
+def _clausify_outcome(clausify_fn, fol, max_clauses):
+    """The rendered clauses with their variable sorts and the skolem
+    signatures, or the explosion message."""
+    try:
+        clauses, ctx = clausify_fn(fol, max_clauses)
+    except ClauseExplosion as exc:
+        return str(exc)
+    rendered = [(c.render(), c.var_sorts) for c in clauses]
+    return rendered, {n: ctx.fn_sig(n) for n in set(ctx.fn_binds) - set(fol.ctx.fn_binds)}
+
+
+def _clausified_fields(fol, max_clauses):
+    result = clausify(fol, max_clauses)
+    return result.clauses, result.ctx
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(2, 6), st.sampled_from([1, 2, 3, 5, 8, 10_000]))
+def test_clausify_agrees_with_the_four_walks(seed, depth, max_clauses):
+    gen = TermGen(random.Random(seed), max_depth=depth)
+    phi = gen.formula()
+    phi = forall_prefix([(v, gen.free_pool[v]) for v in sorted(free_vars(phi))], phi)
+    fol = to_fol(run_translation(phi, TypeContext.of(gen.sig)))
+    got = _clausify_outcome(_clausified_fields, fol, max_clauses)
+    assert got == _clausify_outcome(_reference_clausify, fol, max_clauses)
 
 
 # ---------------------------------------------------------------------------
