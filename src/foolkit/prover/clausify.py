@@ -1,11 +1,15 @@
 """Clause normal form for lowered problems.
 
-One polarity-directed walk gives the skolemized negation normal form
-(skolem arguments are the universal variables in scope), then naive
-or-over-and distribution.  The result is equisatisfiable; skolem symbols
-are the first ``sk_fool_<n>`` names, counted from 0, that the problem's
-context does not hold, so they never collide with a symbol of the
-lowered problem.
+One polarity-directed walk per formula gives its clauses: it skolemizes
+(skolem arguments are the universal variables in scope), takes the
+negation normal form and distributes or over and as it goes, and leaves
+each clause as a list of ``(sign, atom, subst)`` leaves, the atom not yet
+substituted.  Fresh ``V<k>`` and skolem names follow the normal form left
+to right.  One renaming walk per clause then applies each leaf's
+substitution and names the variables ``X0, X1, ...`` by first
+occurrence.  The result is equisatisfiable; skolem symbols are the first
+``sk_fool_<n>`` names, counted from 0, that the problem's context does
+not hold, so they never collide with a symbol of the lowered problem.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ from ..terms import (
     TypeContext,
     TypeSig,
     Var,
-    subst_free_vars,
 )
 from ..translate import FolProblem
 from .clauses import Clause, Literal, judge_literals
-from .unification import apply_subst_literal
+
+# a literal before renaming: its sign, its atom and the substitution of
+# the atom's bound variables
+Leaf = tuple[bool, Term, dict[str, Term]]
 
 
 class ClauseExplosion(Exception):
@@ -53,9 +59,11 @@ def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:
     state = _Clausifier(problem.ctx, max_clauses)
     clauses: list[Clause] = []
     for formula in [*problem.axioms, problem.goal]:
-        clauses.extend(state.formula_clauses(formula))
-        if len(clauses) > max_clauses:
-            raise ClauseExplosion(f"more than {max_clauses} clauses")
+        for leaves in state.cnf(formula, True, [], {}):
+            clause = state.clause(leaves)
+            if clause is not None:
+                clauses.append(clause)
+        state.check(len(clauses))
     return ClausifyResult(clauses, state.ctx)
 
 
@@ -80,106 +88,106 @@ class _Clausifier:
         self.var_sorts[name] = sort
         return name
 
-    # -- negation normal form and skolemization ------------------------
+    def check(self, count: int) -> None:
+        if count > self.max_clauses:
+            raise ClauseExplosion(f"more than {self.max_clauses} clauses")
 
-    def skolemize(
+    # -- skolemized, distributed negation normal form ------------------
+
+    def cnf(
         self, t: Term, positive: bool, univ: list[tuple[str, Sort]], subst: dict[str, Term]
-    ) -> Term:
-        """The negation normal form of t (of its negation when not
-        positive), universal variables renamed to fresh ones, existential
-        ones replaced by skolem terms over the universal variables in
-        scope.  Fresh names follow the normal form left to right: an
-        equivalence's sides are visited twice, once per polarity."""
-        if isinstance(t, App) and t.fn == NOT:
-            return self.skolemize(t.args[0], not positive, univ, subst)
-        if isinstance(t, App) and t.fn in (AND, OR, IMPLIES):
-            a, b = t.args
-            left = self.skolemize(a, positive != (t.fn == IMPLIES), univ, subst)
-            right = self.skolemize(b, positive, univ, subst)
-            return App(AND if (t.fn == AND) == positive else OR, (left, right))
+    ) -> list[list[Leaf]]:
+        """The clauses of t (of its negation when not positive) as leaf
+        lists: universal variables renamed to fresh ones, existential ones
+        replaced by skolem terms over the universal variables in scope.
+        Negations and quantifiers unwind in place; a conjunction's clause
+        count is checked after each side, a disjunction's product before
+        it is built.  An equivalence's sides are visited twice, once per
+        polarity."""
+        while True:
+            if isinstance(t, App) and t.fn == NOT:
+                t, positive = t.args[0], not positive
+            elif isinstance(t, (Forall, Exists)):
+                if isinstance(t, Forall) == positive:
+                    fresh = self.fresh_var(t.sort)
+                    subst = {**subst, t.var: Var(fresh)}
+                    univ = univ + [(fresh, t.sort)]
+                else:
+                    sk = self.fresh_skolem()
+                    self.ctx = self.ctx.with_fn(sk, TypeSig(tuple(s for _, s in univ), t.sort))
+                    subst = {**subst, t.var: App(sk, tuple(Var(v) for v, _ in univ))}
+                t = t.body
+            else:
+                break
         if isinstance(t, App) and t.fn == IFF:
             a, b = t.args
-            first, second = (
-                App(OR, (self.skolemize(a, pa, univ, subst), self.skolemize(b, pb, univ, subst)))
-                for pa, pb in ((not positive, True), (positive, False))
-            )
-            return App(AND, (first, second))
-        if isinstance(t, (Forall, Exists)):
-            if isinstance(t, Forall) == positive:
-                fresh = self.fresh_var(t.sort)
-                inner = {**subst, t.var: Var(fresh)}
-                return self.skolemize(t.body, positive, univ + [(fresh, t.sort)], inner)
-            sk = self.fresh_skolem()
-            self.ctx = self.ctx.with_fn(sk, TypeSig(tuple(s for _, s in univ), t.sort))
-            witness = App(sk, tuple(Var(v) for v, _ in univ))
-            return self.skolemize(t.body, positive, univ, {**subst, t.var: witness})
-        if isinstance(t, (Eq, App, Var)):
+            out = self.disjoin(self.cnf(a, not positive, univ, subst), self.cnf(b, True, univ, subst))
+            self.check(len(out))
+            out += self.disjoin(self.cnf(a, positive, univ, subst), self.cnf(b, False, univ, subst))
+            self.check(len(out))
+            return out
+        if isinstance(t, App) and t.fn in (AND, OR, IMPLIES):
+            a, b = t.args
+            left = self.cnf(a, positive != (t.fn == IMPLIES), univ, subst)
+            if (t.fn == AND) != positive:
+                return self.disjoin(left, self.cnf(b, positive, univ, subst))
+            self.check(len(left))
+            left += self.cnf(b, positive, univ, subst)
+            self.check(len(left))
+            return left
+        if isinstance(t, (Eq, App)):
             # an atom: predicate application, equation or truth constant (a
-            # boolean variable cannot occur here after translation)
-            atom = subst_free_vars(t, subst)
-            return atom if positive else App(NOT, (atom,))
+            # boolean variable in formula context is a redex translation removes)
+            return [[(positive, t, subst)]]
         raise TypeError(f"clausification expects first-order input, got {t!r}")
 
-    # -- distribution ------------------------------------------------------
+    def disjoin(self, left: list[list[Leaf]], right: list[list[Leaf]]) -> list[list[Leaf]]:
+        self.check(len(left) * len(right))
+        return [a + b for a in left for b in right]
 
-    def distribute(self, t: Term) -> list[list[Term]]:
-        if isinstance(t, App) and t.fn == AND:
-            out = []
-            for part in t.args:
-                out.extend(self.distribute(part))
-                if len(out) > self.max_clauses:
-                    raise ClauseExplosion(f"more than {self.max_clauses} clauses")
-            return out
-        if isinstance(t, App) and t.fn == OR:
-            left = self.distribute(t.args[0])
-            right = self.distribute(t.args[1])
-            if len(left) * len(right) > self.max_clauses:
-                raise ClauseExplosion(f"more than {self.max_clauses} clauses")
-            return [a + b for a in left for b in right]
-        return [[t]]
+    # -- literals and canonical variable names -------------------------
 
-    # -- literal conversion -------------------------------------------------
-
-    def to_clause(self, leaves: list[Term]) -> Clause | None:
-        """None when the clause is trivially valid (contains a true atom)."""
+    def clause(self, leaves: list[Leaf]) -> Clause | None:
+        """The clause of the leaves, its variables named X0, X1, ... by
+        first occurrence; None when it is trivially valid (contains a true
+        atom)."""
+        names: dict[str, Var] = {}
+        sorts: dict[str, Sort] = {}
         literals: list[Literal] = []
-        for leaf in leaves:
-            positive = True
-            atom = leaf
-            if isinstance(atom, App) and atom.fn == NOT:
-                positive = False
-                atom = atom.args[0]
-            if isinstance(atom, App) and atom.fn == TRUE_NAME:
-                if positive:
-                    return None
-                continue
-            if isinstance(atom, App) and atom.fn == FALSE_NAME:
-                if positive:
-                    continue
-                return None
+        for positive, atom, subst in leaves:
             if isinstance(atom, Eq):
-                literals.append(Literal(positive, atom.left, atom.right))
-            elif isinstance(atom, App):
-                literals.append(Literal(positive, atom))
-            else:
+                left = self.rename(atom.left, subst, names, sorts)
+                literals.append(Literal(positive, left, self.rename(atom.right, subst, names, sorts)))
+            elif not isinstance(atom, App):
                 raise TypeError(f"unexpected clause atom {atom!r}")
-        # _canonicalize keeps only the sorts of the variables that occur
-        return Clause(judge_literals(literals)[0], self.var_sorts)
+            elif atom.fn == TRUE_NAME or atom.fn == FALSE_NAME:
+                if positive == (atom.fn == TRUE_NAME):
+                    return None
+            else:
+                literals.append(Literal(positive, self.rename(atom, subst, names, sorts)))
+        # renaming is injective and a dropped repeat names no new variable
+        return Clause(judge_literals(literals)[0], sorts)
 
-    def formula_clauses(self, formula: Term) -> list[Clause]:
-        tree = self.skolemize(formula, True, [], {})
-        out = []
-        for leaves in self.distribute(tree):
-            clause = self.to_clause(leaves)
-            if clause is not None:
-                out.append(_canonicalize(clause))
-        return out
-
-
-def _canonicalize(clause: Clause) -> Clause:
-    """Rename clause variables to X0, X1, ... by first occurrence."""
-    order = dict.fromkeys(clause.variable_occurrences())
-    mapping = {v: Var(f"X{i}") for i, v in enumerate(order)}
-    sorts = {f"X{i}": clause.var_sorts[v] for i, v in enumerate(order)}
-    literals = tuple(apply_subst_literal(lit, mapping) for lit in clause.literals)
-    return Clause(literals, sorts)
+    def rename(
+        self, t: Term, subst: dict[str, Term], names: dict[str, Var], sorts: dict[str, Sort]
+    ) -> Term:
+        """t under subst, each variable of the result renamed through
+        names, which gains the next ``X<i>`` for a variable met first.  A
+        substituted value is renamed, not substituted again; a ground
+        subterm comes back as the same object."""
+        if isinstance(t, Var):
+            value = subst.get(t.name)
+            if value is not None:
+                return self.rename(value, {}, names, sorts)
+            new = names.get(t.name)
+            if new is None:
+                new = names[t.name] = Var(f"X{len(names)}")
+                sorts[new.name] = self.var_sorts[t.name]
+            return new
+        if not isinstance(t, App):
+            raise TypeError("clause terms contain only variables and applications")
+        args = [self.rename(a, subst, names, sorts) for a in t.args]
+        for new, old in zip(args, t.args):
+            if new is not old:
+                return App(t.fn, tuple(args))
+        return t
