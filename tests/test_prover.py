@@ -33,6 +33,7 @@ from foolkit.prover import (
     AXIOM_MODE,
     Clause,
     ClauseExplosion,
+    ClausifyResult,
     Literal,
     ProverConfig,
     RULE_MODE,
@@ -351,23 +352,19 @@ def _reference_clausify(problem, max_clauses):
             if clause is not None:
                 clauses.append(state.canonicalize(clause))
         state.explode(len(clauses))
-    return clauses, state.ctx
+    return ClausifyResult(clauses, state.ctx)
 
 
 def _clausify_outcome(clausify_fn, fol, max_clauses):
-    """The rendered clauses with their variable sorts and the skolem
-    signatures, or the explosion message."""
+    """The rendered clauses with their variable sorts and the symbols of
+    the extended context, skolems included, in order; or the explosion
+    message."""
     try:
-        clauses, ctx = clausify_fn(fol, max_clauses)
+        result = clausify_fn(fol, max_clauses)
     except ClauseExplosion as exc:
         return str(exc)
-    rendered = [(c.render(), c.var_sorts) for c in clauses]
-    return rendered, {n: ctx.fn_sig(n) for n in set(ctx.fn_binds) - set(fol.ctx.fn_binds)}
-
-
-def _clausified_fields(fol, max_clauses):
-    result = clausify(fol, max_clauses)
-    return result.clauses, result.ctx
+    rendered = [(c.render(), list(c.var_sorts.items())) for c in result.clauses]
+    return rendered, list(result.ctx.fn_binds.items())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -377,7 +374,7 @@ def test_clausify_agrees_with_the_four_walks(seed, depth, max_clauses):
     phi = gen.formula()
     phi = forall_prefix([(v, gen.free_pool[v]) for v in sorted(free_vars(phi))], phi)
     fol = to_fol(run_translation(phi, TypeContext.of(gen.sig)))
-    got = _clausify_outcome(_clausified_fields, fol, max_clauses)
+    got = _clausify_outcome(clausify, fol, max_clauses)
     assert got == _clausify_outcome(_reference_clausify, fol, max_clauses)
 
 
