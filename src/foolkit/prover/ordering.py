@@ -10,6 +10,13 @@ equation sides.  A multiset is a plain list, built once per literal when
 ``maximal_literal_indices`` orders a clause, and ``multiset_greater``
 cancels common elements by list removal; the eligible literals are those
 of counting multisets.
+
+``maximal_literal_indices`` also takes each literal's variable set once
+and compares a pair only when the smaller candidate's variables are a
+subset of the larger's.  The filter is exact: ``s > t`` in the KBO
+implies vars(t) ⊆ vars(s), so a literal is greater than another only if
+it has all of the other's variables (Löchner, "Things to Know when
+Implementing KBO", JAR 2006).  Every pair it skips would compare False.
 """
 
 from __future__ import annotations
@@ -105,11 +112,18 @@ def maximal_literal_indices(clause: Clause) -> list[int]:
     """Indices of literals with no strictly greater literal in the clause.
 
     With no selection function, exactly these literals are eligible for
-    inferences.  Each literal's multiset is built once per call.
+    inferences.  Each literal's multiset and variable set are built once
+    per call, and only a literal with all of lit's variables is compared
+    with lit: no other can be greater.
     """
     multisets = [_literal_multiset(lit) for lit in clause.literals]
-    return [
-        i
-        for i, ms in enumerate(multisets)
-        if not any(multiset_greater(other, ms) for j, other in enumerate(multisets) if j != i)
-    ]
+    variables = [{v for t in lit.terms() for v in term_vars(t, [])} for lit in clause.literals]
+    maximal = []
+    for i, ms in enumerate(multisets):
+        below = variables[i]
+        for j, other in enumerate(multisets):
+            if j != i and below <= variables[j] and multiset_greater(other, ms):
+                break
+        else:
+            maximal.append(i)
+    return maximal

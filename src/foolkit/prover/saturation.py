@@ -20,7 +20,12 @@ The given-clause loop alone renames premises apart, from those variable
 names: each given clause to ``V0, V1, ...``, and per pair a copy of the
 other side shifted past it, so paramodulation and resolution rename
 nothing.  A copy is kept by clause and first V number for the rest of
-the run, so each is made once however many pairs use it.
+the run, so each is made once however many pairs use it.  It carries
+what paramodulation needs of it, derived when it is made: its
+paramodulation sources, each eligible positive equation in both
+orientations, and its targets, each non-variable term position of each
+eligible literal.  A pair of copies then pairs sources with targets and
+walks no term.
 
 Literal selection is select-nothing: all maximal literals are eligible.
 The renamed copies the binary rules work on have the same ones as the
@@ -38,6 +43,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..terms import (
     App,
@@ -126,10 +132,10 @@ def has_var_var_equation(clause: Clause) -> bool:
 
 
 def _has_var_var_equation(literals: tuple[Literal, ...]) -> bool:
-    return any(
-        isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var) and lit.lhs != lit.rhs
-        for lit in literals
-    )
+    for lit in literals:
+        if isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var) and lit.lhs != lit.rhs:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +153,31 @@ def _replace_in_literal(lit: Literal, side: int, path: tuple[int, ...], new: Ter
     return Literal(lit.positive, lit.lhs, replace_at(lit.rhs, path, new))
 
 
+class _Copy(NamedTuple):
+    """A renamed copy of a kept clause and its paramodulation data."""
+
+    clause: Clause
+    # (fi, l, r): the eligible positive equation fi read as l -> r, both ways
+    sources: tuple[tuple[int, Term, Term], ...]
+    # (ii, literal, side, path, subterm): each non-variable position of
+    # each eligible literal ii
+    targets: tuple[tuple[int, Literal, int, tuple[int, ...], Term], ...]
+
+
+def _make_copy(clause: Clause, eligible: list[int]) -> _Copy:
+    sources = []
+    targets = []
+    for i in eligible:
+        lit = clause.literals[i]
+        if lit.positive and lit.is_equation:
+            sources.append((i, lit.lhs, lit.rhs))
+            sources.append((i, lit.rhs, lit.lhs))
+        for side, path, sub in term_positions(lit):
+            if not isinstance(sub, Var):
+                targets.append((i, lit, side, path, sub))
+    return _Copy(clause, tuple(sources), tuple(targets))
+
+
 # ---------------------------------------------------------------------------
 # the saturation engine
 
@@ -157,7 +188,9 @@ class _Saturation:
     ``copies`` holds each renamed copy the loop asks for, by clause id and
     first V number, so a copy is made once per run. That bounds it to one
     copy per processed clause and offset, an offset being 0 or the
-    variable count of a processed clause. The engine lives for one
+    variable count of a processed clause. A copy carries its
+    paramodulation sources and targets (``_Copy``), so each literal of it
+    is walked once per run, not once per pair. The engine lives for one
     ``saturate`` call, and the copies go with it.
     """
 
@@ -172,9 +205,9 @@ class _Saturation:
         self.variables: dict[int, list[str]] = {}
         self.passive: list[tuple[int, int]] = []
         # renamed copies of kept clauses, by (clause id, first V number)
-        self.copies: dict[tuple[int, int], Clause] = {}
+        self.copies: dict[tuple[int, int], _Copy] = {}
         # each processed clause renamed to V0, V1, ... with its variable count
-        self.processed: list[tuple[Clause, int]] = []
+        self.processed: list[tuple[_Copy, int]] = []
         self.next_id = 1
         self.empty: Clause | None = None
         self.stats: dict[str, float] = {
@@ -234,47 +267,43 @@ class _Saturation:
         self.stats["kept"] += 1
         heapq.heappush(self.passive, (len(clause.literals), clause.id))
 
-    def renamed_copy(self, cid: int, start: int) -> Clause:
+    def renamed_copy(self, cid: int, start: int) -> _Copy:
         """Kept clause ``cid`` with its sorted variables renamed to
-        ``V<start>, V<start+1>, ...``, made once per run."""
+        ``V<start>, V<start+1>, ...``, with its paramodulation data, made
+        once per run."""
         key = (cid, start)
         copy = self.copies.get(key)
         if copy is None:
-            copy, _ = rename_variables(self.clauses[cid], self.variables[cid], start)
+            clause, _ = rename_variables(self.clauses[cid], self.variables[cid], start)
+            copy = _make_copy(clause, self.eligible[cid])
             self.copies[key] = copy
         return copy
 
     # -- inference rules ----------------------------------------------------
 
-    def paramodulate(self, first: Clause, second: Clause) -> None:
-        """Ordered paramodulation from positive equations of the first clause
+    def paramodulate(self, first: _Copy, second: _Copy) -> None:
+        """Ordered paramodulation from positive equations of the first copy
         into non-variable subterm positions of the second, renamed apart."""
-        merged = {**first.var_sorts, **second.var_sorts}
+        if not first.sources or not second.targets:
+            return
+        firsts, seconds = first.clause.literals, second.clause.literals
+        merged = {**first.clause.var_sorts, **second.clause.var_sorts}
         sort_of = self.sort_of_factory(merged)
-        for fi in self.eligible[first.id]:
-            flit = first.literals[fi]
-            if not (flit.positive and flit.is_equation):
-                continue
-            for l, r in ((flit.lhs, flit.rhs), (flit.rhs, flit.lhs)):
-                for ii in self.eligible[second.id]:
-                    ilit = second.literals[ii]
-                    for side, path, sub in term_positions(ilit):
-                        if isinstance(sub, Var):
-                            continue
-                        theta = mgu(l, sub, sort_of)
-                        if theta is None:
-                            continue
-                        if kbo_greater_or_equal(apply_subst(r, theta), apply_subst(l, theta)):
-                            continue
-                        rewritten = _replace_in_literal(ilit, side, path, r)
-                        literals = [
-                            apply_subst_literal(rewritten, theta),
-                            *_rest(first.literals, fi, theta),
-                            *_rest(second.literals, ii, theta),
-                        ]
-                        self.record_new(
-                            literals, merged, "paramodulation", (first.id, second.id)
-                        )
+        parents = (first.clause.id, second.clause.id)
+        for fi, l, r in first.sources:
+            for ii, ilit, side, path, sub in second.targets:
+                theta = mgu(l, sub, sort_of)
+                if theta is None:
+                    continue
+                if kbo_greater_or_equal(apply_subst(r, theta), apply_subst(l, theta)):
+                    continue
+                rewritten = _replace_in_literal(ilit, side, path, r)
+                literals = [
+                    apply_subst_literal(rewritten, theta),
+                    *_rest(firsts, fi, theta),
+                    *_rest(seconds, ii, theta),
+                ]
+                self.record_new(literals, merged, "paramodulation", parents)
 
     def fool_paramodulate(self, clause: Clause) -> None:
         """From C[s] with s a non-variable boolean subterm other than a
@@ -374,11 +403,12 @@ class _Saturation:
                     return self.result("limit")
                 # a V0 copy against the other kept clause shifted past it
                 # (renaming a V copy again would number V10 before V2)
-                shifted = self.renamed_copy(partner.id, count)
+                pid = partner.clause.id
+                shifted = self.renamed_copy(pid, count)
                 self.paramodulate(renamed, shifted)
-                if partner.id != cid:
+                if pid != cid:
                     self.paramodulate(partner, self.renamed_copy(cid, partner_count))
-                self.resolve(renamed, shifted)
+                self.resolve(renamed.clause, shifted.clause)
                 if self.empty is not None:
                     return self.result("refuted")
         return self.result("saturated")

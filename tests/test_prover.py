@@ -768,31 +768,44 @@ class _Forgetful(dict):
 
 
 def test_each_renamed_copy_is_made_once_per_run(monkeypatch):
-    """The loop renames a kept clause at most once per first V number, and
-    searches as a run that renames afresh for every pair does."""
+    """The loop renames a kept clause at most once per first V number,
+    walks each eligible literal of a copy at most once, and searches as a
+    run that renames afresh for every pair does."""
     clauses, ctx = bench_fixture(2)
     inputs = clauses + _support_clauses(AXIOM_MODE)
     config = ProverConfig(bool_mode=AXIOM_MODE, max_clauses=2000, max_seconds=600)
     rename = saturation.rename_variables
+    positions = saturation.term_positions
 
     def run(cache):
         keys = []
+        walks = []
 
         def recording(clause, names, start):
             keys.append((clause.id, start))
             return rename(clause, names, start)
 
+        def walking(lit):
+            # axiom mode walks terms for copies only, each after its renaming
+            walks.append((keys[-1], lit))
+            return positions(lit)
+
         monkeypatch.setattr(saturation, "rename_variables", recording)
+        monkeypatch.setattr(saturation, "term_positions", walking)
         engine = saturation._Saturation(ctx, config)
         if cache is not None:
             engine.copies = cache
         outcome = engine.run(inputs)
-        return [outcome.verdict, outcome.stats, search_digest(outcome)], keys
+        return [outcome.verdict, outcome.stats, search_digest(outcome)], keys, walks, engine
 
-    cached, keys = run(None)
-    reference, reference_keys = run(_Forgetful())
+    cached, keys, walks, engine = run(None)
+    reference, reference_keys, _, _ = run(_Forgetful())
     assert len(keys) == len(set(keys))
     assert len(set(reference_keys)) == len(set(keys)) < len(reference_keys)
+    assert walks and len(walks) == len(set(walks))
+    for (cid, start), lit in walks:
+        copy = engine.copies[cid, start].clause
+        assert lit in [copy.literals[i] for i in engine.eligible[cid]]
     assert cached == reference == CAPPED["bench-k2/axiom"]
 
 
@@ -961,7 +974,15 @@ def test_literal_greater_agrees_with_counter_multisets(l1, l2):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(_literals, min_size=1, max_size=5))
+@given(_literals, _literals)
+def test_a_greater_literal_has_all_variables_of_the_smaller(l1, l2):
+    """The premise of the variable-set filter in maximal_literal_indices."""
+    if literal_greater(l1, l2):
+        assert Clause((l2,)).variables() <= Clause((l1,)).variables()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_literals, min_size=1, max_size=7))
 def test_maximal_literals_agree_with_counter_multisets(literals):
     expected = [
         i
