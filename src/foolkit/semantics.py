@@ -63,11 +63,10 @@ DEFAULT_CAP = 10_000_000
 
 class EnumerationOverflow(Exception):
     """The requested interpretation space, or the table of one symbol,
-    exceeds the configured cap."""
+    exceeds the configured cap; the message names the cap."""
 
     def __init__(self, cap: int, what: str = "interpretations") -> None:
         super().__init__(f"more than {cap} {what}")
-        self.cap = cap
 
 
 @dataclass

@@ -33,7 +33,9 @@ because they need no context and a shared walk would slow them down:
 per node), ``free_vars_ordered`` (run on every lowering step), ``free_fns``
 and ``all_names``; one shared scope walk, or one ``binders`` call per
 child, made these three 1.5-5 times slower per call.  A property test
-checks their copies against ``occurrences``.
+checks their copies against ``occurrences``.  ``subterm_positions`` and
+``all_names`` loop on an explicit stack, so they walk any depth; a
+translation state calls ``all_names`` when it is built.
 ``tptp._render`` carries one formula/term flag and is no shorter when
 driven by the classifier.
 
@@ -400,10 +402,12 @@ def subterm_positions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
 
 
 def all_names(t: Term) -> set[str]:
-    """Every variable, binder and function symbol name occurring in t."""
+    """Every variable, binder and function symbol name occurring in t, at
+    any depth."""
     out: set[str] = set()
-
-    def go(u: Term) -> None:
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
             out.add(u.name)
         elif isinstance(u, App):
@@ -413,10 +417,7 @@ def all_names(t: Term) -> set[str]:
             out.update(x for x, _ in u.params)
         elif isinstance(u, (Forall, Exists)):
             out.add(u.var)
-        for k in children(u):
-            go(k)
-
-    go(t)
+        stack.extend(children(u))
     return out
 
 

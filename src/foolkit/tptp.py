@@ -578,7 +578,6 @@ class _Parser:
             try:
                 check_formula(ctx, af.payload)
             except SortError as err:
-                err.formula = af.name
                 raise ParseError(
                     f"in formula {af.name!r}: {err.kind}: {err}", af.line
                 ) from err
@@ -731,10 +730,6 @@ def _needs_operand_parens(t: Term) -> bool:
     )
 
 
-class _RenderError(ValueError):
-    pass
-
-
 def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_formula: bool) -> str:
     """One renderer for both modes; ``strict`` is None in dialect mode.
     Dialect mode needs a context to re-derive let signatures; strict mode
@@ -760,7 +755,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
 
     if isinstance(t, Ite):
         if strict:
-            raise _RenderError("$ite cannot appear in strict output")
+            raise ValueError("$ite cannot appear in strict output")
         cond = _render(t.cond, ctx, strict, True)
         then = _render(t.then, ctx, strict, False)
         els = _render(t.els, ctx, strict, False)
@@ -768,9 +763,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
 
     if isinstance(t, Let):
         if strict:
-            raise _RenderError("$let cannot appear in strict output")
-        if ctx is None:
-            raise _RenderError("rendering a let requires a type context")
+            raise ValueError("$let cannot appear in strict output")
         body_ctx = ctx.with_vars(t.params)
         sig = TypeSig(tuple(s for _, s in t.params), infer_sort(body_ctx, t.body))
         name = _atom_str(t.fn)

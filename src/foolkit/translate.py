@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_not
-from typing import Union
+from typing import ClassVar, Union
 
 from .terms import (
     App,
@@ -89,16 +89,26 @@ Target = Union[str, int]  # "current" or an index into defs
 @dataclass
 class TranslationState:
     """The formula being rewritten, the definitions produced so far, and
-    the context extended with the fresh symbols."""
+    the context extended with the fresh symbols.
+
+    Those four are the state's inputs.  The step log and the two name
+    counters start empty, and ``used_names`` starts as every name in
+    ``current`` and the given definitions, so fresh variables and symbols
+    avoid them."""
 
     current: Term
     ctx: TypeContext
     defs: list[Term] = field(default_factory=list)
     fresh_symbols: list[str] = field(default_factory=list)
-    steps: list[tuple[str, Target, tuple[int, ...]]] = field(default_factory=list)
-    fn_counter: int = 0
-    var_counter: int = 0
-    used_names: set[str] = field(default_factory=set)
+    steps: list[tuple[str, Target, tuple[int, ...]]] = field(default_factory=list, init=False)
+    fn_counter: int = field(default=0, init=False)
+    var_counter: int = field(default=0, init=False)
+    used_names: set[str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.used_names = all_names(self.current)
+        for d in self.defs:
+            self.used_names |= all_names(d)
 
     def formula_at(self, target: Target) -> Term:
         if target == "current":
@@ -138,7 +148,7 @@ class TranslationState:
 # the redex measure (occurrences are classified in terms.py)
 
 
-def redex_measure(phi: Term, ctx: TypeContext) -> int:
+def redex_measure(phi: Term) -> int:
     """Upper bound on the number of translation steps: if-then-else and
     let nodes, boolean variables in (effective) formula contexts, and
     non-atomic boolean terms in (effective) term contexts.  The effective
@@ -412,8 +422,8 @@ def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
         raise ValueError(f"formula is not closed: free {sorted(free_vars(phi))}")
     check_formula(ctx, phi)
 
-    state = TranslationState(current=phi, ctx=ctx, used_names=all_names(phi))
-    _lower_targets(state, redex_measure(phi, ctx))
+    state = TranslationState(current=phi, ctx=ctx)
+    _lower_targets(state, redex_measure(phi))
     for formula in [state.current, *state.defs]:
         verdict = is_syntactically_first_order(formula)
         if not verdict.ok:
@@ -436,15 +446,19 @@ class FolProblem:
     always-false atoms (printed ``$true``/``$false``); in a term context
     they are the two constants of the boolean sort.  ``predicate_split``
     records which boolean-resulting symbols are emitted as predicates and
-    which as functions into the boolean sort.
+    which as functions into the boolean sort.  The two boolean axioms,
+    the two-element domain and the distinctness of the constants, are the
+    same in every problem, so they are class constants; ``axioms``
+    appends them to the definitions.
     """
 
     definitions: tuple[Term, ...]
     goal: Term
-    domain_axiom: Term
-    distinct_axiom: Term
     ctx: TypeContext
     predicate_split: dict[str, str]
+
+    domain_axiom: ClassVar[Term] = Forall("X", BOOL, lor(Eq(Var("X"), TRUE), Eq(Var("X"), FALSE)))
+    distinct_axiom: ClassVar[Term] = lnot(Eq(TRUE, FALSE))
 
     @property
     def axioms(self) -> tuple[Term, ...]:
@@ -466,8 +480,8 @@ def _equate_atoms(t: Term, effective: str, rewrite: set[str]) -> Term:
 
 def to_fol(state: TranslationState) -> FolProblem:
     """Turn a terminated translation state into a legal many-sorted
-    first-order problem: apply the predicate split and add the two-element
-    boolean domain axiom and the distinctness axiom."""
+    first-order problem: apply the predicate split; the problem's
+    ``axioms`` add the two boolean axioms."""
     formulas = [*state.defs, state.current]
     usage: dict[str, set[str]] = {}
     atoms: list[set[str]] = []  # per formula, the boolean symbols it uses as atoms
@@ -489,15 +503,5 @@ def to_fol(state: TranslationState) -> FolProblem:
         if rewrite:
             formulas[k] = _equate_atoms(formulas[k], FORMULA_CONTEXT, rewrite)
     *definitions, goal = formulas
-    x = Var("X")
-    domain_axiom = Forall("X", BOOL, lor(Eq(x, TRUE), Eq(x, FALSE)))
-    distinct_axiom = lnot(Eq(TRUE, FALSE))
-    return FolProblem(
-        definitions=tuple(definitions),
-        goal=goal,
-        domain_axiom=domain_axiom,
-        distinct_axiom=distinct_axiom,
-        ctx=state.ctx,
-        predicate_split=split,
-    )
+    return FolProblem(definitions=tuple(definitions), goal=goal, ctx=state.ctx, predicate_split=split)
 

@@ -38,24 +38,14 @@ NOT_A_FORMULA = "not-a-formula"
 class SortError(Exception):
     """A term that has no sort under the context.
 
-    Carries the violation kind, the occurrence path of the offending
-    subterm, and expected/actual details where they apply.
+    Carries the violation kind and the occurrence path of the offending
+    subterm; the message names the sorts involved.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        message: str,
-        path: tuple[int, ...] = (),
-        expected=None,
-        actual=None,
-    ) -> None:
+    def __init__(self, kind: str, message: str, path: tuple[int, ...] = ()) -> None:
         super().__init__(message)
         self.kind = kind
         self.path = path
-        self.expected = expected
-        self.actual = actual
-        self.formula: str | None = None  # set by loaders for located reports
 
 
 def infer_sort(ctx: TypeContext, t: Term) -> Sort:
@@ -75,13 +65,7 @@ def _infer(ctx: TypeContext, t: Term, path: tuple[int, ...]) -> Sort:
         if sig is None:
             raise SortError(UNBOUND_FUNCTION, f"unbound function symbol {t.fn!r}", path)
         if len(t.args) != sig.arity:
-            raise SortError(
-                ARITY_MISMATCH,
-                f"{t.fn} expects {sig.arity} arguments, got {len(t.args)}",
-                path,
-                expected=sig.arity,
-                actual=len(t.args),
-            )
+            raise SortError(ARITY_MISMATCH, f"{t.fn} expects {sig.arity} arguments, got {len(t.args)}", path)
         for i, (arg, want) in enumerate(zip(t.args, sig.args)):
             got = _infer(ctx, arg, path + (i,))
             if got != want:
@@ -89,8 +73,6 @@ def _infer(ctx: TypeContext, t: Term, path: tuple[int, ...]) -> Sort:
                     ARGUMENT_SORT_MISMATCH,
                     f"argument {i + 1} of {t.fn} has sort {got}, expected {want}",
                     path + (i,),
-                    expected=want,
-                    actual=got,
                 )
         return sig.result
 
@@ -101,19 +83,11 @@ def _infer(ctx: TypeContext, t: Term, path: tuple[int, ...]) -> Sort:
                 ITE_CONDITION_NOT_BOOL,
                 f"if-then-else condition has sort {cond}, expected {BOOL}",
                 path + (0,),
-                expected=BOOL,
-                actual=cond,
             )
         then = _infer(ctx, t.then, path + (1,))
         els = _infer(ctx, t.els, path + (2,))
         if then != els:
-            raise SortError(
-                ITE_BRANCH_MISMATCH,
-                f"if-then-else branches have sorts {then} and {els}",
-                path,
-                expected=then,
-                actual=els,
-            )
+            raise SortError(ITE_BRANCH_MISMATCH, f"if-then-else branches have sorts {then} and {els}", path)
         return then
 
     if isinstance(t, Let):
@@ -129,13 +103,7 @@ def _infer(ctx: TypeContext, t: Term, path: tuple[int, ...]) -> Sort:
         left = _infer(ctx, t.left, path + (0,))
         right = _infer(ctx, t.right, path + (1,))
         if left != right:
-            raise SortError(
-                EQUALITY_SORT_MISMATCH,
-                f"equality between sorts {left} and {right}",
-                path,
-                expected=left,
-                actual=right,
-            )
+            raise SortError(EQUALITY_SORT_MISMATCH, f"equality between sorts {left} and {right}", path)
         return BOOL
 
     if isinstance(t, (Forall, Exists)):
@@ -145,8 +113,6 @@ def _infer(ctx: TypeContext, t: Term, path: tuple[int, ...]) -> Sort:
                 QUANTIFIER_BODY_NOT_BOOL,
                 f"quantifier body has sort {body}, expected {BOOL}",
                 path + (0,),
-                expected=BOOL,
-                actual=body,
             )
         return BOOL
 
@@ -157,13 +123,7 @@ def check_formula(ctx: TypeContext, t: Term) -> None:
     """Accept exactly the terms of the boolean sort; raise otherwise."""
     sort = infer_sort(ctx, t)
     if sort != BOOL:
-        raise SortError(
-            NOT_A_FORMULA,
-            f"term has sort {sort}, not a formula",
-            (),
-            expected=BOOL,
-            actual=sort,
-        )
+        raise SortError(NOT_A_FORMULA, f"term has sort {sort}, not a formula")
 
 
 def is_predicate_symbol(sig: Signature | TypeContext, fn: str) -> bool:

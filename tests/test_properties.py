@@ -63,7 +63,7 @@ def test_random_formulas_translate_and_preserve():
         attempts += 1
         phi = closed(gen, gen.formula())
         state = run_translation(phi, ctx)
-        assert len(state.steps) <= redex_measure(phi, ctx)
+        assert len(state.steps) <= redex_measure(phi)
         assert is_syntactically_first_order(state.current).ok
         for d in state.defs:
             assert free_vars(d) == set()

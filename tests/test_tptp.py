@@ -1,5 +1,6 @@
 """Dialect parsing, both printers, and the strict-mode checks."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -493,3 +494,24 @@ def test_printers_take_a_long_conjunction_chain():
     assert dialect == f"tff(a, axiom, {conjunction}).\n"
     fol = to_fol(TranslationState(current=chain, ctx=TypeContext.of(sig)))
     assert f"tff(goal, hypothesis, {conjunction})." in print_fol_tff0(fol)
+
+
+@pytest.mark.parametrize(
+    "goal, message",
+    [
+        (Ite(App("q"), App("p", (App("c"),)), App("p", (App("c"),))), "$ite cannot appear in strict output"),
+        (Let("k", (), App("c"), App("p", (App("k"),))), "$let cannot appear in strict output"),
+    ],
+)
+def test_strict_printer_refuses_ite_and_let(goal, message):
+    """``print_fol_tff0`` prints only lowered problems: a goal that still
+    holds an ``$ite`` or a ``$let`` is refused with a ``ValueError``."""
+    sig = Signature()
+    s = sig.declare_sort("s")
+    sig.declare_fn("c", TypeSig((), s))
+    sig.declare_fn("p", TypeSig((s,), BOOL))
+    sig.declare_fn("q", TypeSig((), BOOL))
+    fol = dataclasses.replace(to_fol(TranslationState(current=TRUE, ctx=TypeContext.of(sig))), goal=goal)
+    with pytest.raises(ValueError) as err:
+        print_fol_tff0(fol)
+    assert str(err.value) == message

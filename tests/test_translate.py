@@ -71,12 +71,6 @@ from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
 from generate import TermGen, let_nest_text, lowering_shapes
 
 
-def fresh_state(phi, ctx):
-    from foolkit.terms import all_names
-
-    return TranslationState(current=phi, ctx=ctx, used_names=all_names(phi))
-
-
 @pytest.fixture
 def ctx():
     sig = Signature()
@@ -96,7 +90,7 @@ def ctx():
 
 def test_step1_rewrites_bool_var(ctx):
     phi = Forall("X", BOOL, lor(Var("X"), App("p0")))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step1_bool_var(state, (0, 0))
     assert state.current == Forall("X", BOOL, lor(Eq(Var("X"), TRUE), App("p0")))
     assert state.defs == []
@@ -104,7 +98,7 @@ def test_step1_rewrites_bool_var(ctx):
 
 def test_step1_inside_implication(ctx):
     phi = Forall("P", BOOL, limplies(Var("P"), App("pr", (App("c"),))))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step1_bool_var(state, (0, 0))
     assert state.current == Forall(
         "P", BOOL, limplies(Eq(Var("P"), TRUE), App("pr", (App("c"),)))
@@ -113,7 +107,7 @@ def test_step1_inside_implication(ctx):
 
 def test_step1_rejects_term_context(ctx):
     phi = Forall("X", BOOL, Eq(App("f", (Var("X"),)), App("c")))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     with pytest.raises(ValueError):
         step1_bool_var(state, (0, 0, 0))
 
@@ -124,7 +118,7 @@ def test_step1_rejects_term_context(ctx):
 
 def test_step2_closed_formula_gets_nullary_name(ctx):
     phi = Eq(App("h", (App("f", (lor(App("p0"), App("q0")),)),)), App("c"))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step2_formula_in_term_ctx(state, (0, 0, 0))
     g = state.fresh_symbols[0]
     assert g == "sk_fool_0"
@@ -136,7 +130,7 @@ def test_step2_closed_formula_gets_nullary_name(ctx):
 def test_step2_open_formula_quantifies_free_vars(ctx):
     s = ctx.sig.sort("s")
     phi = Forall("X", s, Eq(App("f", (App("pr", (Var("X"),)),)), App("c")))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step2_formula_in_term_ctx(state, (0, 0, 0))
     g = state.fresh_symbols[0]
     definition = state.defs[0]
@@ -149,7 +143,7 @@ def test_step2_open_formula_quantifies_free_vars(ctx):
 
 def test_step2_refuses_truth_constants(ctx):
     phi = Eq(App("f", (TRUE,)), App("c"))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     with pytest.raises(ValueError):
         step2_formula_in_term_ctx(state, (0, 0))
 
@@ -161,7 +155,7 @@ def test_step2_refuses_truth_constants(ctx):
 def test_step3_ground_ite(ctx):
     # ite over constants: nullary fresh symbol, two guarded equations.
     phi = Eq(App("h", (Ite(App("pr", (App("c"),)), App("c"), App("h", (App("c"),))),)), App("c"))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step3_ite(state, (0, 0))
     g = state.fresh_symbols[0]
     cond = App("pr", (App("c"),))
@@ -175,7 +169,7 @@ def test_step3_open_ite_with_bool_condition(ctx):
     phi = Forall(
         "P", BOOL, Forall("X", s, Forall("Y", s,
             Eq(Ite(Eq(Var("P"), TRUE), Var("X"), Var("Y")), Var("X")))))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step3_ite(state, (0, 0, 0, 0))
     g = state.fresh_symbols[0]
     assert state.ctx.fn_sig(g) == TypeSig((BOOL, s, s), s)
@@ -190,7 +184,7 @@ def test_step3_open_ite_with_bool_condition(ctx):
 
 
 def test_step3_requires_ite(ctx):
-    state = fresh_state(App("p0"), ctx)
+    state = TranslationState(App("p0"), ctx)
     with pytest.raises(ValueError):
         step3_ite(state, ())
 
@@ -203,7 +197,7 @@ def test_step4_nullary_binding(ctx):
     s = ctx.sig.sort("s")
     # let k = h(c) in pr(k): constant binding, no free variables.
     phi = Let("k", (), App("h", (App("c"),)), App("pr", (App("k"),)))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step4_let(state, ())
     g = state.fresh_symbols[0]
     assert state.defs == [Eq(App(g), App("h", (App("c"),)))]
@@ -215,7 +209,7 @@ def test_step4_parameters_renamed_fresh(ctx):
     s = ctx.sig.sort("s")
     # let g(X : s) = c in g(g(d)): formals rename to fresh variables.
     phi = Let("g", (("X", s),), App("c"), App("g", (App("g", (App("c"),)),)))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step4_let(state, ())
     gname = state.fresh_symbols[0]
     [definition] = state.defs
@@ -234,7 +228,7 @@ def test_step4_free_vars_become_extra_arguments(ctx):
         "Y", s,
         Let("fl", (("X", s),), App("p2", (Var("X"), Var("Y"))), App("fl", (App("c"),))),
     )
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step4_let(state, (0,))
     g = state.fresh_symbols[0]
     [definition] = state.defs
@@ -253,7 +247,7 @@ def test_step4_renames_captured_binders(ctx):
     # bound Y must be renamed before Y is appended to applications.
     inner = Forall("Y", s, Eq(App("fl", (Var("Y"),)), App("c")))
     phi = Forall("Y", s, Let("fl", (("X", s),), App("h", (Var("Y"),)), land(App("pr", (App("fl", (Var("Y"),)),)), inner)))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step4_let(state, (0,))
     current = state.current
     assert isinstance(current, Forall)
@@ -273,7 +267,7 @@ def test_step4_renames_nested_binders_innermost_first(ctx):
         Let("k", (("Y", s),), fl(Var("Y")), App("pr", (App("k", (Var("Y"),)),))),
     )
     phi = Forall("Y", s, Let("fl", (("X", s),), App("h", (Var("Y"),)), scope))
-    state = step4_let(fresh_state(phi, ctx), (0,))
+    state = step4_let(TranslationState(phi, ctx), (0,))
     # Z0 names the formal; Y1, Y2, Y3 are drawn bottom-up, left to right
     assert term_to_str(state.current) == (
         "![Y : s]: ((![Y2 : s]: (?[Y1 : s]: (sk_fool_0(Y1, Y) = c)))"
@@ -281,12 +275,24 @@ def test_step4_renames_nested_binders_innermost_first(ctx):
     )
 
 
+def test_step4_fresh_formal_avoids_names_of_a_directly_built_state(ctx):
+    """A state built from the formula alone knows the formula's names, so
+    the lifted formal does not capture the body's bound ``Z0``."""
+    s = ctx.sig.sort("s")
+    ctx.sig.declare_fn("p2", TypeSig((s, s), BOOL))
+    phi = parse_formula("$let(f : s > $o, f(X) := ![Z0 : s] : p2(X, Z0), f(c))", ctx)
+    state = step4_let(TranslationState(current=phi, ctx=ctx), ())
+    assert isinstance(state.defs[0], Forall)
+    assert state.defs[0].var != "Z0"
+    assert check_model_preservation(phi, state, DomainSpec({s: 2})).render() == "OK 128"
+
+
 def test_steps_reject_locally_bound_symbols(ctx):
     s = ctx.sig.sort("s")
     # the inner let's body mentions fl, which is bound by the outer let
     inner = Let("k", (), App("fl", (App("c"),)), App("k"))
     phi = Let("fl", (("X", s),), App("h", (Var("X"),)), App("pr", (inner,)))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     with pytest.raises(ValueError) as err:
         step4_let(state, (1, 0))
     assert "bound symbols" in str(err.value)
@@ -295,7 +301,7 @@ def test_steps_reject_locally_bound_symbols(ctx):
         "fl", (("X", s),), App("h", (Var("X"),)),
         Eq(Ite(App("p0"), App("fl", (App("c"),)), App("c")), App("c")),
     )
-    state2 = fresh_state(ite_phi, ctx)
+    state2 = TranslationState(ite_phi, ctx)
     with pytest.raises(ValueError):
         step3_ite(state2, (1, 0))
 
@@ -304,7 +310,7 @@ def test_step4_shadowed_rebinding_not_rewritten(ctx):
     s = ctx.sig.sort("s")
     inner = Let("fl", (), App("c"), App("fl"))
     phi = Let("fl", (("X", s),), App("h", (Var("X"),)), Eq(App("fl", (App("c"),)), inner))
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step4_let(state, ())
     g = state.fresh_symbols[0]
     # outer application rewritten, inner let untouched (it rebinds fl)
@@ -360,7 +366,7 @@ def test_driver_step_count_bounded_by_measure():
         problem = parse_problem(text)
         phi = problem.goal_formula()
         state = run_translation(phi, problem.ctx)
-        assert len(state.steps) <= redex_measure(phi, problem.ctx)
+        assert len(state.steps) <= redex_measure(phi)
 
 
 def test_driver_rejects_open_formulas(ctx):
@@ -387,19 +393,19 @@ def test_step_local_equivalence_all_steps(ctx):
     s = ctx.sig.sort("s")
     # step 1 adds no definition: the rewrite itself is an equivalence
     phi1 = Forall("X", BOOL, lor(Var("X"), App("p0")))
-    state1 = step1_bool_var(fresh_state(phi1, ctx), (0, 0))
+    state1 = step1_bool_var(TranslationState(phi1, ctx), (0, 0))
     _assert_step_locally_equivalent(phi1, state1)
     # step 2
     phi2 = Eq(App("f", (land(App("p0"), App("q0")),)), App("c"))
-    state2 = step2_formula_in_term_ctx(fresh_state(phi2, ctx), (0, 0))
+    state2 = step2_formula_in_term_ctx(TranslationState(phi2, ctx), (0, 0))
     _assert_step_locally_equivalent(phi2, state2)
     # step 3 adds a guarded pair
     phi3 = Eq(Ite(App("p0"), App("c"), App("h", (App("c"),))), App("c"))
-    state3 = step3_ite(fresh_state(phi3, ctx), (0,))
+    state3 = step3_ite(TranslationState(phi3, ctx), (0,))
     _assert_step_locally_equivalent(phi3, state3)
     # step 4 adds one lifted equation
     phi4 = Let("k", (("X", s),), App("h", (Var("X"),)), App("pr", (App("k", (App("c"),)),)))
-    state4 = step4_let(fresh_state(phi4, ctx), ())
+    state4 = step4_let(TranslationState(phi4, ctx), ())
     _assert_step_locally_equivalent(phi4, state4)
 
 
@@ -423,10 +429,10 @@ def test_out_of_order_steps_leave_work_inside_definitions(ctx):
         App("h", (Ite(App("p0"), App("f", (land(App("q0"), App("q0")),)), App("c")),)),
         App("c"),
     )
-    state = fresh_state(phi, ctx)
+    state = TranslationState(phi, ctx)
     step3_ite(state, (0, 0))  # out of order: the branch still holds (q0 & q0)
     assert not is_syntactically_first_order(state.defs[0]).ok
-    _lower_targets(state, redex_measure(phi, ctx))
+    _lower_targets(state, redex_measure(phi))
     assert len(state.steps) == 2  # exactly one further step
     kind, target, _ = state.steps[1]
     assert kind == "formula-in-term"
@@ -544,9 +550,9 @@ def test_to_fol_requires_terminated_state(ctx):
     ite = Eq(Ite(App("p0"), App("c"), App("h", (App("c"),))), App("c"))
     for phi in (in_term, ite):
         with pytest.raises(ValueError):
-            to_fol(fresh_state(phi, ctx))
+            to_fol(TranslationState(phi, ctx))
         # also when the residue sits in a definition behind a first-order goal
-        state = fresh_state(Eq(App("c"), App("c")), ctx)
+        state = TranslationState(Eq(App("c"), App("c")), ctx)
         state.defs.append(phi)
         with pytest.raises(ValueError):
             to_fol(state)
@@ -641,7 +647,7 @@ def _shape_run(text):
     text = print_fol_tff0(fol).encode()
     return {
         **_record(state),
-        "redex_measure": redex_measure(phi, problem.ctx),
+        "redex_measure": redex_measure(phi),
         "predicate_split": fol.predicate_split,
         "sha256": hashlib.sha256(text).hexdigest(),
     }
@@ -720,7 +726,7 @@ def test_recorded_steps_replay_through_single_step_api():
     the driver's result exactly."""
     for name, phi, ctx in _translation_inputs():
         state = run_translation(phi, ctx)
-        replay = fresh_state(phi, ctx)
+        replay = TranslationState(phi, ctx)
         for kind, target, path in state.steps:
             _STEPS[kind](replay, path, target)
         assert replay.current == state.current, name
@@ -738,7 +744,7 @@ def _replayed_states():
     each single step of the driver's log; the state is updated in place."""
     for name, phi, ctx in _translation_inputs():
         steps = run_translation(phi, ctx).steps
-        state = fresh_state(phi, ctx)
+        state = TranslationState(phi, ctx)
         yield name, state
         for kind, target, path in steps:
             _STEPS[kind](state, path, target)
@@ -812,7 +818,7 @@ def test_let_nest_is_lowered_in_calls_linear_in_its_output(monkeypatch, quantifi
 
 def test_lift_rewrites_keep_untouched_subtrees(ctx):
     s = ctx.sig.sort("s")
-    state = fresh_state(TRUE, ctx)
+    state = TranslationState(TRUE, ctx)
     kept = Forall("Y", s, App("pr", (App("h", (Var("Y"),)),)))
     touched = App("pr", (App("k"),))
     scope = land(touched, kept)
@@ -881,7 +887,7 @@ def test_deep_first_order_nest_needs_no_stack(ctx):
     phi = App("pr", (t,))
     state = TranslationState(current=phi, ctx=ctx)
     assert is_syntactically_first_order(phi).ok
-    assert redex_measure(phi, ctx) == 0
+    assert redex_measure(phi) == 0
     fol = to_fol(state)
     assert fol.goal is phi
     assert fol.definitions == ()
