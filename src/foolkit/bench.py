@@ -44,11 +44,10 @@ def _support_clauses(mode: str) -> list[Clause]:
 def run_bench(k_values, max_clauses: int, max_seconds: float):
     """Run both modes on the fixture family under equal limits.
 
-    Both modes share a given-clause budget of the input count plus
-    2k + 2, which is enough for the rule treatment to saturate the whole
-    family while keeping the axiom treatment's generated-clause counts
-    deterministic (it would otherwise run away on its derived variable
-    equations).
+    Each mode gets a given-clause budget of its own input count plus
+    2k + 2: enough for the rule treatment to saturate the whole family,
+    while the axiom treatment's generated-clause counts stay deterministic
+    (it would otherwise run away on its derived variable equations).
     """
     rows = []
     for k in k_values:

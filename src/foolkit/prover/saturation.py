@@ -32,6 +32,11 @@ The renamed copies the binary rules work on have the same ones as the
 kept clause, because the ordering does not change under an injective
 renaming of variables.
 
+Unification is sort-free.  Without subsorts, well-sorted terms unify
+ill-sortedly only at a root pair of a variable and a term of another
+sort, so ``_Saturation.sort_of`` compares sorts there alone: a variable
+paramodulation source with its target, and two paired equations.
+
 Redundancy handling is tautology deletion plus forward subsumption by
 variable renaming, nothing stronger.  The subsumption candidates come
 from an index over literal shapes (``VariantIndex``), so a new clause is
@@ -50,6 +55,7 @@ from ..terms import (
     BOOL,
     FALSE,
     FALSE_NAME,
+    Sort,
     TRUE,
     Term,
     TRUE_NAME,
@@ -81,6 +87,10 @@ class ProverConfig:
     max_clauses: int = 100_000
     max_seconds: float = 10.0
     max_processed: int | None = None  # given-clause budget; None = unlimited
+
+    def __post_init__(self) -> None:
+        if self.bool_mode not in (AXIOM_MODE, RULE_MODE):
+            raise ValueError(f"bool_mode must be 'axiom' or 'rule', not {self.bool_mode!r}")
 
 
 @dataclass
@@ -228,18 +238,13 @@ class _Saturation:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def sort_of_factory(self, var_sorts: dict[str, object]):
-        ctx = self.ctx
-
-        def sort_of(t: Term):
-            if isinstance(t, Var):
-                return var_sorts[t.name]
-            sig = ctx.fn_sig(t.fn)
-            if sig is None:
-                raise KeyError(f"undeclared symbol {t.fn!r} in clause")
-            return sig.result
-
-        return sort_of
+    def sort_of(self, t: Term, var_sorts: dict[str, Sort]) -> Sort:
+        if isinstance(t, Var):
+            return var_sorts[t.name]
+        sig = self.ctx.fn_sig(t.fn)
+        if sig is None:
+            raise KeyError(f"undeclared symbol {t.fn!r} in clause")
+        return sig.result
 
     def record_new(self, literals, var_sorts, rule: str, parents: tuple[int, ...]) -> None:
         self.stats["generated"] += 1
@@ -281,6 +286,12 @@ class _Saturation:
 
     # -- inference rules ----------------------------------------------------
 
+    def atom_unifiers(self, l1: Literal, l2: Literal, var_sorts: dict[str, Sort]) -> list:
+        if l1.is_equation and l2.is_equation:
+            if self.sort_of(l1.lhs, var_sorts) != self.sort_of(l2.lhs, var_sorts):
+                return []
+        return unify_atoms(l1, l2)
+
     def paramodulate(self, first: _Copy, second: _Copy) -> None:
         """Ordered paramodulation from positive equations of the first copy
         into non-variable subterm positions of the second, renamed apart."""
@@ -288,11 +299,12 @@ class _Saturation:
             return
         firsts, seconds = first.clause.literals, second.clause.literals
         merged = {**first.clause.var_sorts, **second.clause.var_sorts}
-        sort_of = self.sort_of_factory(merged)
         parents = (first.clause.id, second.clause.id)
         for fi, l, r in first.sources:
             for ii, ilit, side, path, sub in second.targets:
-                theta = mgu(l, sub, sort_of)
+                if isinstance(l, Var) and self.sort_of(l, merged) != self.sort_of(sub, merged):
+                    continue
+                theta = mgu(l, sub)
                 if theta is None:
                     continue
                 if kbo_greater_or_equal(apply_subst(r, theta), apply_subst(l, theta)):
@@ -313,8 +325,7 @@ class _Saturation:
             for side, path, sub in term_positions(lit):
                 if not isinstance(sub, App) or sub.fn in (TRUE_NAME, FALSE_NAME):
                     continue
-                sig = self.ctx.fn_sig(sub.fn)
-                if sig is None or sig.result != BOOL:
+                if self.sort_of(sub, clause.var_sorts) != BOOL:
                     continue
                 literals = [
                     _replace_in_literal(lit, side, path, TRUE),
@@ -328,18 +339,16 @@ class _Saturation:
     def resolve(self, first: Clause, second: Clause) -> None:
         """Binary resolution between two clauses renamed apart."""
         merged = {**first.var_sorts, **second.var_sorts}
-        sort_of = self.sort_of_factory(merged)
         for i in self.eligible[first.id]:
             for j in self.eligible[second.id]:
                 l1, l2 = first.literals[i], second.literals[j]
                 if l1.positive == l2.positive:
                     continue
-                for theta in unify_atoms(l1, l2, sort_of):
+                for theta in self.atom_unifiers(l1, l2, merged):
                     literals = _rest(first.literals, i, theta) + _rest(second.literals, j, theta)
                     self.record_new(literals, merged, "resolution", (first.id, second.id))
 
     def factor(self, clause: Clause) -> None:
-        sort_of = self.sort_of_factory(clause.var_sorts)
         for i in self.eligible[clause.id]:
             for j, other in enumerate(clause.literals):
                 if j == i:
@@ -347,17 +356,16 @@ class _Saturation:
                 lit = clause.literals[i]
                 if not (lit.positive and other.positive):
                     continue
-                for theta in unify_atoms(lit, other, sort_of):
+                for theta in self.atom_unifiers(lit, other, clause.var_sorts):
                     literals = _rest(clause.literals, j, theta)
                     self.record_new(literals, clause.var_sorts, "factoring", (clause.id,))
 
     def equality_resolve(self, clause: Clause) -> None:
-        sort_of = self.sort_of_factory(clause.var_sorts)
         for i in self.eligible[clause.id]:
             lit = clause.literals[i]
             if lit.positive or not lit.is_equation:
                 continue
-            theta = mgu(lit.lhs, lit.rhs, sort_of)
+            theta = mgu(lit.lhs, lit.rhs)
             if theta is None:
                 continue
             literals = _rest(clause.literals, i, theta)
@@ -420,6 +428,6 @@ class _Saturation:
 def saturate(
     clauses: list[Clause], ctx: TypeContext, config: ProverConfig | None = None
 ) -> SaturationResult:
-    """Run the given-clause loop to refutation, saturation, or a limit."""
+    """Saturate clauses well-sorted over ``ctx``, each symbol declared, to a verdict."""
     engine = _Saturation(ctx, config or ProverConfig())
     return engine.run(clauses)

@@ -1,9 +1,7 @@
 """Unification, matching and renaming over clause-level terms, and the
 literal-shape index that finds subsumption-by-variant candidates.
 
-Clause terms contain only variables and applications.  Unification is
-sort-aware when given a sort function, so a boolean variable never binds
-to a term of another sort.
+Clause terms are variables and applications; unification is sort-free.
 
 Substitution returns a subterm in which it binds no variable as the same
 object, so ground and untouched arguments are shared, not rebuilt.  The
@@ -15,13 +13,10 @@ other, so the subsumption answers are those of trying every literal.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..terms import App, Sort, Term, Var
 from .clauses import Clause, Literal
 
 Subst = dict[str, Term]
-SortOf = Callable[[Term], Sort]
 
 
 def apply_subst(t: Term, subst: Subst) -> Term:
@@ -53,13 +48,12 @@ def occurs(name: str, t: Term) -> bool:
     return any(occurs(name, a) for a in t.args)
 
 
-def unify(pairs: list[tuple[Term, Term]], sort_of: SortOf | None = None) -> Subst | None:
+def unify(pairs: list[tuple[Term, Term]]) -> Subst | None:
     """Idempotent most general simultaneous unifier of the pairs, with
     occurs check, or None.
 
     The pairs are solved first to last on one stack, so the bindings,
     and with them the names in every conclusion, follow that order.
-    With ``sort_of`` given, a variable only binds to terms of its sort.
     """
     subst: Subst = {}
     stack = pairs[::-1]
@@ -74,8 +68,6 @@ def unify(pairs: list[tuple[Term, Term]], sort_of: SortOf | None = None) -> Subs
         if isinstance(a, Var):
             if occurs(a.name, b):
                 return None
-            if sort_of is not None and sort_of(a) != sort_of(b):
-                return None
             single = {a.name: b}
             for key in list(subst):
                 subst[key] = apply_subst(subst[key], single)
@@ -87,12 +79,12 @@ def unify(pairs: list[tuple[Term, Term]], sort_of: SortOf | None = None) -> Subs
     return subst
 
 
-def mgu(s: Term, t: Term, sort_of: SortOf | None = None) -> Subst | None:
+def mgu(s: Term, t: Term) -> Subst | None:
     """``unify`` of the one pair."""
-    return unify([(s, t)], sort_of)
+    return unify([(s, t)])
 
 
-def unify_atoms(l1: Literal, l2: Literal, sort_of: SortOf | None = None) -> list[Subst]:
+def unify_atoms(l1: Literal, l2: Literal) -> list[Subst]:
     """Unifiers of two atoms, ignoring polarity; equations try both
     orientations."""
     if l1.is_equation != l2.is_equation:
@@ -103,7 +95,7 @@ def unify_atoms(l1: Literal, l2: Literal, sort_of: SortOf | None = None) -> list
         tries = [list(zip(l1.lhs.args, l2.lhs.args))]
     else:
         return []
-    return [theta for pairs in tries if (theta := unify(pairs, sort_of)) is not None]
+    return [theta for pairs in tries if (theta := unify(pairs)) is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,19 +114,6 @@ def test_mgu_occurs_check():
 def test_mgu_idempotent():
     got = mgu(App("g2", (Var("X"), Var("Y"))), App("g2", (Var("Y"), App("a"))))
     assert got == {"X": App("a"), "Y": App("a")}
-
-
-def test_mgu_respects_sorts():
-    ctx = base_ctx()
-    sorts = {"X": BOOL}
-
-    def sort_of(t):
-        if isinstance(t, Var):
-            return sorts[t.name]
-        return ctx.fn_sig(t.fn).result
-
-    assert mgu(Var("X"), App("a"), sort_of) is None  # bool var vs s-term
-    assert mgu(Var("X"), App("ab"), sort_of) == {"X": App("ab")}
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +375,12 @@ def run_clauses(clauses, mode, ctx=None, **limits):
     return saturate(clauses, ctx or base_ctx(), config)
 
 
+def test_config_rejects_an_unknown_bool_mode():
+    for mode in ("rules", "axioms", ""):
+        with pytest.raises(ValueError, match="'axiom' or 'rule'"):
+            ProverConfig(bool_mode=mode)
+
+
 def test_ground_rewrite_paramodulation():
     # from a = true into p(a): p(true)
     clauses = [
@@ -634,43 +628,107 @@ tff(c1, conjecture, ![X : $o] : p(X)).
 # the search that tried every kept clause for subsumption and recomputed
 # eligible literals for every inference
 
-SEARCH = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "prover_search.json").read_text()
-)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SEARCH = json.loads((GOLDEN / "prover_search.json").read_text())
+# the clause cap of the pinned counters, by mode
+PINNED_CAP = {AXIOM_MODE: 500, RULE_MODE: 5000}
+
+
+def _clausified(entries):
+    out = []
+    for name, text in entries:
+        result = clausify(translate_text(text))
+        out.append((name, result.clauses, result.ctx))
+    return out
+
+
+def _pinned_problems(mode, entries):
+    """The corpus ``entries`` clausified, then bench k = 1, 2, 3 with the
+    mode's support clauses."""
+    problems = _clausified(entries)
+    for k in (1, 2, 3):
+        clauses, ctx = bench_fixture(k)
+        problems.append((f"bench-k{k}", clauses + _support_clauses(mode), ctx))
+    return problems
+
+
+def _pinned_search(mode, clauses, ctx, max_clauses=None):
+    config = ProverConfig(
+        bool_mode=mode, max_clauses=max_clauses or PINNED_CAP[mode], max_seconds=60
+    )
+    return saturate(clauses, ctx, config)
+
+
+def pinned_counters(mode, entries) -> dict:
+    """Verdict and stats of each problem ``_pinned_problems`` lists, in
+    its order, at the mode's pinned cap."""
+    out = {}
+    for name, clauses, ctx in _pinned_problems(mode, entries):
+        outcome = _pinned_search(mode, clauses, ctx)
+        out[name] = [outcome.verdict, outcome.stats]
+    return out
+
+
+def refutation_proofs() -> dict:
+    """The proof of each refutation problem in both modes, at a
+    5000-clause cap."""
+    out = {}
+    for name, clauses, ctx in _clausified(corpus.REFUTATION):
+        for mode in (AXIOM_MODE, RULE_MODE):
+            outcome = _pinned_search(mode, clauses, ctx, max_clauses=5000)
+            out[f"{name}/{mode}"] = outcome.render_proof()
+    return out
 
 
 def test_axiom_mode_counters_are_pinned():
-    problems = []
-    for name, text in corpus.SATISFIABLE:
-        result = clausify(translate_text(text))
-        problems.append((name, result.clauses, result.ctx))
-    for k in (1, 2, 3):
-        clauses, ctx = bench_fixture(k)
-        problems.append((f"bench-k{k}", clauses + _support_clauses(AXIOM_MODE), ctx))
-    for name, clauses, ctx in problems:
-        config = ProverConfig(bool_mode=AXIOM_MODE, max_clauses=500, max_seconds=60)
-        outcome = saturate(clauses, ctx, config)
-        assert [outcome.verdict, outcome.stats] == SEARCH["stats"][name], name
+    assert pinned_counters(AXIOM_MODE, corpus.SATISFIABLE) == SEARCH["stats"]
 
 
 def test_rule_mode_counters_are_pinned():
-    problems = []
-    for name, text in corpus.SATISFIABLE + corpus.REFUTATION:
-        result = clausify(translate_text(text))
-        problems.append((name, result.clauses, result.ctx))
-    for k in (1, 2, 3):
-        clauses, ctx = bench_fixture(k)
-        problems.append((f"bench-k{k}", clauses + _support_clauses(RULE_MODE), ctx))
-    assert len(problems) == len(SEARCH["rule_stats"])
-    for name, clauses, ctx in problems:
-        config = ProverConfig(bool_mode=RULE_MODE, max_clauses=5000, max_seconds=60)
-        outcome = saturate(clauses, ctx, config)
-        assert [outcome.verdict, outcome.stats] == SEARCH["rule_stats"][name], name
+    got = pinned_counters(RULE_MODE, corpus.SATISFIABLE + corpus.REFUTATION)
+    assert got == SEARCH["rule_stats"]
+
+
+def test_refutation_proofs_are_pinned():
+    assert refutation_proofs() == SEARCH["proofs"]
+
+
+def _ill_sorted(clause, ctx) -> list[str]:
+    """The variables of ``clause`` in an argument position of another
+    sort, and its equations between two sorts."""
+
+    def sort(t):
+        return clause.var_sorts[t.name] if isinstance(t, Var) else ctx.fn_sig(t.fn).result
+
+    faults = []
+    for lit in clause.literals:
+        if lit.is_equation and sort(lit.lhs) != sort(lit.rhs):
+            faults.append(lit.render())
+        stack = [lit.lhs, lit.rhs] if lit.is_equation else [lit.lhs]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                continue
+            for arg, want in zip(t.args, ctx.fn_sig(t.fn).args):
+                if isinstance(arg, Var) and clause.var_sorts[arg.name] != want:
+                    faults.append(f"{arg.name} in {t.fn}")
+            stack.extend(t.args)
+    return faults
+
+
+def test_kept_clauses_are_well_sorted():
+    """Unification compares no sorts, so every kept clause is well-sorted
+    only because saturation compares them where a variable meets a term
+    at a root; without that, the domain clause rewrites terms of sort s."""
+    for mode in (AXIOM_MODE, RULE_MODE):
+        for name, clauses, ctx in _pinned_problems(mode, corpus.SATISFIABLE + corpus.REFUTATION):
+            for clause in _pinned_search(mode, clauses, ctx).clauses.values():
+                assert not _ill_sorted(clause, ctx), (name, mode, clause.render())
 
 
 def test_clausify_output_is_pinned():
     """Canonical variable names, clause order and variable sorts."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "clausify.json").read_text())
+    golden = json.loads((GOLDEN / "clausify.json").read_text())
     groups = [
         ("PRESERVATION", corpus.PRESERVATION),
         ("REFUTATION", corpus.REFUTATION),
@@ -686,18 +744,7 @@ def test_clausify_output_is_pinned():
     assert got == golden
 
 
-def test_refutation_proofs_are_pinned():
-    for name, text in corpus.REFUTATION:
-        result = clausify(translate_text(text))
-        for mode in (AXIOM_MODE, RULE_MODE):
-            config = ProverConfig(bool_mode=mode, max_clauses=5000, max_seconds=60)
-            outcome = saturate(result.clauses, result.ctx, config)
-            assert outcome.render_proof() == SEARCH["proofs"][f"{name}/{mode}"], (name, mode)
-
-
-CAPPED = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "prover_search_capped.json").read_text()
-)
+CAPPED = json.loads((GOLDEN / "prover_search_capped.json").read_text())
 
 
 def search_digest(outcome) -> str:
@@ -720,14 +767,6 @@ def _searches_at_the_cap(problems_of) -> dict:
             config = ProverConfig(bool_mode=mode, max_clauses=2000, max_seconds=600)
             outcome = saturate(clauses, ctx, config)
             out[f"{name}/{mode}"] = [outcome.verdict, outcome.stats, search_digest(outcome)]
-    return out
-
-
-def _clausified(entries):
-    out = []
-    for name, text in entries:
-        result = clausify(translate_text(text))
-        out.append((name, result.clauses, result.ctx))
     return out
 
 
@@ -756,8 +795,8 @@ def test_capped_searches_are_pinned():
 
 
 def test_refutation_searches_are_pinned():
-    golden = (pathlib.Path(__file__).parent / "golden" / "prover_search_refutation.json")
-    assert refutation_searches() == json.loads(golden.read_text())
+    golden = json.loads((GOLDEN / "prover_search_refutation.json").read_text())
+    assert refutation_searches() == golden
 
 
 class _Forgetful(dict):
@@ -1031,17 +1070,11 @@ def test_rename_clause_numbers_only_occurring_variables_in_sorted_order():
 # clause-level rules against their pairwise definitions
 
 
-def _sort_of(t):
-    """Z and b are boolean, everything else is of sort s."""
-    name = t.name if isinstance(t, Var) else t.fn
-    return BOOL if name in ("Z", "b") else S
-
-
-def _mgu_fold(pairs, sort_of):
+def _mgu_fold(pairs):
     """Unify the pairs one after another with ``mgu``, composing as it goes."""
     subst = {}
     for a, b in pairs:
-        got = mgu(apply_subst(a, subst), apply_subst(b, subst), sort_of)
+        got = mgu(apply_subst(a, subst), apply_subst(b, subst))
         if got is None:
             return None
         subst = {key: apply_subst(value, got) for key, value in subst.items()}
@@ -1049,7 +1082,7 @@ def _mgu_fold(pairs, sort_of):
     return subst
 
 
-def _unifiers(l1, l2, sort_of):
+def _unifiers(l1, l2):
     if l1.is_equation != l2.is_equation:
         return []
     if l1.is_equation:
@@ -1058,7 +1091,7 @@ def _unifiers(l1, l2, sort_of):
         candidates = [list(zip(l1.lhs.args, l2.lhs.args))]
     else:
         candidates = []
-    return [got for pairs in candidates if (got := _mgu_fold(pairs, sort_of)) is not None]
+    return [got for pairs in candidates if (got := _mgu_fold(pairs)) is not None]
 
 
 def _equal_atoms(x, y):
@@ -1070,8 +1103,7 @@ def _equal_atoms(x, y):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_literals, _literals)
 def test_unify_atoms_agrees_with_an_mgu_fold(l1, l2):
-    assert unify_atoms(l1, l2, _sort_of) == _unifiers(l1, l2, _sort_of)
-    assert unify_atoms(l1, l2) == _unifiers(l1, l2, None)
+    assert unify_atoms(l1, l2) == _unifiers(l1, l2)
 
 
 # besides the literals above: t = t and t != t, and equations between
