@@ -21,11 +21,12 @@ grammar.  No name is reserved beyond the ``$`` words: every generated
 symbol is chosen among the names the problem does not use, and so are
 the printer's names for the boolean sort and its constants.
 
-The lexer is one pass of one regular expression.  A token is
-``(kind, text, pos)`` with ``pos`` its offset into the text; the line
-and column of an offset are worked out (``_line_col``) only when an
-error is raised, and a formula's line is counted forward from the
-previous formula's.  ``_name`` is the one place that unquotes a name.
+The lexer is one ``findall`` of one regular expression, which skips
+whitespace, ``%`` line comments and ``/* ... */`` block comments.  A
+token is ``(kind, text, pos)`` with ``pos`` its offset into the text;
+the line and column of an offset are worked out (``_line_col``) only
+when an error is raised, and a formula's line is counted forward from
+the previous formula's.  ``_name`` is the one place that unquotes a name.
 """
 
 from __future__ import annotations
@@ -91,20 +92,29 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
-# The last group matches any character the others do not, so every
-# offset of the text starts a match.
+# One match per token: group 1 is the whitespace and comments before it,
+# group 2 the token.  Where no token starts, group 2 is empty and the rest
+# of the text is consumed, so the first empty token is the end of the text
+# or the character no token starts with.
 _TOKEN_RE = re.compile(
-    r"""(?P<skip>\s+|%[^\n]*)
-      | (?P<dollar>\$[a-z][A-Za-z0-9_]*)
-      | (?P<lower>[a-z][A-Za-z0-9_]*)
-      | (?P<upper>[A-Z][A-Za-z0-9_]*)
-      | (?P<int>\d+)
-      | (?P<quoted>'(?:[^'\\]|\\.)*')
-      | (?P<op><=>|<~>|=>|<=|!=|:=|[()\[\],.:~&|=!?*>])
-      | (?P<bad>.)
+    r"""((?:\s+|%[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*)
+      (?:(\$[a-z][A-Za-z0-9_]*|[A-Za-z][A-Za-z0-9_]*|\d+|'(?:[^'\\]|\\.)*'
+         |<=>|<~>|=>|<=|!=|:=|[()\[\],.:~&|=!?*>])
+       |[\s\S]*)
     """,
     re.X,
 )
+
+# The kind of a token by its first character; the others are the
+# non-ASCII digits ``\d`` matches.
+_KIND = {
+    "$": "dollar",
+    "'": "quoted",
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "lower"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "upper"),
+    **dict.fromkeys("0123456789", "int"),
+    **dict.fromkeys("()[],.:~&|=!?*<>", "op"),
+}
 
 
 class Token(NamedTuple):
@@ -120,13 +130,16 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 def _lex(text: str) -> list[Token]:
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", *_line_col(text, m.start()))
-        if kind != "skip":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
+    pos = 0
+    for skip, tok in _TOKEN_RE.findall(text):
+        pos += len(skip)
+        if not tok:
+            break
+        tokens.append(Token(_KIND.get(tok[0], "int"), tok, pos))
+        pos += len(tok)
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 

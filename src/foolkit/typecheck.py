@@ -3,6 +3,12 @@
 All binders are sort-annotated, so checking is plain structural
 recursion: every well-formed term has exactly one sort and the first
 violation aborts the judgement.
+
+The walk dispatches on the exact node type and compares sorts by
+identity before equality.  It carries the occurrence path of a node as
+a linked pair ``(i, parent)``, ``None`` at the root, so going down a
+level builds one pair instead of copying a tuple; ``_path`` turns the
+pair into the tuple ``SortError.path`` only when an error is raised.
 """
 
 from __future__ import annotations
@@ -50,71 +56,83 @@ class SortError(Exception):
 
 def infer_sort(ctx: TypeContext, t: Term) -> Sort:
     """The unique sort of t under ctx, or a SortError."""
-    return _infer(ctx, t, ())
+    return _infer(ctx, t, None)
 
 
-def _infer(ctx: TypeContext, t: Term, path: tuple[int, ...]) -> Sort:
-    if isinstance(t, Var):
-        sort = ctx.var_sort(t.name)
-        if sort is None:
-            raise SortError(UNBOUND_VARIABLE, f"unbound variable {t.name!r}", path)
-        return sort
+def _path(link: tuple | None) -> tuple[int, ...]:
+    """The occurrence path that a linked ``(i, parent)`` pair spells."""
+    out: list[int] = []
+    while link is not None:
+        i, link = link
+        out.append(i)
+    return tuple(reversed(out))
 
-    if isinstance(t, App):
+
+def _infer(ctx: TypeContext, t: Term, path: tuple | None) -> Sort:
+    kind = type(t)
+    if kind is App:
         sig = ctx.fn_sig(t.fn)
         if sig is None:
-            raise SortError(UNBOUND_FUNCTION, f"unbound function symbol {t.fn!r}", path)
-        if len(t.args) != sig.arity:
-            raise SortError(ARITY_MISMATCH, f"{t.fn} expects {sig.arity} arguments, got {len(t.args)}", path)
-        for i, (arg, want) in enumerate(zip(t.args, sig.args)):
-            got = _infer(ctx, arg, path + (i,))
-            if got != want:
+            raise SortError(UNBOUND_FUNCTION, f"unbound function symbol {t.fn!r}", _path(path))
+        args, wants = t.args, sig.args
+        if len(args) != len(wants):
+            message = f"{t.fn} expects {len(wants)} arguments, got {len(args)}"
+            raise SortError(ARITY_MISMATCH, message, _path(path))
+        for i, arg in enumerate(args):
+            got, want = _infer(ctx, arg, (i, path)), wants[i]
+            if got is not want and got != want:
                 raise SortError(
                     ARGUMENT_SORT_MISMATCH,
                     f"argument {i + 1} of {t.fn} has sort {got}, expected {want}",
-                    path + (i,),
+                    _path((i, path)),
                 )
         return sig.result
 
-    if isinstance(t, Ite):
-        cond = _infer(ctx, t.cond, path + (0,))
-        if cond != BOOL:
-            raise SortError(
-                ITE_CONDITION_NOT_BOOL,
-                f"if-then-else condition has sort {cond}, expected {BOOL}",
-                path + (0,),
-            )
-        then = _infer(ctx, t.then, path + (1,))
-        els = _infer(ctx, t.els, path + (2,))
-        if then != els:
-            raise SortError(ITE_BRANCH_MISMATCH, f"if-then-else branches have sorts {then} and {els}", path)
-        return then
+    if kind is Var:
+        sort = ctx.var_sort(t.name)
+        if sort is None:
+            raise SortError(UNBOUND_VARIABLE, f"unbound variable {t.name!r}", _path(path))
+        return sort
 
-    if isinstance(t, Let):
-        # The Let constructor already rejects duplicate formals; parsers
-        # report DUPLICATE_LET_FORMAL before constructing the node.
-        body_ctx = ctx.with_vars(t.params)
-        body_sort = _infer(body_ctx, t.body, path + (0,))
-        fn_sig = TypeSig(tuple(s for _, s in t.params), body_sort)
-        scope_ctx = ctx.with_fn(t.fn, fn_sig)
-        return _infer(scope_ctx, t.scope, path + (1,))
-
-    if isinstance(t, Eq):
-        left = _infer(ctx, t.left, path + (0,))
-        right = _infer(ctx, t.right, path + (1,))
-        if left != right:
-            raise SortError(EQUALITY_SORT_MISMATCH, f"equality between sorts {left} and {right}", path)
+    if kind is Eq:
+        left = _infer(ctx, t.left, (0, path))
+        right = _infer(ctx, t.right, (1, path))
+        if left is not right and left != right:
+            raise SortError(EQUALITY_SORT_MISMATCH, f"equality between sorts {left} and {right}", _path(path))
         return BOOL
 
-    if isinstance(t, (Forall, Exists)):
-        body = _infer(ctx.with_var(t.var, t.sort), t.body, path + (0,))
-        if body != BOOL:
+    if kind is Forall or kind is Exists:
+        body = _infer(ctx.with_var(t.var, t.sort), t.body, (0, path))
+        if body is not BOOL and body != BOOL:
             raise SortError(
                 QUANTIFIER_BODY_NOT_BOOL,
                 f"quantifier body has sort {body}, expected {BOOL}",
-                path + (0,),
+                _path((0, path)),
             )
         return BOOL
+
+    if kind is Ite:
+        cond = _infer(ctx, t.cond, (0, path))
+        if cond is not BOOL and cond != BOOL:
+            raise SortError(
+                ITE_CONDITION_NOT_BOOL,
+                f"if-then-else condition has sort {cond}, expected {BOOL}",
+                _path((0, path)),
+            )
+        then = _infer(ctx, t.then, (1, path))
+        els = _infer(ctx, t.els, (2, path))
+        if then is not els and then != els:
+            raise SortError(ITE_BRANCH_MISMATCH, f"if-then-else branches have sorts {then} and {els}", _path(path))
+        return then
+
+    if kind is Let:
+        # The Let constructor already rejects duplicate formals; parsers
+        # report DUPLICATE_LET_FORMAL before constructing the node.
+        body_ctx = ctx.with_vars(t.params)
+        body_sort = _infer(body_ctx, t.body, (0, path))
+        fn_sig = TypeSig(tuple(s for _, s in t.params), body_sort)
+        scope_ctx = ctx.with_fn(t.fn, fn_sig)
+        return _infer(scope_ctx, t.scope, (1, path))
 
     raise TypeError(f"not a term: {t!r}")
 

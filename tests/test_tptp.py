@@ -5,10 +5,13 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foolkit import (
     BOOL,
@@ -27,7 +30,16 @@ from foolkit import (
     to_fol,
 )
 from foolkit.terms import BUILTIN_FNS, INT, TRUE, App, land
-from foolkit.tptp import ARITHMETIC_FNS, AnnotatedFormula, Problem, SortDecl, SymbolDecl
+from foolkit.tptp import (
+    ARITHMETIC_FNS,
+    AnnotatedFormula,
+    Problem,
+    SortDecl,
+    SymbolDecl,
+    Token,
+    _lex,
+    _line_col,
+)
 from foolkit.translate import TranslationState
 
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
@@ -47,6 +59,22 @@ def test_empty_input():
 def test_comments_and_whitespace():
     problem = parse_problem("% a comment\n  tff(a1, axiom, $true). % trailing\n")
     assert len(problem.formulas) == 1
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_block_comments(strict):
+    """``/* ... */`` comments may span lines and hold ``*``, ``/`` and
+    ``%``; an unterminated one is an error at its ``/``."""
+    text = (
+        "/* a block\n comment */\n"
+        "tff(a, axiom, $true). /* one ** with / and % inside\n"
+        "*/ /**/ /***/\n"
+        "tff(b, axiom, /* inline */ $false).\n"
+    )
+    problem = parse_problem(text, strict=strict)
+    assert [(f.name, f.line) for f in problem.formulas] == [("a", 3), ("b", 5)]
+    with pytest.raises(ParseError, match=r"^6:9: unexpected character '/'$"):
+        parse_problem(text + "/* x */ /* unterminated\n", strict=strict)
 
 
 def test_verification_listing_parses_and_normalizes():
@@ -328,6 +356,60 @@ def test_parse_errors_are_pinned():
         for name, text in _reader_inputs()
     }
     assert got == golden
+
+
+# The lexer as it was written before it became one ``findall``: one
+# ``finditer`` match per token and per skipped run, the kind from the
+# name of the group that matched.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""(?P<skip>\s+|%[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
+      | (?P<dollar>\$[a-z][A-Za-z0-9_]*)
+      | (?P<lower>[a-z][A-Za-z0-9_]*)
+      | (?P<upper>[A-Z][A-Za-z0-9_]*)
+      | (?P<int>\d+)
+      | (?P<quoted>'(?:[^'\\]|\\.)*')
+      | (?P<op><=>|<~>|=>|<=|!=|:=|[()\[\],.:~&|=!?*>])
+      | (?P<bad>.)
+    """,
+    re.X,
+)
+
+
+def _reference_lex(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_line_col(text, m.start()))
+        if kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
+    return tokens
+
+
+def _lexing(lex, text):
+    """The tokens as ``(kind, text, pos)`` triples, or the error message."""
+    try:
+        return [tuple(tok) for tok in lex(text)]
+    except ParseError as err:
+        return str(err)
+
+
+def test_lexer_agrees_with_the_reference_on_reader_inputs():
+    for name, text in _reader_inputs():
+        assert _lexing(_lex, text) == _lexing(_reference_lex, text), name
+
+
+# Letters, digits and the characters that start or end more than one
+# token kind, whitespace (a Unicode space among it), a Unicode digit and
+# one byte no token starts with.
+_LEXER_CHARS = "aqzAQZ09_$'\\%<=>~/*!:.,()[]&|? \n\t\xa0\u0660\x00"
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=_LEXER_CHARS, max_size=24))
+def test_lexer_agrees_with_the_reference_on_tptp_characters(text):
+    assert _lexing(_lex, text) == _lexing(_reference_lex, text)
 
 
 # ---------------------------------------------------------------------------

@@ -172,3 +172,73 @@ def test_definedness_on_free_names():
             assert ctx.var_sort(var) is not None
         for fn in free_fns(t):
             assert ctx.fn_sig(fn) is not None
+
+
+# Each fault with the kind, the path below the fault and the message of
+# its error; each surrounding with the path of its hole.
+_FAULTS = [
+    (Var("Y"), UNBOUND_VARIABLE, (), "unbound variable 'Y'"),
+    (App("nope"), UNBOUND_FUNCTION, (), "unbound function symbol 'nope'"),
+    (App("f"), ARITY_MISMATCH, (), "f expects 1 arguments, got 0"),
+    (
+        App("f", (App("a"),)),
+        ARGUMENT_SORT_MISMATCH,
+        (0,),
+        "argument 1 of f has sort $int, expected s",
+    ),
+    (
+        Ite(App("p", (App("a"),)), App("c"), App("a")),
+        ITE_BRANCH_MISMATCH,
+        (),
+        "if-then-else branches have sorts s and $int",
+    ),
+    (
+        Ite(App("a"), App("c"), App("c")),
+        ITE_CONDITION_NOT_BOOL,
+        (0,),
+        "if-then-else condition has sort $int, expected $o",
+    ),
+    (Eq(App("a"), App("c")), EQUALITY_SORT_MISMATCH, (), "equality between sorts $int and s"),
+    (
+        Forall("X", INT, Var("X")),
+        QUANTIFIER_BODY_NOT_BOOL,
+        (0,),
+        "quantifier body has sort $int, expected $o",
+    ),
+]
+
+
+def _surroundings(s):
+    c, pa = App("c"), App("p", (App("a"),))
+    return [
+        # under the second argument of q and of g
+        (lambda hole: App("q", (c, App("f", (App("g", (c, hole)),)))), (1, 0, 1)),
+        # under both sides of an equation
+        (lambda hole: Eq(App("g", (c, App("f", (hole,)))), c), (0, 1, 0)),
+        (lambda hole: Eq(c, App("f", (App("g", (hole, c)),))), (1, 0, 0)),
+        # under both branches of an if-then-else
+        (lambda hole: App("q", (c, Ite(pa, App("f", (hole,)), c))), (1, 1, 0)),
+        (lambda hole: App("q", (c, Ite(pa, c, App("f", (hole,))))), (1, 2, 0)),
+        # under a quantifier body
+        (lambda hole: Forall("X", s, Forall("Z", s, App("q", (Var("X"), hole)))), (0, 0, 1)),
+        # under the definition body and the scope of a let
+        (
+            lambda hole: Let(
+                "h", (("X", s),), App("f", (App("g", (Var("X"), hole)),)), App("q", (App("h", (c,)), c))
+            ),
+            (0, 0, 1),
+        ),
+        (lambda hole: Let("k", (), c, App("q", (App("k"), App("f", (hole,))))), (1, 1, 0)),
+    ]
+
+
+def test_nested_errors_carry_their_paths(ctx):
+    """Every error kind reports the path of its subterm at depth three
+    and more, under each kind of node."""
+    s = ctx.sig.sort("s")
+    ctx = ctx.with_fn("g", TypeSig((s, s), s)).with_fn("q", TypeSig((s, s), BOOL))
+    for surround, hole in _surroundings(s):
+        for fault, kind, below, message in _FAULTS:
+            with pytest.raises(SortError) as err:
+                infer_sort(ctx, surround(fault))
+            assert (err.value.kind, err.value.path, str(err.value)) == (kind, hole + below, message)
