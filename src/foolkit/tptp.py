@@ -105,8 +105,8 @@ _TOKEN_RE = re.compile(
     re.X,
 )
 
-# The kind of a token by its first character; the others are the
-# non-ASCII digits ``\d`` matches.
+# The kind of a token by its first character.  A token that starts with
+# any other character is a run of the non-ASCII digits ``\d`` matches.
 _KIND = {
     "$": "dollar",
     "'": "quoted",
