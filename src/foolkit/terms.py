@@ -547,8 +547,8 @@ def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
 def contexts(t: Term) -> Iterator[tuple[Term, str, str]]:
     """Every subterm of ``t`` with its strict and effective context, in the
     order of ``occurrences``; iterative, with no paths and no binders.
-    It keeps its own copy of ``child_context``: one dispatch per node
-    pushes all the children with their contexts."""
+    One dispatch per node pushes all the children with their contexts,
+    so this is a second copy of ``child_context``'s rule: change both."""
     stack = [(t, NO_CONTEXT, FORMULA_CONTEXT)]
     push, pop = stack.append, stack.pop
     while stack:

@@ -358,9 +358,9 @@ def test_parse_errors_are_pinned():
     assert got == golden
 
 
-# The lexer as it was written before it became one ``findall``: one
-# ``finditer`` match per token and per skipped run, the kind from the
-# name of the group that matched.
+# The reference lexer: one ``finditer`` match per token and per skipped
+# run, the kind from the name of the group that matched.  ``_lex`` must
+# give the same tokens, or the same error.
 _REFERENCE_TOKEN_RE = re.compile(
     r"""(?P<skip>\s+|%[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)
       | (?P<dollar>\$[a-z][A-Za-z0-9_]*)
