@@ -13,19 +13,22 @@ and runs it once; the oracle compiles the input formula, each
 definition and the rewritten formula once per check and then only sets
 cells.
 
-A closure that reads a cell missing from the store raises KeyError with
-the cell, and the oracle searches table cells depth-first on that
-signal, as SEM does (Zhang and Zhang, IJCAI 1995): a cell gets a value
-only when a closure first reads it, and the run is resumed once per
-value of its carrier.  A run that finishes stands for the block of every
+The oracle searches table cells depth-first as SEM does (Zhang and
+Zhang, IJCAI 1995): its cell store decides a cell when a closure first
+reads it, giving it the first value of its carrier and putting it on the
+trail of the search that owns its table slot.  Once a run ends, the
+search advances the last cell on its trail that has a value left,
+forgets the cells decided after it and resumes at the step that first
+read it.  A run that finishes stands for the block of every
 interpretation agreeing with it on the cells it read, because the
-closures are deterministic and saw no other cell.  The search is
-for-all over the symbols of the input and there-exists over the fresh
-symbols of the translation: inside the extension search a fresh cell
-branches in place, while a first read of a base cell restarts the whole
-base run with that cell split.  What is pruned depends only on which
-cells the oracle's own closures read, never on what the translation
-claims.
+closures are deterministic and saw no other cell.  The search is for-all
+over the symbols of the input and there-exists over the fresh symbols of
+the translation, and each of the two keeps its own trail: a base cell
+first read inside the extension search joins the base trail, so the
+extension search goes on, and the base search later re-runs the whole
+base run once per other value of that cell.  What is pruned depends only
+on which cells the oracle's own closures read, never on what the
+translation claims.
 """
 
 from __future__ import annotations
@@ -423,37 +426,83 @@ def enumerate_interpretations(
         yield Interpretation(sizes, tables)
 
 
-def _split(steps, cells: dict, ranges: dict, leaf, start: int = 0) -> bool:
+class _Search:
+    """A running search: the value ranges of its table slots, the index of
+    the step it is running, and its trail of (cell, the values the cell
+    has left, the index of the step that first read it), in the order the
+    cells were decided."""
+
+    __slots__ = ("ranges", "step", "trail")
+
+    def __init__(self, ranges: dict) -> None:
+        self.ranges = ranges
+        self.step = 0
+        self.trail: list = []
+
+
+class _SearchCells(dict):
+    """The oracle's cell store.  A read of a missing cell whose table slot
+    a running search owns decides the cell: it takes the first value of
+    its carrier and goes on that search's trail.  A missing cell of any
+    other slot raises KeyError."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.searches: dict[int, _Search] = {}  # table slot -> its running search
+
+    def __missing__(self, cell: tuple[int, ...]) -> int:
+        search = self.searches.get(cell[0])
+        if search is None:
+            raise KeyError(cell)
+        values = iter(search.ranges[cell[0]])
+        value = self[cell] = next(values)
+        search.trail.append((cell, values, search.step))
+        return value
+
+
+def _split(steps, cells: _SearchCells, ranges: dict, leaf) -> bool:
     """Run the steps in order under every way of giving values to the
     cells they read among those of the table slots in ``ranges``.
 
-    A step that returns a false value ends its run.  A run that reads
-    such a cell while it is missing from ``cells`` is resumed at the same
-    step once per value of ``ranges[slot]``, in order: the steps before it
-    read only cells that stay as they were.  A missing cell of another
-    slot propagates to the caller's search.  Each run that ends passes the
-    value of its last step to ``leaf``; once ``leaf`` returns a true
-    value the search stops and returns True.
+    A step that returns a false value ends its run, and the value of the
+    last step run goes to ``leaf``; once ``leaf`` returns a true value the
+    search stops and returns True.  Each cell of these slots is decided
+    when a step first reads it.  After a run the search advances the last
+    cell on its trail that has a value left, forgets the cells decided
+    after it and resumes at the step that first read it: the steps before
+    that one read only cells that stay as they were.  When no cell has a
+    value left it returns False.  Either way it forgets every cell it
+    decided.
     """
-    i, result = start, 1
+    search = _Search(ranges)
+    cells.searches.update(dict.fromkeys(ranges, search))
+    trail = search.trail
+    start = 0
     try:
-        for i in range(start, len(steps)):
-            result = steps[i]()
-            if not result:
-                break
-    except KeyError as unread:
-        cell = unread.args[0]
-        if cell[0] not in ranges:
-            raise
-    else:
-        return leaf(result)
-    try:
-        for cells[cell] in ranges[cell[0]]:
-            if _split(steps, cells, ranges, leaf, i):
+        while True:
+            result = 1
+            for i in range(start, len(steps)):
+                search.step = i
+                result = steps[i]()
+                if not result:
+                    break
+            if leaf(result):
                 return True
+            while trail:
+                cell, values, start = trail[-1]
+                value = next(values, None)
+                if value is not None:
+                    cells[cell] = value
+                    break
+                del cells[cell]
+                trail.pop()
+            else:
+                return False
     finally:
-        del cells[cell]
-    return False
+        for cell, _, _ in trail:
+            del cells[cell]
+        for slot in ranges:
+            del cells.searches[slot]
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +569,14 @@ def check_model_preservation(
 
     sizes = dict(spec.sizes)
     program = _Program(sizes, frozenset(fn for fn, (_, rng) in shape.items() if rng == 1))
+    cells = program.cells = _SearchCells()
     phi_holds = program.compile(phi)
     # each check runs as one step per point of its leading universal
-    # quantifiers, so a split resumes at the point that read the cell; a
+    # quantifiers, so a new cell value resumes at the point that read it; a
     # check gets no more steps than the fresh tables have cells
     fresh_cells = sum(math.prod(args) for args, rng in map(shape.get, fresh) if rng > 1)
     translation = [step for d in checks for step in program.compile_points(d, fresh_cells)]
     _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
-    cells = program.cells
     base_ranges, fresh_ranges = (
         {program.fns[fn]: range(shape[fn][1]) for fn in names if fn in program.fns}
         for names in (base, fresh)

@@ -131,11 +131,12 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 def _lex(text: str) -> list[Token]:
     tokens = []
     pos = 0
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     for skip, tok in _TOKEN_RE.findall(text):
         pos += len(skip)
         if not tok:
             break
-        tokens.append(Token(_KIND.get(tok[0], "int"), tok, pos))
+        tokens.append(new(Token, (_KIND.get(tok[0], "int"), tok, pos)))
         pos += len(tok)
     if pos < len(text):
         raise ParseError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))

@@ -38,6 +38,7 @@ from foolkit import (
     run_translation,
 )
 from generate import TermGen
+from foolkit import semantics
 from foolkit.semantics import DEFAULT_CAP, table_count
 from foolkit.terms import BUILTIN_FNS, FALSE, TRUE, Sort, free_fns, subst_free_vars, term_to_str
 from test_acceptance import MUTATION_FIXTURES, MUTATIONS, translate_problem
@@ -347,40 +348,35 @@ def _pinned(report):
     return {"checked": report.checked, "render": report.render().split("\n")}
 
 
-def test_oracle_reports_are_pinned():
-    """Every corpus problem, every seeded mutation and the random closed
-    formulas of the property suite give the recorded report: the same
-    verdict, count and counterexample lines in the same order."""
+def oracle_reports():
+    """The reports ``golden/preservation.json`` holds: every corpus
+    problem, every seeded mutation and the random closed formulas of the
+    property suite, each with its count and counterexample lines."""
     import corpus
-    import helpers
-    from test_acceptance import MUTATION_FIXTURES, MUTATIONS, translate_problem
-    from test_properties import closed, lean_generator
 
-    golden = json.loads((GOLDEN / "preservation.json").read_text())
+    corpus_reports = {}
     for name, text, sizes in corpus.PRESERVATION:
         problem, phi, state = translate_problem(text)
         report = check_model_preservation(phi, state, helpers.domain_spec_for(problem, sizes))
-        assert _pinned(report) == golden["corpus"][name], name
-    assert len(golden["corpus"]) == len(corpus.PRESERVATION)
+        corpus_reports[name] = _pinned(report)
 
     states = {}
     for name, text in MUTATION_FIXTURES.items():
         problem, phi, state = translate_problem(text)
         states[name] = (phi, state, helpers.domain_spec_for(problem))
-    got = []
+    mutations = []
     for name, mutate, args in MUTATIONS:
         phi, state, spec = states[name]
         report = check_model_preservation(phi, mutate(state, *args), spec)
-        got.append({"fixture": name, "mutation": mutate.__name__, "args": list(args), **_pinned(report)})
-    assert got == golden["mutations"]
+        mutations.append({"fixture": name, "mutation": mutate.__name__, "args": list(args), **_pinned(report)})
 
     gen, s = lean_generator(99)
     ctx = TypeContext.of(gen.sig)
     spec = DomainSpec({s: 2})
-    got = []
+    random_reports = []
     checked = 0
     # the same draws as test_random_formulas_translate_and_preserve
-    while checked < 60 and len(got) < 400:
+    while checked < 60 and len(random_reports) < 400:
         phi = closed(gen, gen.formula())
         state = run_translation(phi, ctx)
         item = {"formula": term_to_str(phi)}
@@ -389,8 +385,18 @@ def test_oracle_reports_are_pinned():
             checked += 1
         except EnumerationOverflow:
             item["overflow"] = True
-        got.append(item)
-    assert got == golden["random"]
+        random_reports.append(item)
+    return {"corpus": corpus_reports, "mutations": mutations, "random": random_reports}
+
+
+def test_oracle_reports_are_pinned():
+    """Each report is the recorded one: the same verdict, count and
+    counterexample lines in the same order."""
+    got = oracle_reports()
+    golden = json.loads((GOLDEN / "preservation.json").read_text())
+    assert got.keys() == golden.keys()
+    for part in golden:
+        assert got[part] == golden[part], part
 
 
 # ---------------------------------------------------------------------------
@@ -541,3 +547,120 @@ def test_table_count_stops_at_the_cap():
     assert table_count(ctx, DomainSpec({S: 10**6}), ["c"], cap=10**6) == 10**6
     ones = stage({"u": TypeSig((S, S), Sort("one"))})[0]
     assert table_count(ones, DomainSpec({S: 10**5, Sort("one"): 1}), ["u"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the cell search
+
+
+def _forall_p(size):
+    """``![X : s] : p(X)``, its (empty) translation and a spec of ``size``."""
+    problem, phi, state = translate_problem(
+        "tff(s_s, type, s : $tType).\ntff(d_p, type, p : s > $o).\n"
+        "tff(f1, axiom, ![X : s] : p(X)).\n"
+    )
+    return phi, state, helpers.domain_spec_for(problem, {"s": size})
+
+
+def test_a_deep_search_takes_no_stack_frame_per_cell():
+    """Each of the 1200 cells of p is decided in a loop, not a recursion,
+    so a search far deeper than the recursion limit still answers."""
+    phi, state, spec = _forall_p(1200)
+    report = check_model_preservation(phi, state, spec, cap=10**1000)
+    assert report.render() == f"OK {2**1200}"
+    assert report.checked == 2**1200
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Counts the runs of phi's closure ("phi"), of each translation step
+    (0, 1, ... in order) and the calls of ``_split`` ("split") made by
+    check_model_preservation."""
+    counter = {}
+    numbers = itertools.count()
+
+    def counted(key, f):
+        counter.setdefault(key, 0)
+
+        def run(*args):
+            counter[key] += 1
+            return f(*args)
+        return run
+
+    compile_phi, compile_points = semantics._Program.compile, semantics._Program.compile_points
+    monkeypatch.setattr(semantics._Program, "compile", lambda *a: counted("phi", compile_phi(*a)))
+    monkeypatch.setattr(
+        semantics._Program,
+        "compile_points",
+        lambda *a: [counted(next(numbers), step) for step in compile_points(*a)],
+    )
+    monkeypatch.setattr(semantics, "_split", counted("split", semantics._split))
+    return counter
+
+
+def test_phi_runs_once_per_block(runs):
+    """p(0) = 0, then p(0) = 1 and p(1) = 0, and so on: four blocks, each
+    run once, and no run cut short at the first read of a cell."""
+    phi, state, spec = _forall_p(3)
+    assert check_model_preservation(phi, state, spec).render() == "OK 8"
+    # one translation step, run once per block; one search over the
+    # base cells and one over the (absent) fresh cells per block
+    assert runs == {"phi": 4, 0: 4, "split": 5}
+
+
+# aa & ... short-circuits past bb, which the naming definition of
+# bb & cc reads inside the extension search
+SHORT_CIRCUIT = (
+    "tff(s_s, type, s : $tType).\ntff(d_f, type, f : $o > s).\n"
+    "tff(d_aa, type, aa : $o).\ntff(d_bb, type, bb : $o).\ntff(d_cc, type, cc : $o).\n"
+    "tff(f1, axiom, aa & f(bb & cc) = f($false)).\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, counts",
+    [
+        (SHORT_CIRCUIT, {"phi": 11, 0: 18, 1: 11, "split": 12}),
+        (MUTATION_FIXTURES["step2-pair"], {"phi": 12, 0: 18, 1: 22, 2: 12, "split": 13}),
+    ],
+    ids=["short-circuit", "step2-pair"],
+)
+def test_each_step_runs_once_per_leaf_of_its_search(runs, text, counts):
+    """Each base block runs phi once and searches the fresh cells once.
+    A step runs once per way the search reaches it, as far as the search
+    goes, and is never re-run for a cell it read first: a cell first read
+    by the second definition resumes the search there, not at the first.
+
+    In the short circuit, 11 blocks run the definition once per value of
+    the fresh cell it reads, 18 times, and the rewritten formula once per
+    run where the definition holds."""
+    problem, phi, state = translate_problem(text)
+    assert check_model_preservation(phi, state, helpers.domain_spec_for(problem)).ok
+    assert runs == counts
+
+
+@pytest.mark.parametrize(
+    "mutate, directions",
+    [(None, set()), (helpers.mutate_negate_named, {"extension", "reduct"})],
+)
+def test_a_base_cell_first_read_in_the_extension_search(monkeypatch, mutate, directions):
+    """When aa is false phi never reads bb, the definition does: bb is
+    decided by the base search while the extension search runs, and the
+    report is still the brute-force one."""
+    late = []
+    missing = semantics._SearchCells.__missing__
+
+    def decide(cells, cell):
+        # the search that owns the cell is not the one that started last
+        late.append(cells.searches[cell[0]] is not [*cells.searches.values()][-1])
+        return missing(cells, cell)
+    monkeypatch.setattr(semantics._SearchCells, "__missing__", decide)
+
+    problem, phi, state = translate_problem(SHORT_CIRCUIT)
+    translated = mutate(state, 0) if mutate else state
+    spec = helpers.domain_spec_for(problem)
+    report = check_model_preservation(phi, translated, spec)
+    assert any(late)
+    lines = report.render().split("\n")
+    assert {line.split()[1] for line in lines if line.startswith("COUNTEREXAMPLE")} == directions
+    assert (report.checked, report.render()) == brute_force_report(phi, translated, spec)
