@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import time
 
-from .prover import AXIOM_MODE, Clause, Literal, ProverConfig, RULE_MODE, saturate
-from .terms import App, BOOL, FALSE, Signature, TRUE, TypeContext, TypeSig, Var
+from .prover import AXIOM_MODE, Clause, Literal, ProverConfig, RULE_MODE, clausify, saturate
+from .terms import App, BOOL, Signature, TRUE, TypeContext, TypeSig
+from .translate import FolProblem
 
 
 def bench_fixture(k: int) -> tuple[list[Clause], TypeContext]:
@@ -29,16 +30,11 @@ def bench_fixture(k: int) -> tuple[list[Clause], TypeContext]:
 
 
 def _support_clauses(mode: str) -> list[Clause]:
-    """Distinctness of the truth constants, plus the two-element domain
-    clause in axiom mode (rule mode replaces it with the inference rule)."""
-    x = Var("X0")
-    distinct = Clause((Literal(False, TRUE, FALSE),), {})
-    if mode == AXIOM_MODE:
-        domain = Clause(
-            (Literal(True, x, TRUE), Literal(True, x, FALSE)), {"X0": BOOL}
-        )
-        return [domain, distinct]
-    return [distinct]
+    """The clauses of the two boolean axioms every lowered problem has:
+    the distinctness of the truth constants, plus the two-element domain
+    in axiom mode (rule mode replaces it with the inference rule)."""
+    domain, distinct = clausify(FolProblem((), TRUE, TypeContext.of(Signature()), {})).clauses
+    return [domain, distinct] if mode == AXIOM_MODE else [distinct]
 
 
 def run_bench(k_values, max_clauses: int, max_seconds: float):

@@ -14,7 +14,7 @@ import sys
 
 from .bench import run_bench
 from .prover import AXIOM_MODE, ClauseExplosion, ProverConfig, RULE_MODE, clausify, saturate
-from .semantics import DomainSpec, EnumerationOverflow, check_model_preservation
+from .semantics import DEFAULT_CAP, DomainSpec, EnumerationOverflow, check_model_preservation
 from .translate import run_translation, to_fol
 from .tptp import ParseError, parse_problem, print_fol_tff0
 from .typecheck import SortError
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check model preservation by enumeration")
     p_ver.add_argument("input")
     p_ver.add_argument("--domains", help="carrier sizes, e.g. s=2,list=3 (default 2)")
-    p_ver.add_argument("--cap", type=_positive(int), default=10_000_000, help="interpretation cap")
+    p_ver.add_argument("--cap", type=_positive(int), default=DEFAULT_CAP, help="interpretation cap")
     add_common(p_ver)
     p_ver.set_defaults(fn=cmd_verify)
 
@@ -230,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("input")
     p_prove.add_argument("--mode", choices=[AXIOM_MODE, RULE_MODE], default=RULE_MODE)
     p_prove.add_argument(
-        "--max-clauses", type=_positive(int), default=100_000, help=MAX_CLAUSES_HELP
+        "--max-clauses", type=_positive(int), default=ProverConfig.max_clauses, help=MAX_CLAUSES_HELP
     )
-    p_prove.add_argument("--max-seconds", type=_positive(float), default=10.0)
+    p_prove.add_argument("--max-seconds", type=_positive(float), default=ProverConfig.max_seconds)
     add_common(p_prove)
     p_prove.set_defaults(fn=cmd_prove)
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--max-clauses", type=_positive(int), default=2_000, help=MAX_CLAUSES_HELP
     )
-    p_bench.add_argument("--max-seconds", type=_positive(float), default=10.0)
+    p_bench.add_argument("--max-seconds", type=_positive(float), default=ProverConfig.max_seconds)
     p_bench.set_defaults(fn=cmd_bench)
 
     return parser

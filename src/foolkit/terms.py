@@ -11,9 +11,11 @@ says which context a position puts the subterm there in, strict and
 effective, and ``binders`` says what a node binds in each child (a
 quantifier its variable in its body, a let its formals in its body and
 its symbol in its scope).  ``child_occurrence`` reads both, and through
-``redex_kind`` they say which lowering step applies to a subterm.
-``subst_free_vars``, the let lift's renaming and the lowering driver's
-clash sets in ``translate`` read ``binders`` too.  Two walks read the
+``redex_kind`` they say which lowering step applies to a subterm: the
+lowering driver and the single-step API in ``translate`` apply a step
+only where it names one.  ``subst_free_vars`` (which also rewrites the
+applications of a lifted let symbol), the let lift's renaming and the
+driver's clash sets read ``binders`` too.  Two walks read the
 classifier:
 
 * ``contexts`` yields each subterm with its two contexts and nothing
@@ -109,6 +111,8 @@ TRUE_NAME = "$true"
 FALSE_NAME = "$false"
 
 CONNECTIVES = frozenset({NOT, AND, OR, IMPLIES, IFF})
+# the binary connectives as they are written, in the input and the output
+INFIX = {AND: "&", OR: "|", IMPLIES: "=>", IFF: "<=>"}
 BUILTIN_FNS = frozenset(CONNECTIVES | {TRUE_NAME, FALSE_NAME})
 
 # Prefix of the symbols introduced by translation and clausification; each
@@ -127,7 +131,7 @@ class Signature:
         self.sorts: dict[str, Sort] = {BOOL.name: BOOL}
         self.fns: dict[str, TypeSig] = {}
         bb = (BOOL, BOOL)
-        for name in (AND, OR, IMPLIES, IFF):
+        for name in INFIX:
             self.fns[name] = TypeSig(bb, BOOL)
         self.fns[NOT] = TypeSig((BOOL,), BOOL)
         self.fns[TRUE_NAME] = TypeSig((), BOOL)
@@ -682,29 +686,38 @@ def is_syntactically_first_order(t: Term) -> FirstOrderCheck:
 # substitution
 
 
-def subst_free_vars(t: Term, mapping: dict[str, Term]) -> Term:
-    """Replace free variable occurrences; stops at shadowing binders.
+def subst_free_vars(
+    t: Term, mapping: dict[str, Term], fns: dict[str, tuple[str, tuple[Term, ...]]] = {}
+) -> Term:
+    """Replace free variable occurrences, and turn each free application
+    ``f(args)`` of a symbol ``f`` that ``fns`` maps to ``(g, extra)`` into
+    ``g(args, extra)``; both stop at shadowing binders.
 
     Replacement terms are inserted as-is, so the caller must ensure they
     cannot be captured (the translation only inserts fresh variables).
     A subtree with nothing to replace is returned as the same object.
     """
-    if not mapping:
+    if not mapping and not fns:
         return t
     if isinstance(t, Var):
         return mapping.get(t.name, t)
     new = []
     for i, kid in enumerate(children(t)):
-        bound = {x for x, _ in binders(t, i)[0]}
-        inner = {k: v for k, v in mapping.items() if k not in bound} if bound else mapping
-        new.append(subst_free_vars(kid, inner))
+        variables, fn = binders(t, i)
+        inner = mapping
+        if variables:  # most nodes bind nothing, so build no set for them
+            bound = {x for x, _ in variables}
+            inner = {k: v for k, v in mapping.items() if k not in bound}
+        inner_fns = {k: v for k, v in fns.items() if k != fn} if fn in fns else fns
+        new.append(subst_free_vars(kid, inner, inner_fns))
+    if isinstance(t, App) and t.fn in fns:
+        g, extra = fns[t.fn]
+        return App(g, tuple(new) + extra)
     return with_children(t, tuple(new))
 
 
 # ---------------------------------------------------------------------------
 # debug rendering
-
-_INFIX = {AND: "&", OR: "|", IMPLIES: "=>", IFF: "<=>"}
 
 
 def term_to_str(t: Term) -> str:
@@ -714,8 +727,8 @@ def term_to_str(t: Term) -> str:
     if isinstance(t, App):
         if t.fn == NOT:
             return f"~{_wrap(t.args[0])}"
-        if t.fn in _INFIX:
-            op = _INFIX[t.fn]
+        if t.fn in INFIX:
+            op = INFIX[t.fn]
             return f"({_wrap(t.args[0])} {op} {_wrap(t.args[1])})"
         if not t.args:
             return t.fn

@@ -45,9 +45,8 @@ from .terms import (
     FALSE,
     FALSE_NAME,
     Forall,
-    IFF,
-    IMPLIES,
     INDIVIDUAL,
+    INFIX,
     INT,
     Ite,
     Let,
@@ -218,8 +217,7 @@ class Problem:
 # ---------------------------------------------------------------------------
 # parser / loader
 
-_BINOPS = {"&", "|", "=>", "<=>"}
-_CONNECTIVE_OF = {"&": AND, "|": OR, "=>": IMPLIES, "<=>": IFF}
+_CONNECTIVE_OF = {op: fn for fn, op in INFIX.items()}
 _LEGACY_ITE = {"$ite", "$ite_t", "$ite_f"}
 _LEGACY_LET = {"$let", "$let_tt", "$let_tf", "$let_ft", "$let_ff"}
 
@@ -390,7 +388,7 @@ class _Parser:
                 self.next()
                 items.append(self.parse_unit())
             nxt = self.peek()
-            if nxt.text in _BINOPS:
+            if nxt.text in _CONNECTIVE_OF:
                 raise self.error("mixing binary operators requires parentheses", nxt)
             out = items[0]
             for item in items[1:]:
@@ -400,7 +398,7 @@ class _Parser:
             self.next()
             right = self.parse_unit()
             nxt = self.peek()
-            if nxt.text in _BINOPS:
+            if nxt.text in _CONNECTIVE_OF:
                 raise self.error(f"{tok.text} is not associative; use parentheses", nxt)
             return App(_CONNECTIVE_OF[tok.text], (first, right))
         if tok.text == "<~>":
@@ -801,15 +799,9 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
             if isinstance(arg, (Forall, Exists)) or _is_equality_shaped(arg):
                 return f"~({inner})"
             return f"~{inner}"
-        if t.fn in (AND, OR):
-            op = "&" if t.fn == AND else "|"
-            items = _flatten_chain(t.fn, t)
-            return "(" + f" {op} ".join(_render(x, ctx, strict, True) for x in items) + ")"
-        if t.fn in (IMPLIES, IFF):
-            op = "=>" if t.fn == IMPLIES else "<=>"
-            a = _render(t.args[0], ctx, strict, True)
-            b = _render(t.args[1], ctx, strict, True)
-            return f"({a} {op} {b})"
+        if t.fn in INFIX:
+            items = _flatten_chain(t.fn, t) if t.fn in (AND, OR) else t.args
+            return "(" + f" {INFIX[t.fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
         name = _atom_str(t.fn)
         if not t.args:
             return name

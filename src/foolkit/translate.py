@@ -13,8 +13,10 @@ steps do all the work:
   4. a let definition is lifted to a fresh top-level symbol that takes
      the let term's free variables as extra arguments.
 
-Steps 2-4 name their term by one ``_fresh_symbol``, and the let lift
-reads what a let binds from ``terms.binders``.
+A step applies where ``terms.redex_kind`` names it, in the driver and
+the single-step API alike.  Steps 2-4 name their term by one
+``_fresh_symbol``, and the let lift reads what a let binds from
+``terms.binders``.
 
 The driver lowers ``current``, then each definition a let step adds (in
 order, including those added meanwhile), in one post-order pass each: a
@@ -49,11 +51,9 @@ from .terms import (
     FALSE,
     Forall,
     FORMULA_CONTEXT,
-    Ite,
     Let,
     FRESH_PREFIX,
     Sort,
-    TERM_CONTEXT,
     TRUE,
     Term,
     TypeContext,
@@ -157,9 +157,9 @@ def redex_measure(phi: Term) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the four steps: each core checks the occurrence, adds the fresh symbol
-# and its definitions to the state, and returns the occurrence's
-# replacement; the caller has checked that nothing clashes
+# the four steps: each core adds the fresh symbol and its definitions to
+# the state and returns the occurrence's replacement; the caller has
+# checked that ``redex_kind`` names the core's step and nothing clashes
 
 
 def _free_vars_with_sorts(t: Term, ctx: TypeContext) -> list[tuple[str, Sort]]:
@@ -174,10 +174,6 @@ def _free_vars_with_sorts(t: Term, ctx: TypeContext) -> list[tuple[str, Sort]]:
 
 def _bool_var(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
-    if not isinstance(t, Var):
-        raise ValueError("path does not address a variable")
-    if occ.strict != FORMULA_CONTEXT:
-        raise ValueError("variable occurrence is not in a formula context")
     if state.ctx.with_vars(occ.variables).var_sort(t.name) != BOOL:
         raise ValueError("variable is not boolean")
     return Eq(t, TRUE)
@@ -195,17 +191,7 @@ def _fresh_symbol(state: TranslationState, binds: list[tuple[str, Sort]], sort: 
 
 def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
     psi = occ.term
-    if occ.strict != TERM_CONTEXT:
-        raise ValueError("occurrence is not in a term context")
-    if isinstance(psi, Var):
-        raise ValueError("a bare variable is not renamed (step 1 territory)")
-    if psi == TRUE or psi == FALSE:
-        raise ValueError("the truth constants stay in place")
-    ctx = state.ctx.with_vars(occ.variables)
-    if infer_sort(ctx, psi) != BOOL:
-        raise ValueError("occurrence is not a formula")
-
-    binds = _free_vars_with_sorts(psi, ctx)
+    binds = _free_vars_with_sorts(psi, state.ctx.with_vars(occ.variables))
     gapp = _fresh_symbol(state, binds, BOOL)
     state.defs.append(forall_prefix(binds, liff(psi, Eq(gapp, TRUE))))
     return gapp
@@ -213,8 +199,6 @@ def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
 
 def _ite(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
-    if not isinstance(t, Ite):
-        raise ValueError("path does not address an if-then-else term")
     ctx = state.ctx.with_vars(occ.variables)
     binds = _free_vars_with_sorts(t, ctx)
     gapp = _fresh_symbol(state, binds, infer_sort(ctx, t.then))
@@ -242,22 +226,8 @@ def _rename_bound_in(t: Term, names: set[str], state: TranslationState) -> Term:
     return type(t)(var, sort, body)
 
 
-def _replace_fn_apps(t: Term, fn: str, g: str, extra: tuple[Term, ...]) -> Term:
-    """Rewrite applications of free occurrences of ``fn`` to ``g`` with the
-    extra arguments appended; shadowing lets cut the replacement off.  A
-    subtree with no free occurrence is returned as the same object."""
-    if isinstance(t, Let) and t.fn == fn:
-        return with_children(t, (_replace_fn_apps(t.body, fn, g, extra), t.scope))
-    new = tuple(_replace_fn_apps(kid, fn, g, extra) for kid in children(t))
-    if isinstance(t, App) and t.fn == fn:
-        return App(g, new + extra)
-    return with_children(t, new)
-
-
 def _let(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
-    if not isinstance(t, Let):
-        raise ValueError("path does not address a let term")
     ctx = state.ctx.with_vars(occ.variables)
     outer = _free_vars_with_sorts(t, ctx)  # the ys with their sorts
     zs = [(state.fresh_var(), s) for _, s in t.params]
@@ -267,7 +237,7 @@ def _let(state: TranslationState, occ: Occurrence) -> Term:
     gapp = _fresh_symbol(state, zs + outer, infer_sort(ctx.with_vars(t.params), t.body))
     state.defs.append(forall_prefix(zs + outer, Eq(gapp, s_prime)))
     scope = _rename_bound_in(t.scope, {y for y, _ in outer}, state)
-    return _replace_fn_apps(scope, t.fn, gapp.fn, gapp.args[len(zs):])
+    return subst_free_vars(scope, {}, {t.fn: (gapp.fn, gapp.args[len(zs):])})
 
 
 _CORES = {
@@ -281,6 +251,8 @@ _CORES = {
 def _single_step(state: TranslationState, kind: str, path: tuple[int, ...], target: Target) -> TranslationState:
     chi = state.formula_at(target)
     occ = occurrence_at(chi, path)
+    if redex_kind(occ.term, occ.strict) != kind:
+        raise ValueError(f"no {kind} step applies at {path!r}")
     # a step applies only where no let symbol bound above occurs free, so
     # its context needs only the variables bound above it
     clash = free_fns(occ.term) & occ.lets
@@ -300,7 +272,8 @@ def step1_bool_var(state: TranslationState, path: tuple[int, ...], target: Targe
 def step2_formula_in_term_ctx(
     state: TranslationState, path: tuple[int, ...], target: Target = "current"
 ) -> TranslationState:
-    """Name a formula standing in a term context by a fresh symbol."""
+    """Name a non-atomic formula standing in a term context by a fresh
+    symbol; atoms, truth constants and bare variables stay in place."""
     return _single_step(state, "formula-in-term", path, target)
 
 

@@ -55,6 +55,7 @@ from foolkit.terms import (
     free_fns,
     occurrences,
     redex_kind,
+    subst_free_vars,
     subterm_positions,
     term_to_str,
 )
@@ -62,7 +63,6 @@ from foolkit.translate import (
     TranslationState,
     _Pass,
     _rename_bound_in,
-    _replace_fn_apps,
     redex_measure,
 )
 
@@ -129,13 +129,13 @@ def test_step2_closed_formula_gets_nullary_name(ctx):
 
 def test_step2_open_formula_quantifies_free_vars(ctx):
     s = ctx.sig.sort("s")
-    phi = Forall("X", s, Eq(App("f", (App("pr", (Var("X"),)),)), App("c")))
+    phi = Forall("X", s, Eq(App("f", (lnot(App("pr", (Var("X"),))),)), App("c")))
     state = TranslationState(phi, ctx)
     step2_formula_in_term_ctx(state, (0, 0, 0))
     g = state.fresh_symbols[0]
     definition = state.defs[0]
     assert definition == Forall(
-        "X", s, liff(App("pr", (Var("X"),)), Eq(App(g, (Var("X"),)), TRUE))
+        "X", s, liff(lnot(App("pr", (Var("X"),))), Eq(App(g, (Var("X"),)), TRUE))
     )
     assert free_vars(definition) == set()
     assert state.ctx.fn_sig(g) == TypeSig((s,), BOOL)
@@ -735,6 +735,32 @@ def test_recorded_steps_replay_through_single_step_api():
         assert replay.steps == state.steps, name
 
 
+def test_single_steps_apply_exactly_where_the_classifier_says():
+    """Each of the four steps at every path of every pinned input, on a
+    fresh state: it applies where ``redex_kind`` names it and no let symbol
+    bound above occurs free, and raises ``ValueError`` everywhere else."""
+    for name, phi, ctx in _translation_inputs():
+        for path, occ in occurrences(phi):
+            eligible = not free_fns(occ.term) & occ.lets
+            for kind, step in _STEPS.items():
+                state = TranslationState(phi, ctx)
+                if eligible and redex_kind(occ.term, occ.strict) == kind:
+                    step(state, path)
+                    assert state.steps == [(kind, "current", path)], name
+                else:
+                    with pytest.raises(ValueError):
+                        step(state, path)
+
+
+def test_step1_refuses_a_variable_that_is_not_boolean(ctx):
+    """The state does not sort-check its formula, so step 1 checks the
+    variable's sort itself."""
+    s = ctx.sig.sort("s")
+    state = TranslationState(Forall("X", s, lor(Var("X"), App("p0"))), ctx)
+    with pytest.raises(ValueError, match="^variable is not boolean$"):
+        step1_bool_var(state, (0, 0))
+
+
 # ---------------------------------------------------------------------------
 # the context walk, and lowering a let's scope again after the lift
 
@@ -822,10 +848,15 @@ def test_lift_rewrites_keep_untouched_subtrees(ctx):
     kept = Forall("Y", s, App("pr", (App("h", (Var("Y"),)),)))
     touched = App("pr", (App("k"),))
     scope = land(touched, kept)
-    got = _replace_fn_apps(scope, "k", "g", (Var("X"),))
+    lifted = {"k": ("g", (Var("X"),))}
+    got = subst_free_vars(scope, {}, lifted)
     assert got == land(App("pr", (App("g", (Var("X"),)),)), kept)
     assert got.args[1] is kept
-    assert _replace_fn_apps(kept, "k", "g", (Var("X"),)) is kept
+    assert subst_free_vars(kept, {}, lifted) is kept
+    # a let that binds the symbol again shadows it in its scope, not in its body
+    shadowed = subst_free_vars(Let("k", (), App("k"), touched), {}, lifted)
+    assert shadowed == Let("k", (), App("g", (Var("X"),)), touched)
+    assert shadowed.scope is touched
     renamed = _rename_bound_in(scope, {"Y"}, state)
     assert renamed.args[0] is touched
     assert renamed.args[1].var != "Y"
