@@ -7,7 +7,7 @@ formula, and every model of those must already satisfy the input.  A
 deliberately corrupted translation shows the oracle has teeth.
 """
 
-import dataclasses
+import copy
 
 from foolkit import (
     DomainSpec,
@@ -50,7 +50,8 @@ state = run_translation(phi, problem.ctx)
 sizes = {problem.signature.sort("srt"): 2}
 print()
 print("honest: ", check_model_preservation(phi, state, DomainSpec(sizes)).render())
-corrupted = dataclasses.replace(state, defs=[])
+corrupted = copy.copy(state)
+corrupted.defs = []
 report = check_model_preservation(phi, corrupted, DomainSpec(sizes))
 print("corrupted:")
 print(report.render())

@@ -2,8 +2,11 @@
 
 Exit codes are a stable contract: 0 success, 1 logic error (syntax, sort
 or verification failure, or input nested too deeply), 2 I/O error
-(including input that is not UTF-8 text), 3 enumeration overflow, 4
-search limit hit.
+(including input that is not UTF-8 text, a bad ``--domains`` spec and
+output that cannot be written), 3 enumeration overflow, 4 search limit
+hit.  The commands return 0, 1 or 4 for their outcome and raise every
+failure; ``FAILURES``, read by ``main``, is the one statement of which
+exit code and ``error:`` line each failure gets.
 """
 
 from __future__ import annotations
@@ -26,25 +29,15 @@ EXIT_OVERFLOW = 3
 EXIT_LIMIT = 4
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from err
-    except UnicodeDecodeError as err:
-        print(f"error: {path}: not UTF-8 text: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from err
+class UsageError(Exception):
+    """A flag value that argparse cannot check alone, such as a
+    ``--domains`` spec naming a sort the problem does not declare."""
 
 
-def _load(path: str, strict: bool):
-    text = _read(path)
-    try:
-        return parse_problem(text, strict=strict)
-    except (ParseError, SortError) as err:
-        print(f"error: {path}: {err}", file=sys.stderr)
-        raise SystemExit(EXIT_LOGIC) from err
+def _load(args):
+    with open(args.input, encoding="utf-8") as handle:
+        text = handle.read()
+    return parse_problem(text, strict=args.strict)
 
 
 def _parse_domains(spec_text: str | None, problem) -> DomainSpec:
@@ -58,25 +51,21 @@ def _parse_domains(spec_text: str | None, problem) -> DomainSpec:
             name, sep, size = chunk.partition("=")
             name = name.strip()
             if not sep or not size.strip().isdecimal() or int(size) < 1:
-                print(f"error: bad domain spec {chunk!r}, expected sort=size with size >= 1", file=sys.stderr)
-                raise SystemExit(EXIT_IO)
+                raise UsageError(f"bad domain spec {chunk!r}, expected sort=size with size >= 1")
             if name not in sorts:
                 declared = ", ".join(sorts) or "none"
-                print(
-                    f"error: bad domain spec {chunk!r}, {name!r} is not a declared "
-                    f"non-boolean sort (declared: {declared})",
-                    file=sys.stderr,
+                raise UsageError(
+                    f"bad domain spec {chunk!r}, {name!r} is not a declared "
+                    f"non-boolean sort (declared: {declared})"
                 )
-                raise SystemExit(EXIT_IO)
             if name in named:
-                print(f"error: bad domain spec {chunk!r}, sort {name!r} is given twice", file=sys.stderr)
-                raise SystemExit(EXIT_IO)
+                raise UsageError(f"bad domain spec {chunk!r}, sort {name!r} is given twice")
             named[name] = int(size)
     return DomainSpec({sort: named.get(name, 2) for name, sort in sorts.items()})
 
 
 def cmd_check(args) -> int:
-    problem = _load(args.input, args.strict)
+    problem = _load(args)
     formulas = sum(1 for f in problem.formulas if f.role != "type")
     print(f"ok: {len(problem.formulas)} annotated formulas ({formulas} non-type)")
     return EXIT_OK
@@ -89,16 +78,12 @@ def _translate_problem(problem):
 
 
 def cmd_translate(args) -> int:
-    problem = _load(args.input, args.strict)
+    problem = _load(args)
     state, fol = _translate_problem(problem)
     text = print_fol_tff0(fol)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     counts = state.step_counts()
@@ -108,27 +93,19 @@ def cmd_translate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _load(args.input, args.strict)
+    problem = _load(args)
     phi = problem.goal_formula()
     state = run_translation(phi, problem.ctx)
     spec = _parse_domains(args.domains, problem)
-    try:
-        report = check_model_preservation(phi, state, spec, cap=args.cap)
-    except EnumerationOverflow as err:
-        print(f"error: enumeration overflow: {err}", file=sys.stderr)
-        return EXIT_OVERFLOW
+    report = check_model_preservation(phi, state, spec, cap=args.cap)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_LOGIC
 
 
 def cmd_prove(args) -> int:
-    problem = _load(args.input, args.strict)
+    problem = _load(args)
     _, fol = _translate_problem(problem)
-    try:
-        result = clausify(fol)
-    except ClauseExplosion as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_LIMIT
+    result = clausify(fol)
     config = ProverConfig(
         bool_mode=args.mode,
         max_clauses=args.max_clauses,
@@ -247,27 +224,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The failure contract: each exception kind a command lets reach ``main``,
+# tried in order, with its exit code and the template of its one
+# ``error:`` line, where ``{path}`` is the input path and ``{err}`` the
+# exception.  An OSError with no file name is a failed write, to
+# standard output or to ``translate --out``.
+FAILURES = (
+    (UnicodeDecodeError, EXIT_IO, "{path}: not UTF-8 text: {err}"),
+    (BrokenPipeError, EXIT_IO, "standard output is closed"),
+    (OSError, EXIT_IO, "{err}"),
+    (UsageError, EXIT_IO, "{err}"),
+    (ParseError, EXIT_LOGIC, "{path}: {err}"),
+    (SortError, EXIT_LOGIC, "{path}: {err}"),
+    # some walkers recurse once per nesting level of the input
+    (RecursionError, EXIT_LOGIC, "input is nested too deeply (maximum recursion depth exceeded)"),
+    (EnumerationOverflow, EXIT_OVERFLOW, "enumeration overflow: {err}"),
+    (ClauseExplosion, EXIT_LIMIT, "{err}"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except SystemExit as err:
-        return int(err.code or 0)
-    except RecursionError:
-        # some walkers recurse once per nesting level of the input
-        print("error: input is nested too deeply (maximum recursion depth exceeded)", file=sys.stderr)
-        return EXIT_LOGIC
-    except BrokenPipeError:
-        # the reader closed standard output; point it at the null device
-        # so the interpreter's own flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("error: standard output is closed", file=sys.stderr)
-        return EXIT_IO
+    except tuple(kind for kind, _, _ in FAILURES) as err:
+        code, template = next((code, template) for kind, code, template in FAILURES if isinstance(err, kind))
+        if isinstance(err, OSError) and err.filename is None and sys.stdout is sys.__stdout__:
+            # point standard output at the null device so the
+            # interpreter's own flush at exit cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print("error: " + template.format(path=getattr(args, "input", None), err=err), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

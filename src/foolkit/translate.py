@@ -91,15 +91,15 @@ class TranslationState:
     """The formula being rewritten, the definitions produced so far, and
     the context extended with the fresh symbols.
 
-    Those four are the state's inputs.  The step log and the two name
-    counters start empty, and ``used_names`` starts as every name in
-    ``current`` and the given definitions, so fresh variables and symbols
-    avoid them."""
+    ``current`` and ``ctx`` are the state's inputs.  The definitions, the
+    fresh symbols and the step log start empty, the two name counters at
+    0, and ``used_names`` starts as every name in ``current``, so fresh
+    variables and symbols avoid them."""
 
     current: Term
     ctx: TypeContext
-    defs: list[Term] = field(default_factory=list)
-    fresh_symbols: list[str] = field(default_factory=list)
+    defs: list[Term] = field(default_factory=list, init=False)
+    fresh_symbols: list[str] = field(default_factory=list, init=False)
     steps: list[tuple[str, Target, tuple[int, ...]]] = field(default_factory=list, init=False)
     fn_counter: int = field(default=0, init=False)
     var_counter: int = field(default=0, init=False)
@@ -107,8 +107,6 @@ class TranslationState:
 
     def __post_init__(self) -> None:
         self.used_names = all_names(self.current)
-        for d in self.defs:
-            self.used_names |= all_names(d)
 
     def formula_at(self, target: Target) -> Term:
         if target == "current":
@@ -230,11 +228,13 @@ def _let(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     ctx = state.ctx.with_vars(occ.variables)
     outer = _free_vars_with_sorts(t, ctx)  # the ys with their sorts
+    # the checks come first, so a failed step takes no fresh name
+    sort = infer_sort(ctx.with_vars(t.params), t.body)
     zs = [(state.fresh_var(), s) for _, s in t.params]
     s_prime = subst_free_vars(
         t.body, {x: Var(z) for (x, _), (z, _) in zip(t.params, zs)}
     )
-    gapp = _fresh_symbol(state, zs + outer, infer_sort(ctx.with_vars(t.params), t.body))
+    gapp = _fresh_symbol(state, zs + outer, sort)
     state.defs.append(forall_prefix(zs + outer, Eq(gapp, s_prime)))
     scope = _rename_bound_in(t.scope, {y for y, _ in outer}, state)
     return subst_free_vars(scope, {}, {t.fn: (gapp.fn, gapp.args[len(zs):])})

@@ -1,6 +1,6 @@
 """Helpers shared by the corpus-driven and acceptance tests."""
 
-import dataclasses
+import copy
 
 from foolkit import DomainSpec, Eq, enumerate_interpretations, models
 from foolkit.terms import (
@@ -77,16 +77,22 @@ def _strip_prefix(d):
     return binds, d
 
 
+def with_defs(state, defs):
+    """A copy of ``state`` whose definitions are ``defs``."""
+    mutated = copy.copy(state)
+    mutated.defs = defs
+    return mutated
+
+
 def _with_def(state, i, binds, body):
     defs = list(state.defs)
     defs[i] = forall_prefix(binds, body)
-    return dataclasses.replace(state, defs=defs)
+    return with_defs(state, defs)
 
 
 def mutate_drop(state, *indices):
     """Remove the given definitions entirely."""
-    defs = [d for i, d in enumerate(state.defs) if i not in indices]
-    return dataclasses.replace(state, defs=defs)
+    return with_defs(state, [d for i, d in enumerate(state.defs) if i not in indices])
 
 
 def mutate_flip_guard(state, i):

@@ -24,6 +24,7 @@ from helpers import mutate_text, named_texts
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+_NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 @pytest.fixture
@@ -141,6 +142,14 @@ def test_translate_to_an_unwritable_path_is_an_io_error(listing, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("error:") == 1 and captured.err.startswith("error: ")
+
+
+@_NO_DEV_FULL
+def test_translate_to_a_full_device_is_an_io_error(listing, capsys):
+    assert main(["translate", listing, "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
 
 
 def test_translate_matches_golden_for_ite_distribution(tmp_path):
@@ -444,10 +453,24 @@ def test_prove_of_a_clause_explosion_is_a_limit_exit(tmp_path, capsys):
     assert capsys.readouterr().err == "error: more than 10000 clauses\n"
 
 
-@pytest.mark.parametrize("command", ["check", "translate", "prove"])
-def test_closed_stdout_is_an_io_error(listing, command):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+@pytest.mark.parametrize(
+    "command, sink",
+    [pytest.param(command, "pipe", id=command) for command in ("check", "translate", "prove")]
+    + [
+        pytest.param(command, "/dev/full", id=f"{command}-dev-full", marks=_NO_DEV_FULL)
+        for command in ("check", "translate", "prove")
+    ],
+)
+def test_closed_stdout_is_an_io_error(listing, command, sink):
+    """Standard output that is a closed pipe, or a device that is always
+    full, is an I/O error with one error line."""
+    if sink == "pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        expected = "error: standard output is closed\n"
+    else:
+        write_end = os.open(sink, os.O_WRONLY)
+        expected = "error: [Errno 28] No space left on device\n"
     try:
         done = subprocess.run(
             [sys.executable, "-m", "foolkit.cli", command, listing],
@@ -459,7 +482,7 @@ def test_closed_stdout_is_an_io_error(listing, command):
     finally:
         os.close(write_end)
     assert done.returncode == 2
-    assert done.stderr.endswith("error: standard output is closed\n")
+    assert done.stderr.endswith(expected)
     assert done.stderr.count("error:") == 1
     assert "Traceback" not in done.stderr
     assert "Exception ignored" not in done.stderr

@@ -726,9 +726,8 @@ def test_kept_clauses_are_well_sorted():
                 assert not _ill_sorted(clause, ctx), (name, mode, clause.render())
 
 
-def test_clausify_output_is_pinned():
-    """Canonical variable names, clause order and variable sorts."""
-    golden = json.loads((GOLDEN / "clausify.json").read_text())
+def corpus_clauses():
+    """``golden/clausify.json``: the clauses of every corpus problem."""
     groups = [
         ("PRESERVATION", corpus.PRESERVATION),
         ("REFUTATION", corpus.REFUTATION),
@@ -741,7 +740,12 @@ def test_clausify_output_is_pinned():
             got[f"{group}/{name}"] = [
                 [c.render(), {v: str(s) for v, s in c.var_sorts.items()}] for c in clauses
             ]
-    assert got == golden
+    return got
+
+
+def test_clausify_output_is_pinned():
+    """Canonical variable names, clause order and variable sorts."""
+    assert corpus_clauses() == json.loads((GOLDEN / "clausify.json").read_text())
 
 
 CAPPED = json.loads((GOLDEN / "prover_search_capped.json").read_text())

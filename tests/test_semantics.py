@@ -1,6 +1,5 @@
 """Evaluation, enumeration, and the model-preservation oracle."""
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -243,7 +242,7 @@ def test_preservation_catches_mutations():
     state = run_translation(phi, ctx)
     report = check_model_preservation(phi, state, DomainSpec({s: 2}))
     assert report.ok
-    mutated = dataclasses.replace(state, defs=[])
+    mutated = helpers.with_defs(state, [])
     broken = check_model_preservation(phi, mutated, DomainSpec({s: 2}))
     assert not broken.ok
     assert broken.render().startswith("COUNTEREXAMPLE")

@@ -65,10 +65,13 @@ from foolkit.translate import (
     _rename_bound_in,
     redex_measure,
 )
+from foolkit.typecheck import SortError
 
 import corpus
 from fixtures import CONTAINS_ITE, SUBSET_SORTED, VERIFICATION_LISTING
 from generate import TermGen, let_nest_text, lowering_shapes
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -285,6 +288,19 @@ def test_step4_fresh_formal_avoids_names_of_a_directly_built_state(ctx):
     assert isinstance(state.defs[0], Forall)
     assert state.defs[0].var != "Z0"
     assert check_model_preservation(phi, state, DomainSpec({s: 2})).render() == "OK 128"
+
+
+def test_a_failed_let_step_leaves_the_state_as_it_was(ctx):
+    """An ill-sorted let body fails the step before it takes a fresh
+    formal or symbol name."""
+    s = ctx.sig.sort("s")
+    phi = Let("k", (("A", s),), App("pr", (App("nosuch"),)), App("pr", (App("c"),)))
+    state = TranslationState(phi, ctx)
+    before = (state.var_counter, state.fn_counter, set(state.used_names), list(state.steps))
+    with pytest.raises(SortError, match="nosuch"):
+        step4_let(state, ())
+    assert (state.var_counter, state.fn_counter, state.used_names, state.steps) == before
+    assert state.current is phi and state.defs == [] and state.fresh_symbols == []
 
 
 def test_steps_reject_locally_bound_symbols(ctx):
@@ -597,11 +613,14 @@ def _record(state):
     }
 
 
+def pinned_translations():
+    """``golden/translation.json``: the record of every pinned input's run."""
+    return {name: _record(run_translation(phi, ctx)) for name, phi, ctx in _translation_inputs()}
+
+
 def test_translation_is_pinned():
     """Steps, their paths, fresh names and output text of every run."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "translation.json").read_text())
-    got = {name: _record(run_translation(phi, ctx)) for name, phi, ctx in _translation_inputs()}
-    assert got == golden
+    assert pinned_translations() == json.loads((GOLDEN / "translation.json").read_text())
 
 
 def _clauses(phi, ctx):
@@ -611,16 +630,21 @@ def _clauses(phi, ctx):
     ]
 
 
-def test_generated_clausify_is_pinned():
-    """Clause text and variable sorts for the inputs that
-    ``clausify.json`` does not pin: the fixtures and the seeded formulas."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "clausify_generated.json").read_text())
-    got = {
+def generated_clauses():
+    """``golden/clausify_generated.json``: the clauses of the pinned inputs
+    that ``clausify.json`` does not pin, the fixtures and the seeded
+    formulas."""
+    return {
         name: _clauses(phi, ctx)
         for name, phi, ctx in _translation_inputs()
         if name.startswith(("fixtures/", "termgen/"))
     }
-    assert got == golden
+
+
+def test_generated_clausify_is_pinned():
+    """Clause text and variable sorts for the inputs that
+    ``clausify.json`` does not pin: the fixtures and the seeded formulas."""
+    assert generated_clauses() == json.loads((GOLDEN / "clausify_generated.json").read_text())
 
 
 def _emitted(phi, ctx):
@@ -629,12 +653,15 @@ def _emitted(phi, ctx):
     return {"predicate_split": fol.predicate_split, "sha256": hashlib.sha256(text).hexdigest()}
 
 
+def emitted_problems():
+    """``golden/emitted.json``: what every pinned input emits."""
+    return {name: _emitted(phi, ctx) for name, phi, ctx in _translation_inputs()}
+
+
 def test_emitted_problems_are_pinned():
     """The predicate split and the SHA-256 of the emitted standard text
     of every pinned input."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "emitted.json").read_text())
-    got = {name: _emitted(phi, ctx) for name, phi, ctx in _translation_inputs()}
-    assert got == golden
+    assert emitted_problems() == json.loads((GOLDEN / "emitted.json").read_text())
 
 
 def _shape_run(text):
@@ -653,12 +680,15 @@ def _shape_run(text):
     }
 
 
+def lowering_shape_runs():
+    """``golden/lowering_shapes.json``: what lowering each shape gives."""
+    return {name: _shape_run(text) for name, text in lowering_shapes()}
+
+
 def test_lowering_shapes_are_pinned():
     """Let nests, lets mixed with other redexes, if-then-else chains and
     trees, and naming problems, each at a range of sizes."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "lowering_shapes.json").read_text())
-    got = {name: _shape_run(text) for name, text in lowering_shapes()}
-    assert got == golden
+    assert lowering_shape_runs() == json.loads((GOLDEN / "lowering_shapes.json").read_text())
 
 
 def _clausify_shape(text):
@@ -672,12 +702,15 @@ def _clausify_shape(text):
     return {"clauses": len(clauses), "sha256": hashlib.sha256(lines.encode()).hexdigest()}
 
 
+def clausify_shape_runs():
+    """``golden/clausify_shapes.json``: the clauses of each shape."""
+    return {name: _clausify_shape(text) for name, text in lowering_shapes()}
+
+
 def test_clausify_shapes_are_pinned():
     """The clauses of the lowering shapes: the large equivalence naming
     definitions and the if-then-else chain definitions."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "clausify_shapes.json").read_text())
-    got = {name: _clausify_shape(text) for name, text in lowering_shapes()}
-    assert got == golden
+    assert clausify_shape_runs() == json.loads((GOLDEN / "clausify_shapes.json").read_text())
 
 
 _LETTERS = {
@@ -705,12 +738,15 @@ def _occurrences(phi):
     return {"classes": "".join(classes), "first_order": checks}
 
 
+def pinned_occurrences():
+    """``golden/occurrences.json``: the occurrences of every pinned input."""
+    return {name: _occurrences(phi) for name, phi, _ in _translation_inputs()}
+
+
 def test_occurrences_are_pinned():
     """The classifier and the first-order check at every position of
     every pinned input."""
-    golden = json.loads((pathlib.Path(__file__).parent / "golden" / "occurrences.json").read_text())
-    got = {name: _occurrences(phi) for name, phi, _ in _translation_inputs()}
-    assert got == golden
+    assert pinned_occurrences() == json.loads((GOLDEN / "occurrences.json").read_text())
 
 
 _STEPS = {
