@@ -731,41 +731,65 @@ def _typesig_str(sig: TypeSig, strict: _BoolNames | None, predicate: bool = Fals
 
 
 def _is_equality_shaped(t: Term) -> bool:
-    if isinstance(t, Eq):
-        return True
-    return isinstance(t, App) and t.fn == NOT and len(t.args) == 1 and isinstance(t.args[0], Eq)
+    kind = type(t)
+    return kind is Eq or (
+        kind is App and t.fn == NOT and len(t.args) == 1 and type(t.args[0]) is Eq
+    )
 
 
 def _needs_operand_parens(t: Term) -> bool:
-    return _is_equality_shaped(t) or isinstance(t, (Forall, Exists)) or (
-        isinstance(t, App) and t.fn == NOT
-    )
+    kind = type(t)
+    return kind is Eq or kind is Forall or kind is Exists or (kind is App and t.fn == NOT)
 
 
 def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_formula: bool) -> str:
     """One renderer for both modes; ``strict`` is None in dialect mode.
     Dialect mode needs a context to re-derive let signatures; strict mode
-    renders the truth constants by position and refuses $ite/$let."""
-    if isinstance(t, Var):
+    renders the truth constants by position and refuses $ite/$let.  One
+    dispatch per node on the exact node type, applications first."""
+    kind = type(t)
+    if kind is App:
+        fn = t.fn
+        if fn == TRUE_NAME:
+            return "$true" if (in_formula or not strict) else strict.true
+        if fn == FALSE_NAME:
+            return "$false" if (in_formula or not strict) else strict.false
+        if fn == NOT:
+            arg = t.args[0]
+            arg_kind = type(arg)
+            if arg_kind is Eq:
+                return _render_equation(arg, "!=", ctx, strict)
+            inner = _render(arg, ctx, strict, True)
+            if arg_kind is Forall or arg_kind is Exists or _is_equality_shaped(arg):
+                return f"~({inner})"
+            return f"~{inner}"
+        if fn in INFIX:
+            items = _flatten_chain(fn, t) if fn in (AND, OR) else t.args
+            return "(" + f" {INFIX[fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
+        name = _atom_str(fn)
+        if not t.args:
+            return name
+        return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
+
+    if kind is Var:
         return t.name
 
-    if isinstance(t, Eq):
+    if kind is Eq:
         return _render_equation(t, "=", ctx, strict)
 
-    if isinstance(t, (Forall, Exists)):
-        symbol = "!" if isinstance(t, Forall) else "?"
-        kind = type(t)
+    if kind is Forall or kind is Exists:
+        symbol = "!" if kind is Forall else "?"
         binds = []
         body: Term = t
         local = ctx
-        while isinstance(body, kind):
+        while type(body) is kind:
             binds.append(f"{body.var} : {_sort_str(body.sort, strict)}")
             if local is not None:
                 local = local.with_var(body.var, body.sort)
             body = body.body
         return f"{symbol}[" + ", ".join(binds) + "] : " + _render(body, local, strict, True)
 
-    if isinstance(t, Ite):
+    if kind is Ite:
         if strict:
             raise ValueError("$ite cannot appear in strict output")
         cond = _render(t.cond, ctx, strict, True)
@@ -773,7 +797,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
         els = _render(t.els, ctx, strict, False)
         return f"$ite({cond}, {then}, {els})"
 
-    if isinstance(t, Let):
+    if kind is Let:
         if strict:
             raise ValueError("$let cannot appear in strict output")
         body_ctx = ctx.with_vars(t.params)
@@ -785,27 +809,6 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
         body = _render(t.body, body_ctx, strict, False)
         scope = _render(t.scope, ctx.with_fn(t.fn, sig), strict, False)
         return f"$let({name} : {_typesig_str(sig, strict)}, {head} := {body}, {scope})"
-
-    if isinstance(t, App):
-        if t.fn == TRUE_NAME:
-            return "$true" if (in_formula or not strict) else strict.true
-        if t.fn == FALSE_NAME:
-            return "$false" if (in_formula or not strict) else strict.false
-        if t.fn == NOT:
-            arg = t.args[0]
-            if isinstance(arg, Eq):
-                return _render_equation(arg, "!=", ctx, strict)
-            inner = _render(arg, ctx, strict, True)
-            if isinstance(arg, (Forall, Exists)) or _is_equality_shaped(arg):
-                return f"~({inner})"
-            return f"~{inner}"
-        if t.fn in INFIX:
-            items = _flatten_chain(t.fn, t) if t.fn in (AND, OR) else t.args
-            return "(" + f" {INFIX[t.fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
-        name = _atom_str(t.fn)
-        if not t.args:
-            return name
-        return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
 
     raise TypeError(f"not a term: {t!r}")
 
@@ -823,7 +826,7 @@ def _render_equation(eq: Eq, op: str, ctx: TypeContext | None, strict: _BoolName
 def _flatten_chain(fn: str, t: Term) -> list[Term]:
     """The operands of the left-deep ``fn`` chain ``t``, left to right."""
     right = []
-    while isinstance(t, App) and t.fn == fn:
+    while type(t) is App and t.fn == fn:
         right.append(t.args[1])
         t = t.args[0]
     return [t, *reversed(right)]

@@ -24,17 +24,25 @@ node's children first, then the node itself if it is an eligible redex,
 logged as ``(kind, target, path)`` with the node's path at that moment.
 The other steps define their symbols with subterms already lowered, which
 keep their contexts in the definition, so their definitions need no pass.
-After a let is lifted its scope is lowered again in the let's context,
-since redexes that used the let's symbol are eligible now.  The lift
-returns each subtree it leaves unchanged as the same object, and the pass
-records what it returned inside a let's scope with its clash set, so the
-second lowering visits only the paths the lift changed.  So steps come
-innermost-leftmost, runs are deterministic and every definition stays
-closed.
+The pass records, by identity, what it returned inside a let's scope with
+its clash set: the let symbols bound above it that occur free in it.  The
+lift hands these records to the symbol rewrite, which goes down only into
+subtrees whose record names the let's symbol and keeps every other subtree
+as the same object; a subtree with no usable record (all of them in the
+single-step API) is rewritten whole.  After a let is lifted its scope is
+lowered again in the let's context, since redexes that used the let's
+symbol are eligible now, and the second lowering visits only the paths the
+lift changed.  So steps come innermost-leftmost, runs are deterministic
+and every definition stays closed.
 
-``to_fol`` checks each formula and decides the predicate split on one
-``terms.contexts`` walk, then turns the atoms of function-split symbols
-into equations with true in one rebuild that carries the contexts down.
+``run_translation`` ends with one ``terms.contexts`` walk per formula,
+which checks that no step applies and collects the symbols the formula
+applies in formula contexts and in term contexts; the state keeps the
+result by formula object.  ``to_fol`` decides the predicate split from
+those, walking only a formula the run did not walk (a definition appended
+or a ``current`` replaced since), and refuses a residue there.  It then
+turns the atoms of function-split symbols into equations with true in one
+rebuild that carries the contexts down.
 """
 
 from __future__ import annotations
@@ -84,6 +92,13 @@ from .terms import (
 from .typecheck import check_formula, infer_sort
 
 Target = Union[str, int]  # "current" or an index into defs
+# what a driver pass returned inside a let's scope, by identity: the term
+# and its clash set, or None for a term returned at two places with
+# different clash sets (see ``_Pass``)
+_Records = dict[int, tuple[Term, frozenset | None]]
+# the symbols a first-order formula applies in formula contexts, and in
+# term contexts
+_Applied = tuple[set[str], set[str]]
 
 
 @dataclass
@@ -104,6 +119,12 @@ class TranslationState:
     fn_counter: int = field(default=0, init=False)
     var_counter: int = field(default=0, init=False)
     used_names: set[str] = field(init=False)
+    # by id, each formula run_translation's last walk found first-order,
+    # with the symbols it applies in formula and in term contexts; the
+    # entry holds the formula, so its id stays its own
+    walked: dict[int, tuple[Term, _Applied]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.used_names = all_names(self.current)
@@ -224,7 +245,30 @@ def _rename_bound_in(t: Term, names: set[str], state: TranslationState) -> Term:
     return type(t)(var, sort, body)
 
 
-def _let(state: TranslationState, occ: Occurrence) -> Term:
+def _lift_apps(t: Term, fn: str, head: tuple[str, tuple[Term, ...]], returned: _Records) -> Term:
+    """``subst_free_vars(t, {}, {fn: head})``, read off the pass's records:
+    a subtree whose recorded clash set lacks ``fn`` does not mention it and
+    is kept as the same object, and the scope of a let that binds ``fn``
+    again is kept too.  A subtree with no record, or with the record of
+    one term returned at two places (None), is rewritten whole."""
+    known = returned.get(id(t))
+    if known is None or known[1] is None:
+        return subst_free_vars(t, {}, {fn: head})
+    if fn not in known[1]:
+        return t
+    kids = children(t)
+    new = tuple(
+        kid if binders(t, i)[1] == fn else _lift_apps(kid, fn, head, returned)
+        for i, kid in enumerate(kids)
+    )
+    if type(t) is App and t.fn == fn:
+        return App(head[0], new + head[1])
+    return with_children(t, new)
+
+
+def _let(state: TranslationState, occ: Occurrence, returned: _Records | None = None) -> Term:
+    """The lift; ``returned`` holds the driver pass's records of the
+    scope's subtrees, and the single-step API has none."""
     t = occ.term
     ctx = state.ctx.with_vars(occ.variables)
     outer = _free_vars_with_sorts(t, ctx)  # the ys with their sorts
@@ -237,7 +281,7 @@ def _let(state: TranslationState, occ: Occurrence) -> Term:
     gapp = _fresh_symbol(state, zs + outer, sort)
     state.defs.append(forall_prefix(zs + outer, Eq(gapp, s_prime)))
     scope = _rename_bound_in(t.scope, {y for y, _ in outer}, state)
-    return subst_free_vars(scope, {}, {t.fn: (gapp.fn, gapp.args[len(zs):])})
+    return _lift_apps(scope, t.fn, (gapp.fn, gapp.args[len(zs):]), returned or {})
 
 
 _CORES = {
@@ -301,7 +345,8 @@ class _Pass:
 
     ``returned`` holds, by identity, each term the pass has returned
     inside a let's scope with its clash set, or None when the term was
-    returned at two places with different clash sets.  ``targets`` is the
+    returned at two places with different clash sets; a let step hands it
+    to the lift, whose rewrite of the scope reads it.  ``targets`` is the
     job's list of targets still to lower, to which a let step adds its
     definition."""
 
@@ -309,7 +354,7 @@ class _Pass:
         self.state = state
         self.target = target
         self.targets = targets
-        self.returned: dict[int, tuple[Term, frozenset | None]] = {}
+        self.returned: _Records = {}
 
     def lower(
         self, occ: Occurrence, path: tuple[int, ...], again: bool = False
@@ -347,15 +392,17 @@ class _Pass:
         kind = redex_kind(occ.term, occ.strict)
         if kind is None or clash:
             return self.note(occ, clash)
-        lowered = _CORES[kind](self.state, occ)
+        if kind != "let":
+            lowered = _CORES[kind](self.state, occ)
+            self.state.steps.append((kind, self.target, path))
+            # nothing clashed, and the replacement adds only a fresh symbol
+            return self.note(occ._replace(term=lowered), frozenset())
+        lowered = _let(self.state, occ, self.returned)
         self.state.steps.append((kind, self.target, path))
-        if kind == "let":
-            self.targets.append(len(self.state.defs) - 1)
-            # the let's symbol no longer binds anything, so redexes in the
-            # scope that mention it are eligible now, in the let's own context
-            return self.lower(occ._replace(term=lowered), path, again=True)
-        # nothing clashed, and the replacement adds only a fresh symbol
-        return self.note(occ._replace(term=lowered), frozenset())
+        self.targets.append(len(self.state.defs) - 1)
+        # the let's symbol no longer binds anything, so redexes in the
+        # scope that mention it are eligible now, in the let's own context
+        return self.lower(occ._replace(term=lowered), path, again=True)
 
     def note(self, occ: Occurrence, clash: frozenset) -> tuple[Term, frozenset[str]]:
         """Return the occurrence's term and clash set, recorded if it lies
@@ -397,14 +444,32 @@ def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
 
     state = TranslationState(current=phi, ctx=ctx)
     _lower_targets(state, redex_measure(phi))
-    for formula in [state.current, *state.defs]:
-        verdict = is_syntactically_first_order(formula)
-        if not verdict.ok:
-            raise AssertionError(
-                f"translation left a non-first-order residue at {verdict.witness}: "
-                f"{verdict.reason}"
-            )
+    applied = [(formula, _applied_symbols(formula)) for formula in [*state.defs, state.current]]
+    if any(got is None for _, got in applied):
+        for formula in [state.current, *state.defs]:
+            verdict = is_syntactically_first_order(formula)
+            if not verdict.ok:
+                raise AssertionError(
+                    f"translation left a non-first-order residue at {verdict.witness}: "
+                    f"{verdict.reason}"
+                )
+    state.walked = {id(formula): (formula, got) for formula, got in applied}
     return state
+
+
+def _applied_symbols(formula: Term) -> _Applied | None:
+    """The symbols ``formula`` applies in formula contexts, and those it
+    applies in term contexts, on one ``terms.contexts`` walk; None as soon
+    as a lowering step applies somewhere, so the formula is not
+    first-order."""
+    atoms: set[str] = set()
+    terms: set[str] = set()
+    for t, strict, effective in contexts(formula):
+        if redex_kind(t, strict) is not None:
+            return None
+        if type(t) is App:
+            (atoms if effective == FORMULA_CONTEXT else terms).add(t.fn)
+    return atoms, terms
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +519,34 @@ def _equate_atoms(t: Term, effective: str, rewrite: set[str]) -> Term:
 def to_fol(state: TranslationState) -> FolProblem:
     """Turn a terminated translation state into a legal many-sorted
     first-order problem: apply the predicate split; the problem's
-    ``axioms`` add the two boolean axioms."""
+    ``axioms`` add the two boolean axioms.
+
+    A formula that ``run_translation`` walked last is not walked again;
+    any other one, such as a definition appended or a ``current`` replaced
+    since, is walked here, and a residue in it is refused."""
     formulas = [*state.defs, state.current]
-    usage: dict[str, set[str]] = {}
-    atoms: list[set[str]] = []  # per formula, the boolean symbols it uses as atoms
-    for formula in formulas:
-        atoms.append(set())
-        for t, strict, effective in contexts(formula):
-            if redex_kind(t, strict) is not None:
-                raise ValueError("to_fol requires a terminated translation state")
-            if isinstance(t, App) and t.fn not in BUILTIN_FNS:
-                sig = state.ctx.fn_sig(t.fn)
-                if sig is not None and sig.result == BOOL:
-                    use = "atom" if effective == FORMULA_CONTEXT else "term"
-                    usage.setdefault(t.fn, set()).add(use)
-                    if use == "atom":
-                        atoms[-1].add(t.fn)
-    split = {fn: "predicate" if uses == {"atom"} else "function" for fn, uses in sorted(usage.items())}
-    for k, used in enumerate(atoms):
-        rewrite = {fn for fn in used if split[fn] == "function"}
+    applied = []
+    for k, formula in enumerate(formulas):
+        kept = state.walked.get(id(formula))
+        got = kept[1] if kept is not None else _applied_symbols(formula)
+        if got is None:
+            where = "current" if k == len(state.defs) else f"defs[{k}]"
+            verdict = is_syntactically_first_order(formula)
+            raise ValueError(
+                f"to_fol requires a terminated translation state: {where} is not "
+                f"first-order at {verdict.witness}: {verdict.reason}"
+            )
+        applied.append(got)
+    as_terms = frozenset().union(*(terms for _, terms in applied))
+    split = {}
+    for fn in sorted(as_terms.union(*(atoms for atoms, _ in applied)) - BUILTIN_FNS):
+        sig = state.ctx.fn_sig(fn)
+        if sig is not None and sig.result == BOOL:
+            split[fn] = "function" if fn in as_terms else "predicate"
+    functions = {fn for fn, kind in split.items() if kind == "function"}
+    for k, (atoms, _) in enumerate(applied):
+        rewrite = atoms & functions
         if rewrite:
             formulas[k] = _equate_atoms(formulas[k], FORMULA_CONTEXT, rewrite)
     *definitions, goal = formulas
     return FolProblem(definitions=tuple(definitions), goal=goal, ctx=state.ctx, predicate_split=split)
-

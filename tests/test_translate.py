@@ -1,12 +1,18 @@
 """The four lowering steps, the driver, and conversion to legal
 first-order problems."""
 
+import contextlib
+import copy
 import hashlib
 import json
 import pathlib
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foolkit import (
     App,
@@ -40,6 +46,7 @@ from foolkit import (
     step4_let,
     to_fol,
 )
+from foolkit import translate
 from foolkit.prover import clausify
 from foolkit.semantics import table_count
 from foolkit.tptp import print_fol_tff0
@@ -49,6 +56,7 @@ from foolkit.terms import (
     NO_CONTEXT,
     TERM_CONTEXT,
     TRUE,
+    children,
     classify_occurrence,
     contexts,
     forall_prefix,
@@ -564,13 +572,13 @@ def test_to_fol_output_is_first_order(ctx):
 def test_to_fol_requires_terminated_state(ctx):
     in_term = Eq(App("f", (land(App("p0"), App("q0")),)), App("c"))
     ite = Eq(Ite(App("p0"), App("c"), App("h", (App("c"),))), App("c"))
-    for phi in (in_term, ite):
-        with pytest.raises(ValueError):
+    for phi, residue in ((in_term, "(0, 0): formula in term context"), (ite, "(0,): ite expression")):
+        with pytest.raises(ValueError, match=re.escape(f"current is not first-order at {residue}")):
             to_fol(TranslationState(phi, ctx))
         # also when the residue sits in a definition behind a first-order goal
         state = TranslationState(Eq(App("c"), App("c")), ctx)
         state.defs.append(phi)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"defs[0] is not first-order at {residue}")):
             to_fol(state)
 
 
@@ -853,7 +861,7 @@ def test_first_order_check_and_to_fol_agree_with_an_occurrence_scan():
         if terminated:
             to_fol(state)
         else:
-            with pytest.raises(ValueError, match="^to_fol requires a terminated translation state$"):
+            with pytest.raises(ValueError, match="^to_fol requires a terminated translation state: "):
                 to_fol(state)
 
 
@@ -876,6 +884,140 @@ def test_let_nest_is_lowered_in_calls_linear_in_its_output(monkeypatch, quantifi
     nodes = sum(1 for formula in [state.current, *state.defs] for _ in subterm_positions(formula))
     assert state.step_counts() == {"let": 40}
     assert len(calls) < 3 * nodes
+
+
+def _translated_states():
+    """(name, state) for what ``run_translation`` returns on every pinned
+    input and every lowering shape."""
+    for name, phi, ctx in _translation_inputs():
+        yield name, run_translation(phi, ctx)
+    for name, text in lowering_shapes():
+        problem = parse_problem(text)
+        yield name, run_translation(problem.goal_formula(), problem.ctx)
+
+
+def _unwalked(state):
+    """A copy of the state that keeps no walk results, so ``to_fol`` walks
+    every formula itself."""
+    fresh = copy.copy(state)
+    fresh.walked = {}
+    return fresh
+
+
+def test_to_fol_reuses_the_last_walk_only_for_the_formulas_it_walked():
+    """The kept walk results give the problem a fresh walk gives, split
+    order included; a definition appended, a ``current`` replaced or a
+    step applied since the run is walked again, and a residue is refused."""
+    residue = Forall("X", BOOL, land(Var("X"), Var("X")))  # two variables in formula contexts
+    for name, state in _translated_states():
+        got, want = to_fol(state), to_fol(_unwalked(state))
+        assert got == want, name
+        assert list(got.predicate_split.items()) == list(want.predicate_split.items()), name
+        k = len(state.defs)
+        appended = copy.copy(state)
+        appended.defs = [*state.defs, residue]
+        with pytest.raises(ValueError, match=re.escape(f"defs[{k}] is not first-order at (0, 0)")):
+            to_fol(appended)
+        replaced = copy.copy(state)
+        replaced.current = residue
+        with pytest.raises(ValueError, match=re.escape("current is not first-order at (0, 0)")):
+            to_fol(replaced)
+        state.defs.append(residue)
+        step1_bool_var(state, (0, 0), k)
+        with pytest.raises(ValueError, match=re.escape(f"defs[{k}] is not first-order at (0, 1)")):
+            to_fol(state)
+        step1_bool_var(state, (0, 1), k)
+        assert to_fol(state) == to_fol(_unwalked(state)), name
+
+
+def _kept_alike(scope, got, want):
+    """Wherever ``want`` keeps a subtree of ``scope`` as the same object,
+    ``got`` keeps it too."""
+    stack = [(scope, got, want)]
+    while stack:
+        t, got, want = stack.pop()
+        if want is t:
+            if got is not t:
+                return False
+        else:
+            stack.extend(zip(children(t), children(got), children(want)))
+    return True
+
+
+@contextlib.contextmanager
+def _lifts_checked_against_the_whole_scope():
+    """Check each call of the guided lift rewrite, the lift's own and its
+    recursive ones, against the whole-scope reference
+    ``subst_free_vars(scope, {}, {fn: head})``: the same term, with every
+    subtree the reference keeps kept as the same object.  Yields a list
+    that names, per call, what the pass's records said of its subtree."""
+    guided = translate._lift_apps
+    taken = []
+
+    def checked(t, fn, head, returned):
+        got = guided(t, fn, head, returned)
+        want = subst_free_vars(t, {}, {fn: head})
+        assert got == want
+        assert _kept_alike(t, got, want)
+        known = returned.get(id(t))
+        if known is None:
+            taken.append("no record")
+        elif known[1] is None:
+            taken.append("returned at two places")
+        elif fn not in known[1]:
+            taken.append("does not mention")
+        else:
+            taken.append("rebinds" if isinstance(t, Let) and t.fn == fn else "mentions")
+        return got
+
+    with mock.patch.object(translate, "_lift_apps", checked):
+        yield taken
+
+
+def test_lift_rewrite_agrees_with_the_whole_scope_reference(ctx):
+    s = ctx.sig.sort("s")
+    ctx.sig.declare_fn("b", TypeSig((), s))
+    # the inner let binds k again: its scope is left alone, and so is
+    # pr(c), which does not mention k
+    rebinds = parse_formula(
+        "$let(k : s, k := c, (pr(c) & pr(k)) & $let(k : s, k := h(k), pr(k)))", ctx
+    )
+    # X is free in the let, so the scope's binder of X is renamed first,
+    # and the rebuilt scope has no record
+    renames = parse_formula(
+        "![X : s] : $let(k : s, k := h(X), pr(k) & ![X : s] : pr(h(X)))", ctx
+    )
+    # one term object at two places of the outer let's scope, with two
+    # clash sets: its record is None
+    shared = App("pr", (App("b"),))
+    inner = Let("b", (), App("h", (App("a"),)), land(shared, App("pr", (App("b"),))))
+    twice = Eq(App("f", (Let("a", (), App("c"), land(shared, inner)),)), App("c"))
+    seen = set()
+    for phi, case in ((rebinds, "rebinds"), (renames, "no record"), (twice, "returned at two places")):
+        with _lifts_checked_against_the_whole_scope() as taken:
+            run_translation(phi, ctx)
+        assert case in taken
+        seen.update(taken)
+    assert "does not mention" in seen
+
+
+def test_lift_rewrite_agrees_with_the_whole_scope_reference_on_let_nests():
+    for name, text in lowering_shapes():
+        if "let" in name:
+            problem = parse_problem(text)
+            with _lifts_checked_against_the_whole_scope() as taken:
+                state = run_translation(problem.goal_formula(), problem.ctx)
+            assert len(taken) >= state.step_counts()["let"], name  # each lift was checked
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(2, 6))
+def test_lift_rewrite_agrees_with_the_whole_scope_reference_on_random_formulas(seed, depth):
+    gen = TermGen(random.Random(seed), max_depth=depth)
+    phi = gen.formula()
+    phi = forall_prefix([(v, gen.free_pool[v]) for v in sorted(free_vars(phi))], phi)
+    with _lifts_checked_against_the_whole_scope():
+        run_translation(phi, TypeContext.of(gen.sig))
 
 
 def test_lift_rewrites_keep_untouched_subtrees(ctx):
