@@ -19,9 +19,9 @@ driver's clash sets read ``binders`` too.  Two walks read the
 classifier:
 
 * ``contexts`` yields each subterm with its two contexts and nothing
-  else.  The first-order check, ``translate.redex_measure``, the
-  terminated-check and predicate-split scan of ``translate.to_fol`` and
-  the strict-mode equality check in ``tptp`` run on it;
+  else.  The first-order check, the terminated-check and predicate-split
+  scan of ``translate.to_fol``, the strict-mode equality check in
+  ``tptp`` and the tests' redex measure run on it;
 * ``occurrences`` also builds each subterm's path and binders.  It runs
   only to find the witness path of a failed first-order check.
   ``occurrence_at`` follows one path.

@@ -35,14 +35,16 @@ symbol are eligible now, and the second lowering visits only the paths the
 lift changed.  So steps come innermost-leftmost, runs are deterministic
 and every definition stays closed.
 
-``run_translation`` ends with one ``terms.contexts`` walk per formula,
-which checks that no step applies and collects the symbols the formula
-applies in formula contexts and in term contexts; the state keeps the
-result by formula object.  ``to_fol`` decides the predicate split from
-those, walking only a formula the run did not walk (a definition appended
-or a ``current`` replaced since), and refuses a residue there.  It then
-turns the atoms of function-split symbols into equations with true in one
-rebuild that carries the contexts down.
+The driver applies at most as many steps as the input has redexes
+(if-then-else and let nodes, boolean variables in formula contexts and
+non-atomic boolean terms in term contexts) and leaves every formula
+first-order.  Both are proved, and the tests check them on every pinned
+input, so ``run_translation`` does not check them again.  ``to_fol``
+makes one ``terms.contexts`` walk per formula, which refuses a residue
+and collects the symbols the formula applies in formula contexts and in
+term contexts; it decides the predicate split from those, then turns the
+atoms of function-split symbols into equations with true in one rebuild
+that carries the contexts down.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ from .terms import (
     contexts,
     forall_prefix,
     free_fns,
-    free_vars,
     free_vars_ordered,
     is_syntactically_first_order,
     liff,
@@ -119,12 +120,6 @@ class TranslationState:
     fn_counter: int = field(default=0, init=False)
     var_counter: int = field(default=0, init=False)
     used_names: set[str] = field(init=False)
-    # by id, each formula run_translation's last walk found first-order,
-    # with the symbols it applies in formula and in term contexts; the
-    # entry holds the formula, so its id stays its own
-    walked: dict[int, tuple[Term, _Applied]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         self.used_names = all_names(self.current)
@@ -161,18 +156,6 @@ class TranslationState:
         for rule, _, _ in self.steps:
             out[rule] = out.get(rule, 0) + 1
         return out
-
-
-# ---------------------------------------------------------------------------
-# the redex measure (occurrences are classified in terms.py)
-
-
-def redex_measure(phi: Term) -> int:
-    """Upper bound on the number of translation steps: if-then-else and
-    let nodes, boolean variables in (effective) formula contexts, and
-    non-atomic boolean terms in (effective) term contexts.  The effective
-    context is the one a let's children have once the let is lifted."""
-    return sum(redex_kind(t, effective) is not None for t, _, effective in contexts(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +397,7 @@ class _Pass:
         return occ.term, clash
 
 
-def _lower_targets(state: TranslationState, bound: int) -> None:
+def _lower_targets(state: TranslationState) -> None:
     """One pass over ``current``, then over each definition the state
     already has, then over each definition a let step adds, in order,
     including those added while the passes run.  The other steps build
@@ -424,52 +407,22 @@ def _lower_targets(state: TranslationState, bound: int) -> None:
     for target in targets:  # grows while it runs
         lowered, _ = _Pass(state, target, targets).lower(Occurrence(state.formula_at(target)), ())
         state._set_formula(target, lowered)
-        if len(state.steps) > bound:
-            raise AssertionError(
-                f"translation exceeded its step bound ({bound}); this is a bug"
-            )
 
 
 def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
     """Drive the steps to a fixpoint; the result and every definition are
     syntactically first-order.
 
-    The input must be a closed formula.  Termination is guaranteed: the
-    number of applied steps never exceeds the initial redex measure,
-    which is asserted on every run.
+    The input must be a closed formula: it is sort-checked without the
+    variables ``ctx`` binds, so an open one raises ``SortError``.  The
+    number of applied steps never exceeds the input's redex measure, so
+    the run terminates; the tests check that bound, and first-orderness,
+    on every pinned input.
     """
-    if free_vars(phi):
-        raise ValueError(f"formula is not closed: free {sorted(free_vars(phi))}")
-    check_formula(ctx, phi)
-
+    check_formula(TypeContext(ctx.sig, fn_binds=ctx.fn_binds), phi)
     state = TranslationState(current=phi, ctx=ctx)
-    _lower_targets(state, redex_measure(phi))
-    applied = [(formula, _applied_symbols(formula)) for formula in [*state.defs, state.current]]
-    if any(got is None for _, got in applied):
-        for formula in [state.current, *state.defs]:
-            verdict = is_syntactically_first_order(formula)
-            if not verdict.ok:
-                raise AssertionError(
-                    f"translation left a non-first-order residue at {verdict.witness}: "
-                    f"{verdict.reason}"
-                )
-    state.walked = {id(formula): (formula, got) for formula, got in applied}
+    _lower_targets(state)
     return state
-
-
-def _applied_symbols(formula: Term) -> _Applied | None:
-    """The symbols ``formula`` applies in formula contexts, and those it
-    applies in term contexts, on one ``terms.contexts`` walk; None as soon
-    as a lowering step applies somewhere, so the formula is not
-    first-order."""
-    atoms: set[str] = set()
-    terms: set[str] = set()
-    for t, strict, effective in contexts(formula):
-        if redex_kind(t, strict) is not None:
-            return None
-        if type(t) is App:
-            (atoms if effective == FORMULA_CONTEXT else terms).add(t.fn)
-    return atoms, terms
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +469,33 @@ def _equate_atoms(t: Term, effective: str, rewrite: set[str]) -> Term:
     return t
 
 
+def _applied_symbols(formula: Term) -> _Applied | None:
+    """The symbols ``formula`` applies in formula contexts, and those it
+    applies in term contexts, on one ``terms.contexts`` walk; None as soon
+    as a lowering step applies somewhere, so the formula is not
+    first-order."""
+    atoms: set[str] = set()
+    terms: set[str] = set()
+    for t, strict, effective in contexts(formula):
+        if redex_kind(t, strict) is not None:
+            return None
+        if type(t) is App:
+            (atoms if effective == FORMULA_CONTEXT else terms).add(t.fn)
+    return atoms, terms
+
+
 def to_fol(state: TranslationState) -> FolProblem:
     """Turn a terminated translation state into a legal many-sorted
     first-order problem: apply the predicate split; the problem's
     ``axioms`` add the two boolean axioms.
 
-    A formula that ``run_translation`` walked last is not walked again;
-    any other one, such as a definition appended or a ``current`` replaced
-    since, is walked here, and a residue in it is refused."""
+    One walk per formula refuses a state that is not terminated, naming
+    the formula and the residue's path, and collects the symbols the
+    split reads."""
     formulas = [*state.defs, state.current]
     applied = []
     for k, formula in enumerate(formulas):
-        kept = state.walked.get(id(formula))
-        got = kept[1] if kept is not None else _applied_symbols(formula)
+        got = _applied_symbols(formula)
         if got is None:
             where = "current" if k == len(state.defs) else f"defs[{k}]"
             verdict = is_syntactically_first_order(formula)

@@ -9,11 +9,13 @@ from foolkit.terms import (
     FALSE,
     Forall,
     TRUE,
+    contexts,
     forall_prefix,
     free_fns,
     land,
     lnot,
     lor,
+    redex_kind,
 )
 
 
@@ -63,6 +65,14 @@ def oracle_satisfiable(clauses, ctx, size=2, cap=2_000_000):
         if models(interp, phi):
             return True
     return False
+
+
+def redex_measure(phi):
+    """Upper bound on the number of translation steps: if-then-else and
+    let nodes, boolean variables in (effective) formula contexts, and
+    non-atomic boolean terms in (effective) term contexts.  The effective
+    context is the one a let's children have once the let is lifted."""
+    return sum(redex_kind(t, effective) is not None for t, _, effective in contexts(phi))
 
 
 # ---------------------------------------------------------------------------

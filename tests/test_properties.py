@@ -22,6 +22,7 @@ from foolkit import (
     run_translation,
 )
 from generate import TermGen
+from helpers import redex_measure
 from foolkit.prover import kbo_greater
 from foolkit.prover.unification import apply_subst
 from foolkit.terms import (
@@ -31,7 +32,6 @@ from foolkit.terms import (
     free_fns,
 )
 from foolkit.tptp import Problem, SymbolDecl, AnnotatedFormula
-from foolkit.translate import redex_measure
 
 
 def closed(gen, phi):
