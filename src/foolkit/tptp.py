@@ -581,15 +581,17 @@ class _Parser:
         for af in problem.formulas:
             if not isinstance(af.payload, Term):
                 continue
-            free = free_vars(af.payload)
-            if free:
-                raise ParseError(
-                    f"formula {af.name!r} has unquantified variables {sorted(free)}",
-                    af.line,
-                )
+            # ctx binds no variables, so an open formula fails the check;
+            # its free variables are looked up only to name them
             try:
                 check_formula(ctx, af.payload)
             except SortError as err:
+                free = free_vars(af.payload)
+                if free:
+                    raise ParseError(
+                        f"formula {af.name!r} has unquantified variables {sorted(free)}",
+                        af.line,
+                    ) from err
                 raise ParseError(
                     f"in formula {af.name!r}: {err.kind}: {err}", af.line
                 ) from err

@@ -18,6 +18,16 @@ the single-step API alike.  Steps 2-4 name their term by one
 ``_fresh_symbol``, and the let lift reads what a let binds from
 ``terms.binders``.
 
+Steps 2 and 3 name each distinct term once per state: an occurrence of
+a term already named, over the same free variables with the same sorts,
+gets the first occurrence's symbol applied to the same variables, and
+adds no symbol and no definition; the step is still logged.  This keeps
+the models: a symbol's definitions fix its value, as a function of
+those variables, in every interpretation of the input, and a step
+applies only where no let symbol bound above occurs free, so the term
+means the same at every occurrence.  Alpha-variants and let lifts are
+not shared.  The single-step API uses the state's table too.
+
 The driver lowers ``current``, then each definition a let step adds (in
 order, including those added meanwhile), in one post-order pass each: a
 node's children first, then the node itself if it is an eligible redex,
@@ -108,9 +118,9 @@ class TranslationState:
     the context extended with the fresh symbols.
 
     ``current`` and ``ctx`` are the state's inputs.  The definitions, the
-    fresh symbols and the step log start empty, the two name counters at
-    0, and ``used_names`` starts as every name in ``current``, so fresh
-    variables and symbols avoid them."""
+    fresh symbols, the step log and the table of named terms start empty,
+    the two name counters at 0, and ``used_names`` starts as every name
+    in ``current``, so fresh variables and symbols avoid them."""
 
     current: Term
     ctx: TypeContext
@@ -120,6 +130,11 @@ class TranslationState:
     fn_counter: int = field(default=0, init=False)
     var_counter: int = field(default=0, init=False)
     used_names: set[str] = field(init=False)
+    # each term steps 2 and 3 named, with its free variables and their
+    # sorts in ``free_vars_ordered`` order, to its symbol applied to them
+    named: dict[tuple[Term, tuple[tuple[str, Sort], ...]], App] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.used_names = all_names(self.current)
@@ -194,8 +209,11 @@ def _fresh_symbol(state: TranslationState, binds: list[tuple[str, Sort]], sort: 
 def _formula_in_term(state: TranslationState, occ: Occurrence) -> Term:
     psi = occ.term
     binds = _free_vars_with_sorts(psi, state.ctx.with_vars(occ.variables))
-    gapp = _fresh_symbol(state, binds, BOOL)
-    state.defs.append(forall_prefix(binds, liff(psi, Eq(gapp, TRUE))))
+    key = (psi, tuple(binds))
+    gapp = state.named.get(key)
+    if gapp is None:
+        gapp = state.named[key] = _fresh_symbol(state, binds, BOOL)
+        state.defs.append(forall_prefix(binds, liff(psi, Eq(gapp, TRUE))))
     return gapp
 
 
@@ -203,9 +221,12 @@ def _ite(state: TranslationState, occ: Occurrence) -> Term:
     t = occ.term
     ctx = state.ctx.with_vars(occ.variables)
     binds = _free_vars_with_sorts(t, ctx)
-    gapp = _fresh_symbol(state, binds, infer_sort(ctx, t.then))
-    state.defs.append(forall_prefix(binds, limplies(t.cond, Eq(gapp, t.then))))
-    state.defs.append(forall_prefix(binds, limplies(lnot(t.cond), Eq(gapp, t.els))))
+    key = (t, tuple(binds))
+    gapp = state.named.get(key)
+    if gapp is None:
+        gapp = state.named[key] = _fresh_symbol(state, binds, infer_sort(ctx, t.then))
+        state.defs.append(forall_prefix(binds, limplies(t.cond, Eq(gapp, t.then))))
+        state.defs.append(forall_prefix(binds, limplies(lnot(t.cond), Eq(gapp, t.els))))
     return gapp
 
 
@@ -300,12 +321,16 @@ def step2_formula_in_term_ctx(
     state: TranslationState, path: tuple[int, ...], target: Target = "current"
 ) -> TranslationState:
     """Name a non-atomic formula standing in a term context by a fresh
-    symbol; atoms, truth constants and bare variables stay in place."""
+    symbol; atoms, truth constants and bare variables stay in place.  A
+    formula the state has named already, over the same variables at the
+    same sorts, gets that symbol and no new definition."""
     return _single_step(state, "formula-in-term", path, target)
 
 
 def step3_ite(state: TranslationState, path: tuple[int, ...], target: Target = "current") -> TranslationState:
-    """Name an if-then-else by a fresh symbol with two guarded equations."""
+    """Name an if-then-else by a fresh symbol with two guarded equations;
+    one the state has named already, over the same variables at the same
+    sorts, gets that symbol and no new definitions."""
     return _single_step(state, "ite", path, target)
 
 

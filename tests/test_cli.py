@@ -233,6 +233,17 @@ def test_verify_domains_flag(tmp_path, capsys):
     assert out.strip() == "OK 162"
 
 
+def test_verify_names_a_repeated_formula_once(tmp_path, capsys):
+    path = tmp_path / "p.p"
+    path.write_text(
+        "tff(d_q, type, q : $o > $o).\ntff(d_a, type, a : $o).\ntff(d_b, type, b : $o).\n"
+        "tff(c, conjecture, q(a | b) = q(a | b)).\n"
+    )
+    assert main(["verify", str(path)]) == 0
+    # 2^2 tables for q, 2 each for a and b, 2 for the one fresh constant
+    assert capsys.readouterr().out.strip() == "OK 32"
+
+
 def test_verify_overflow_exit(tmp_path, capsys):
     path = tmp_path / "p.p"
     path.write_text(

@@ -48,7 +48,7 @@ from foolkit import (
 )
 from foolkit import translate
 from foolkit.prover import clausify
-from foolkit.semantics import table_count
+from foolkit.semantics import DEFAULT_CAP, EnumerationOverflow, table_count
 from foolkit.tptp import print_fol_tff0
 from foolkit.terms import (
     FALSE,
@@ -518,6 +518,126 @@ def test_ite_inside_let_body():
     assert state.step_counts() == {"ite": 2, "let": 1}
     srt = problem.signature.sort("srt")
     assert check_model_preservation(phi, state, DomainSpec({srt: 2})).ok
+
+
+# ---------------------------------------------------------------------------
+# one symbol per distinct named term
+
+
+_SORTS_S_T = (
+    "tff(s_s, type, s : $tType). tff(s_t, type, t : $tType)."
+    " tff(d_c, type, c : s). tff(d_pr, type, pr : s > $o). tff(d_w, type, w : $o > s)."
+    " tff(d_a, type, a : $o). tff(d_b, type, b : $o)."
+)
+
+
+def _lowered(text):
+    problem = parse_problem(text)
+    phi = problem.goal_formula()
+    state = run_translation(phi, problem.ctx)
+    spec = DomainSpec({sort: 2 for sort in problem.signature.sorts.values()})
+    assert check_model_preservation(phi, state, spec).ok
+    return state
+
+
+def test_a_repeated_formula_in_a_term_context_is_named_once(ctx):
+    """Both occurrences are still steps, but the second reuses the first
+    one's symbol and adds no definition; the single-step API shares too."""
+    state = _lowered(_SORTS_S_T + " tff(g, conjecture, w(a | b) = w(a | b)).")
+    assert state.step_counts() == {"formula-in-term": 2}
+    assert state.fresh_symbols == ["sk_fool_0"]
+    assert len(state.defs) == 1
+    assert state.current == lnot(Eq(App("w", (App("sk_fool_0"),)), App("w", (App("sk_fool_0"),))))
+
+    phi = Eq(App("f", (lor(App("p0"), App("q0")),)), App("f", (lor(App("p0"), App("q0")),)))
+    state = TranslationState(phi, ctx)
+    step2_formula_in_term_ctx(state, (0, 0))
+    step2_formula_in_term_ctx(state, (1, 0))
+    assert state.fresh_symbols == ["sk_fool_0"]
+    assert state.current == Eq(App("f", (App("sk_fool_0"),)), App("f", (App("sk_fool_0"),)))
+    assert len(state.defs) == 1
+
+
+def test_a_repeated_ite_under_two_binders_is_named_once():
+    state = _lowered(
+        _SORTS_S_T + " tff(g, axiom, (![X : s] : pr($ite(pr(X), X, c)))"
+        " & (![X : s] : pr($ite(pr(X), X, c))))."
+    )
+    assert state.step_counts() == {"ite": 2}
+    assert state.fresh_symbols == ["sk_fool_0"]
+    assert len(state.defs) == 2
+    named = App("pr", (App("sk_fool_0", (Var("X"),)),))
+    s = state.ctx.sig.sort("s")
+    assert state.current == land(Forall("X", s, named), Forall("X", s, named))
+
+
+def test_the_same_text_over_other_sorts_or_other_variables_is_named_apart():
+    """The key carries each free variable's sort, and alpha-variants are
+    not identified."""
+    sorts = _lowered(
+        _SORTS_S_T + " tff(g, axiom, (![X : s] : X = $ite(a, X, X))"
+        " & (![X : t] : X = $ite(a, X, X)))."
+    )
+    assert sorts.step_counts() == {"ite": 2}
+    assert sorts.fresh_symbols == ["sk_fool_0", "sk_fool_1"]
+    assert [str(sorts.ctx.fn_sig(g)) for g in sorts.fresh_symbols] == ["s > s", "t > t"]
+    variants = _lowered(_SORTS_S_T + " tff(g, axiom, w(![Y : s] : pr(Y)) = w(![Z : s] : pr(Z))).")
+    assert variants.step_counts() == {"formula-in-term": 2}
+    assert variants.fresh_symbols == ["sk_fool_0", "sk_fool_1"]
+
+
+def test_lets_of_one_name_keep_their_named_terms_apart():
+    """Two scopes bind ``k`` to different bodies; the named terms that
+    mention ``k`` wait for the lifts, which make them different."""
+    state = _lowered(
+        _SORTS_S_T + " tff(g, axiom, $let(k : $o, k := a, w(k | b) = c)"
+        " & $let(k : $o, k := b, w(k | b) = c))."
+    )
+    assert state.step_counts() == {"let": 2, "formula-in-term": 2}
+    assert len(state.fresh_symbols) == 4
+    assert len(state.defs) == 4
+
+
+def _definitions_by_symbol(state):
+    """Each fresh symbol's definitions, with the symbol renamed to one
+    placeholder: the left side of the equation each definition ends in."""
+    out = {}
+    for d in state.defs:
+        body = d
+        while isinstance(body, Forall):
+            body = body.body
+        eq = body.args[1] if isinstance(body, App) else body  # <=> and => end in it
+        g = eq.left.fn
+        out.setdefault(g, []).append(subst_free_vars(d, {}, {g: ("_", ())}))
+    return out
+
+
+def test_no_two_fresh_symbols_share_their_definitions():
+    for name, _, state in _translated_states():
+        by_symbol = _definitions_by_symbol(state)
+        assert sorted(by_symbol) == sorted(state.fresh_symbols), name
+        distinct = {tuple(map(term_to_str, defs)) for defs in by_symbol.values()}
+        assert len(distinct) == len(by_symbol), name
+
+
+def test_lowering_shapes_keep_their_models():
+    """At size 2: the if-then-else trees and the naming problems, the
+    shapes with repeated named terms, under a cap that takes them all, and
+    every other shape wherever the default cap allows."""
+    checked = []
+    for name, text in lowering_shapes():
+        problem = parse_problem(text)
+        phi = problem.goal_formula()
+        state = run_translation(phi, problem.ctx)
+        spec = DomainSpec({sort: 2 for sort in problem.signature.sorts.values()})
+        cap = 10**40 if name.startswith(("tree-", "naming-")) else DEFAULT_CAP
+        try:
+            report = check_model_preservation(phi, state, spec, cap=cap)
+        except EnumerationOverflow:
+            continue
+        assert report.ok, name
+        checked.append(name)
+    assert {"tree-3", "tree-5", "tree-7", "naming-5", "naming-20", "naming-40"} <= set(checked)
 
 
 # ---------------------------------------------------------------------------
