@@ -7,24 +7,23 @@ definitions) annotate their bound names with sorts, so sort checking is
 pure bottom-up synthesis.
 
 This module is also the one occurrence classifier: ``child_context``
-says which context a position puts the subterm there in, strict and
-effective, and ``binders`` says what a node binds in each child (a
-quantifier its variable in its body, a let its formals in its body and
-its symbol in its scope).  ``child_occurrence`` reads both, and through
-``redex_kind`` they say which lowering step applies to a subterm: the
-lowering driver and the single-step API in ``translate`` apply a step
-only where it names one.  ``subst_free_vars`` (which also rewrites the
-applications of a lifted let symbol), the let lift's renaming and the
-driver's clash sets read ``binders`` too.  Two walks read the
-classifier:
+says which context a position puts the subterm there in (a formula
+context, a term context, or none, for the root and a let's children),
+and ``binders`` says what a node binds in each child (a quantifier its
+variable in its body, a let its formals in its body and its symbol in
+its scope).  ``child_occurrence`` reads both, and through ``redex_kind``
+they say which lowering step applies to a subterm: the lowering driver
+and the single-step API in ``translate`` apply a step only where it
+names one.  ``subst_free_vars`` (which also rewrites the applications of
+a lifted let symbol), the let lift's renaming and the driver's clash
+sets read ``binders`` too.  Two walks read the classifier:
 
-* ``contexts`` yields each subterm with its two contexts and nothing
-  else.  The first-order check, the terminated-check and predicate-split
-  scan of ``translate.to_fol``, the strict-mode equality check in
-  ``tptp`` and the tests' redex measure run on it;
-* ``occurrences`` also builds each subterm's path and binders.  It runs
-  only to find the witness path of a failed first-order check.
-  ``occurrence_at`` follows one path.
+* ``contexts`` yields each subterm with its context and nothing else.
+  The terminated-check and predicate-split scan of ``translate.to_fol``
+  and the strict-mode equality check in ``tptp`` run on it;
+* ``occurrences`` also builds each subterm's path and binders.  The
+  first-order check runs on it, so its witness is the path of the first
+  occurrence where a step applies.  ``occurrence_at`` follows one path.
 
 A formula is syntactically first-order when no lowering step applies at
 any occurrence.
@@ -32,7 +31,7 @@ any occurrence.
 Some walks keep their own loops, and their own copy of a rule, because a
 shared walk would slow them down.  ``contexts`` keeps its own copy of
 ``child_context``: it dispatches once per node and pushes every child
-with its contexts, in about 0.4 of the time of one ``children`` and one
+with its context, in about 0.4 of the time of one ``children`` and one
 ``child_context`` call per child (a helper that returned every child's
 contexts saved nothing); ``test_context_walk_agrees_with_occurrences``
 checks it against ``occurrences``.  ``subterm_positions`` (clause terms
@@ -512,48 +511,39 @@ class Occurrence(NamedTuple):
     # if-then-else conditions; term-context for arguments of other
     # symbols, equality operands and if-then-else branches (they end up as
     # equation sides); not-applicable for the root and the children of a let
-    strict: str = NO_CONTEXT
+    context: str = NO_CONTEXT
     # bound above the subterm: (name, sort) of each variable, outermost
     # first, and the let-bound symbols
     variables: tuple[tuple[str, Sort], ...] = ()
     lets: frozenset[str] = frozenset()
-    # like strict, but a let's children keep a context: its body becomes
-    # an equation side and its scope replaces it in place
-    effective: str = FORMULA_CONTEXT
 
 
-_FORMULA_ARG = (FORMULA_CONTEXT, FORMULA_CONTEXT)
-_TERM_ARG = (TERM_CONTEXT, TERM_CONTEXT)
-
-
-def child_context(t: Term, i: int, effective: str) -> tuple[str, str]:
-    """The strict and the effective context of child ``i`` of ``t``, where
-    ``t`` stands in the effective context ``effective``."""
+def child_context(t: Term, i: int) -> str:
+    """The context that ``t`` puts its child ``i`` in."""
     if isinstance(t, App):
-        return _FORMULA_ARG if t.fn in CONNECTIVES else _TERM_ARG
+        return FORMULA_CONTEXT if t.fn in CONNECTIVES else TERM_CONTEXT
     if isinstance(t, Let):
-        return NO_CONTEXT, TERM_CONTEXT if i == 0 else effective
+        return NO_CONTEXT
     if isinstance(t, (Forall, Exists)) or (i == 0 and isinstance(t, Ite)):
-        return _FORMULA_ARG
-    return _TERM_ARG  # Eq, and the branches of an Ite
+        return FORMULA_CONTEXT
+    return TERM_CONTEXT  # Eq, and the branches of an Ite
 
 
 def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
-    """``kid``, child ``i`` of the occurrence, with its strict context,
-    binders and effective context."""
+    """``kid``, child ``i`` of the occurrence, with its context and
+    binders."""
     t = occ.term
-    strict, effective = child_context(t, i, occ.effective)
     variables, fn = binders(t, i)
     lets = occ.lets if fn is None else occ.lets | {fn}
-    return Occurrence(kid, strict, occ.variables + variables, lets, effective)
+    return Occurrence(kid, child_context(t, i), occ.variables + variables, lets)
 
 
-def contexts(t: Term) -> Iterator[tuple[Term, str, str]]:
-    """Every subterm of ``t`` with its strict and effective context, in the
-    order of ``occurrences``; iterative, with no paths and no binders.
-    One dispatch per node pushes all the children with their contexts,
-    so this is a second copy of ``child_context``'s rule: change both."""
-    stack = [(t, NO_CONTEXT, FORMULA_CONTEXT)]
+def contexts(t: Term) -> Iterator[tuple[Term, str]]:
+    """Every subterm of ``t`` with its context, in the order of
+    ``occurrences``; iterative, with no paths and no binders.  One
+    dispatch per node pushes all the children with their contexts, so
+    this is a second copy of ``child_context``'s rule: change both."""
+    stack = [(t, NO_CONTEXT)]
     push, pop = stack.append, stack.pop
     while stack:
         item = pop()
@@ -564,19 +554,19 @@ def contexts(t: Term) -> Iterator[tuple[Term, str, str]]:
             if cur.args:
                 arg = FORMULA_CONTEXT if cur.fn in CONNECTIVES else TERM_CONTEXT
                 for a in reversed(cur.args):
-                    push((a, arg, arg))
+                    push((a, arg))
         elif kind is Eq:
-            push((cur.right, TERM_CONTEXT, TERM_CONTEXT))
-            push((cur.left, TERM_CONTEXT, TERM_CONTEXT))
+            push((cur.right, TERM_CONTEXT))
+            push((cur.left, TERM_CONTEXT))
         elif kind is Forall or kind is Exists:
-            push((cur.body, FORMULA_CONTEXT, FORMULA_CONTEXT))
+            push((cur.body, FORMULA_CONTEXT))
         elif kind is Ite:
-            push((cur.els, TERM_CONTEXT, TERM_CONTEXT))
-            push((cur.then, TERM_CONTEXT, TERM_CONTEXT))
-            push((cur.cond, FORMULA_CONTEXT, FORMULA_CONTEXT))
+            push((cur.els, TERM_CONTEXT))
+            push((cur.then, TERM_CONTEXT))
+            push((cur.cond, FORMULA_CONTEXT))
         elif kind is Let:
-            push((cur.scope, NO_CONTEXT, item[2]))
-            push((cur.body, NO_CONTEXT, TERM_CONTEXT))
+            push((cur.scope, NO_CONTEXT))
+            push((cur.body, NO_CONTEXT))
         elif kind is not Var:
             raise TypeError(f"not a term: {cur!r}")
 
@@ -638,8 +628,7 @@ class OccurrenceClass:
 
 
 def classify_occurrence(t: Term, path: tuple[int, ...]) -> OccurrenceClass:
-    """Classify the subterm occurrence addressed by path; its context is
-    the occurrence's strict context."""
+    """Classify the subterm occurrence addressed by path."""
     occ = occurrence_at(t, path)
     cur = occ.term
     if isinstance(cur, Var):
@@ -647,8 +636,8 @@ def classify_occurrence(t: Term, path: tuple[int, ...]) -> OccurrenceClass:
     elif isinstance(cur, App):
         bound = cur.fn in occ.lets
     else:
-        return OccurrenceClass(None, occ.strict)
-    return OccurrenceClass("bound" if bound else "free", occ.strict)
+        return OccurrenceClass(None, occ.context)
+    return OccurrenceClass("bound" if bound else "free", occ.context)
 
 
 @dataclass(frozen=True)
@@ -669,17 +658,11 @@ _REASONS = {
 def is_syntactically_first_order(t: Term) -> FirstOrderCheck:
     """No lowering step applies anywhere in ``t``; otherwise the witness is
     the leftmost-outermost occurrence where one does."""
-    for sub, strict, _ in contexts(t):
-        if redex_kind(sub, strict) is not None:
-            break
-    else:
-        return FirstOrderCheck(True)
-    path, kind = next(
-        (path, kind)
-        for path, occ in occurrences(t)
-        if (kind := redex_kind(occ.term, occ.strict)) is not None
-    )
-    return FirstOrderCheck(False, path, _REASONS[kind])
+    for path, occ in occurrences(t):
+        kind = redex_kind(occ.term, occ.context)
+        if kind is not None:
+            return FirstOrderCheck(False, path, _REASONS[kind])
+    return FirstOrderCheck(True)
 
 
 # ---------------------------------------------------------------------------

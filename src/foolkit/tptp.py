@@ -154,12 +154,33 @@ def _name(tok: Token) -> str:
 _LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
-def _atom_str(name: str) -> str:
-    """Render a symbol name, single-quoting when lexically required."""
-    if _LOWER_WORD.match(name) or name.isdigit() or name.startswith("$"):
+def _atom_str(name: str, bare: bool = False) -> str:
+    """``name`` bare when it is a lower word, else single-quoted, as a
+    declared name is written; a caller passes ``bare`` for a name that
+    its position reads back as itself (see ``_symbol_str``)."""
+    if bare or _LOWER_WORD.match(name):
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
+
+
+def _symbol_str(name: str) -> str:
+    """A symbol where the reader reads a term: a decimal numeral and the
+    reader's arithmetic symbols stand bare too."""
+    return _atom_str(name, name.isdecimal() or name in ARITHMETIC_FNS)
+
+
+# the sorts the reader defines itself
+_READER_SORTS = frozenset({BOOL.name, INT.name, INDIVIDUAL.name})
+
+
+def _reader_declares(name: str, sig: TypeSig) -> bool:
+    """The reader gives ``name`` the signature ``sig`` without a
+    declaration: a builtin, an arithmetic symbol, or a numeral of sort
+    $int."""
+    if name.isdecimal():
+        return sig == TypeSig((), INT)
+    return name in BUILTIN_FNS or ARITHMETIC_FNS.get(name) == sig
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +255,6 @@ class _Parser:
         for name, sig in ARITHMETIC_FNS.items():
             self.signature.fns[name] = sig
         self.numbers: set[str] = set()
-        # the nullary symbols read outside the scope of a let binding them,
-        # and the symbols of the lets whose scope is being read
-        self.constants: set[str] = set()
-        self.let_scopes: list[str] = []
         self.formula_names: set[str] = set()
         # the line of the last formula start, counted forward from there
         self.line, self.line_pos = 1, 0
@@ -463,10 +480,7 @@ class _Parser:
             return App(tok.text, ())
         if tok.kind in ("lower", "quoted"):
             self.next()
-            name, args = _name(tok), self.parse_optional_args()
-            if not args and name not in self.let_scopes:
-                self.constants.add(name)
-            return App(name, args)
+            return App(_name(tok), self.parse_optional_args())
         raise self.error(f"unexpected token {tok.text!r}", tok)
 
     def parse_optional_args(self) -> tuple[Term, ...]:
@@ -553,9 +567,7 @@ class _Parser:
             self.expect(",")
         body = self.parse_expr()
         self.expect(",")
-        self.let_scopes.append(fn)
         scope = self.parse_expr()
-        self.let_scopes.pop()
         self.expect(")")
         return Let(fn, params, body, scope)
 
@@ -572,20 +584,24 @@ class _Parser:
                     raise ParseError("at most one conjecture is allowed", af.line)
         _declare_numbers(sig, self.numbers)
 
-        # only a nullary symbol that is neither declared nor let-bound
-        # where it is read can be inferred
-        if any(sig.fn_sig(n) is None for n in self.constants):
-            self._infer_undeclared_constants(problem)
-
+        # ctx binds no variables, so an open formula fails the check; its
+        # free variables are looked up only to name them.  The first
+        # failure may come from a constant that is used but not declared:
+        # inference runs once, there, and the formula is checked again.
+        # Inference only adds declarations, so the formulas checked before
+        # it stay checked.
         ctx = TypeContext.of(sig)
+        inferred = False
         for af in problem.formulas:
             if not isinstance(af.payload, Term):
                 continue
-            # ctx binds no variables, so an open formula fails the check;
-            # its free variables are looked up only to name them
-            try:
-                check_formula(ctx, af.payload)
-            except SortError as err:
+            err = _sort_error(ctx, af.payload)
+            if err is not None and not inferred:
+                inferred = True
+                self._infer_undeclared_constants(problem)
+                ctx = TypeContext.of(sig)
+                err = _sort_error(ctx, af.payload)
+            if err is not None:
                 free = free_vars(af.payload)
                 if free:
                     raise ParseError(
@@ -662,7 +678,7 @@ class _Parser:
         # an equation side is boolean exactly when it is an equation, a
         # quantifier, or an application whose result sort is $o; the two
         # sides of a checked equation have one sort, so the left decides.
-        for t, _, _ in contexts(af.payload):  # type: ignore[arg-type]
+        for t, _ in contexts(af.payload):  # type: ignore[arg-type]
             if isinstance(t, Eq) and (
                 isinstance(t.left, (Eq, Forall, Exists))
                 or (isinstance(t.left, App) and self.signature.fns[t.left.fn].result == BOOL)
@@ -672,6 +688,15 @@ class _Parser:
                     "in strict mode",
                     af.line,
                 )
+
+
+def _sort_error(ctx: TypeContext, t: Term) -> SortError | None:
+    """Why ``t`` is not a well-sorted formula in ``ctx``, or None."""
+    try:
+        check_formula(ctx, t)
+    except SortError as err:
+        return err
+    return None
 
 
 def _declare_numbers(sig: Signature, numbers: set[str]) -> None:
@@ -719,7 +744,7 @@ class _BoolNames(NamedTuple):
 def _sort_str(sort: Sort, strict: _BoolNames | None) -> str:
     if sort.is_bool:
         return strict.sort if strict else "$o"
-    return _atom_str(sort.name)
+    return _atom_str(sort.name, sort.name in _READER_SORTS)
 
 
 def _typesig_str(sig: TypeSig, strict: _BoolNames | None, predicate: bool = False) -> str:
@@ -768,7 +793,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
         if fn in INFIX:
             items = _flatten_chain(fn, t) if fn in (AND, OR) else t.args
             return "(" + f" {INFIX[fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
-        name = _atom_str(fn)
+        name = _symbol_str(fn)
         if not t.args:
             return name
         return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
@@ -869,7 +894,7 @@ def print_dialect(problem: Problem) -> str:
             body = f"{_atom_str(af.payload.name)} : {_typesig_str(af.payload.sig, strict=None)}"
         else:
             body = _render(af.payload, ctx, strict=None, in_formula=True)
-        lines.append(f"tff({_atom_str(af.name)}, {af.role}, {body}).")
+        lines.append(f"tff({_atom_str(af.name, af.name.isdecimal())}, {af.role}, {body}).")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -897,14 +922,14 @@ def print_fol_tff0(fol) -> str:
         lines.append(f"tff({_unused(label, labels)}, {role}, {body}).")
 
     for name in ctx.sig.sorts:
-        if not name.startswith("$"):
+        if name not in _READER_SORTS:
             emit(_tff_name("sort", name), "type", f"{_atom_str(name)} : $tType")
     emit(_tff_name("sort", bool_sort), "type", f"{strict.sort} : $tType")
     emit(_tff_name("decl", true), "type", f"{strict.true} : {strict.sort}")
     emit(_tff_name("decl", false), "type", f"{strict.false} : {strict.sort}")
 
     def declare(name: str, sig: TypeSig) -> None:
-        if name in BUILTIN_FNS or name.startswith("$") or name.isdigit():
+        if _reader_declares(name, sig):
             return
         predicate = sig.result == BOOL and fol.predicate_split.get(name, "predicate") == "predicate"
         emit(_tff_name("decl", name), "type", f"{_atom_str(name)} : {_typesig_str(sig, strict, predicate)}")

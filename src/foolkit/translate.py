@@ -70,10 +70,11 @@ from .terms import (
     Eq,
     FALSE,
     Forall,
-    FORMULA_CONTEXT,
     Let,
+    NO_CONTEXT,
     FRESH_PREFIX,
     Sort,
+    TERM_CONTEXT,
     TRUE,
     Term,
     TypeContext,
@@ -299,7 +300,7 @@ _CORES = {
 def _single_step(state: TranslationState, kind: str, path: tuple[int, ...], target: Target) -> TranslationState:
     chi = state.formula_at(target)
     occ = occurrence_at(chi, path)
-    if redex_kind(occ.term, occ.strict) != kind:
+    if redex_kind(occ.term, occ.context) != kind:
         raise ValueError(f"no {kind} step applies at {path!r}")
     # a step applies only where no let symbol bound above occurs free, so
     # its context needs only the variables bound above it
@@ -397,7 +398,7 @@ class _Pass:
             clash |= {t.fn}
         if any(map(is_not, new, kids)):  # untouched subtrees are kept
             occ = occ._replace(term=with_children(t, tuple(new)))
-        kind = redex_kind(occ.term, occ.strict)
+        kind = redex_kind(occ.term, occ.context)
         if kind is None or clash:
             return self.note(occ, clash)
         if kind != "let":
@@ -481,31 +482,31 @@ class FolProblem:
         return self.definitions + (self.domain_axiom, self.distinct_axiom)
 
 
-def _equate_atoms(t: Term, effective: str, rewrite: set[str]) -> Term:
-    """``t``, standing in the effective context, with each atom of a symbol
-    in ``rewrite`` turned into an equation with true; one frame per level,
+def _equate_atoms(t: Term, context: str, rewrite: set[str]) -> Term:
+    """``t``, standing in ``context``, with each atom of a symbol in
+    ``rewrite`` turned into an equation with true; one frame per level,
     and an untouched subtree is returned as the same object."""
     new = []
     for i, kid in enumerate(children(t)):
-        new.append(_equate_atoms(kid, child_context(t, i, effective)[1], rewrite))
+        new.append(_equate_atoms(kid, child_context(t, i), rewrite))
     t = with_children(t, tuple(new))
-    if effective == FORMULA_CONTEXT and isinstance(t, App) and t.fn in rewrite:
+    if context != TERM_CONTEXT and isinstance(t, App) and t.fn in rewrite:
         return Eq(t, TRUE)
     return t
 
 
 def _applied_symbols(formula: Term) -> _Applied | None:
-    """The symbols ``formula`` applies in formula contexts, and those it
-    applies in term contexts, on one ``terms.contexts`` walk; None as soon
-    as a lowering step applies somewhere, so the formula is not
-    first-order."""
+    """The symbols ``formula`` applies in formula positions (the root
+    included), and those it applies in term contexts, on one
+    ``terms.contexts`` walk; None as soon as a lowering step applies
+    somewhere, so the formula is not first-order."""
     atoms: set[str] = set()
     terms: set[str] = set()
-    for t, strict, effective in contexts(formula):
-        if redex_kind(t, strict) is not None:
+    for t, context in contexts(formula):
+        if redex_kind(t, context) is not None:
             return None
         if type(t) is App:
-            (atoms if effective == FORMULA_CONTEXT else terms).add(t.fn)
+            (terms if context == TERM_CONTEXT else atoms).add(t.fn)
     return atoms, terms
 
 
@@ -539,6 +540,6 @@ def to_fol(state: TranslationState) -> FolProblem:
     for k, (atoms, _) in enumerate(applied):
         rewrite = atoms & functions
         if rewrite:
-            formulas[k] = _equate_atoms(formulas[k], FORMULA_CONTEXT, rewrite)
+            formulas[k] = _equate_atoms(formulas[k], NO_CONTEXT, rewrite)
     *definitions, goal = formulas
     return FolProblem(definitions=tuple(definitions), goal=goal, ctx=state.ctx, predicate_split=split)

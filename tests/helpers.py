@@ -7,9 +7,13 @@ from foolkit.terms import (
     App,
     BUILTIN_FNS,
     FALSE,
+    FORMULA_CONTEXT,
     Forall,
+    Let,
+    TERM_CONTEXT,
     TRUE,
-    contexts,
+    child_context,
+    children,
     forall_prefix,
     free_fns,
     land,
@@ -69,10 +73,22 @@ def oracle_satisfiable(clauses, ctx, size=2, cap=2_000_000):
 
 def redex_measure(phi):
     """Upper bound on the number of translation steps: if-then-else and
-    let nodes, boolean variables in (effective) formula contexts, and
-    non-atomic boolean terms in (effective) term contexts.  The effective
-    context is the one a let's children have once the let is lifted."""
-    return sum(redex_kind(t, effective) is not None for t, _, effective in contexts(phi))
+    let nodes, boolean variables in formula contexts, and non-atomic
+    boolean terms in term contexts, each read in the context it has once
+    the lets above it are lifted: a let's body stands in a term context
+    (it becomes an equation side) and its scope in the let's own context
+    (it replaces the let in place)."""
+    count = 0
+    stack = [(phi, FORMULA_CONTEXT)]
+    while stack:
+        t, context = stack.pop()
+        count += redex_kind(t, context) is not None
+        for i, kid in enumerate(children(t)):
+            if isinstance(t, Let):
+                stack.append((kid, TERM_CONTEXT if i == 0 else context))
+            else:
+                stack.append((kid, child_context(t, i)))
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foolkit import (
@@ -249,6 +249,15 @@ def test_undeclared_constants_are_still_inferred(inference_calls, axiom, name, s
     assert problem.signature.fn_sig(name) == TypeSig((), problem.signature.sort(sort))
 
 
+def test_a_sort_error_before_an_inferred_constant_is_reported(inference_calls):
+    """Inference runs at the first failing formula, at most once, and a
+    formula that still fails is the one reported."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(_INFERENCE_DECLS + "tff(a, axiom, p(f)).\ntff(b, axiom, e = c).\n")
+    assert "in formula 'a'" in str(err.value)
+    assert len(inference_calls) <= 1
+
+
 def test_includes_rejected():
     with pytest.raises(ParseError) as err:
         parse_problem("include('Axioms/foo.ax').\n")
@@ -458,6 +467,69 @@ def test_quoted_names_roundtrip():
     rendered = print_dialect(problem)
     assert "'Weird Name'" in rendered
     assert ast_equal(problem, parse_problem(rendered))
+
+
+def _quoted(name):
+    escaped = name.replace("\\", "\\\\").replace("'", "\\'")
+    return f"'{escaped}'"
+
+
+def _names_read_back(text):
+    """The problem, its dialect rendering read back, and its translation
+    read back under the strict grammar, with the same formulas and
+    signature."""
+    problem = parse_problem(text)
+    rendered = print_dialect(problem)
+    again = parse_problem(rendered)
+    assert ast_equal(problem, again)
+    assert list(again.signature.sorts.items()) == list(problem.signature.sorts.items())
+    assert list(again.signature.fns.items()) == list(problem.signature.fns.items())
+    assert print_dialect(again) == rendered
+    fol = to_fol(run_translation(problem.goal_formula(), problem.ctx))
+    assert parse_problem(print_fol_tff0(fol), strict=True).formulas
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "tff(t, type, p : $i > $o).\ntff(a, axiom, p('\u00b2')).\n",
+        "tff(t, type, p : $i > $o).\ntff(c, type, '$foo' : $i).\ntff(a, axiom, p('$foo')).\n",
+        "tff(s, type, '$s' : $tType).\ntff(c, type, c : '$s').\ntff(a, axiom, c = c).\n",
+        "tff(s, type, s : $tType).\ntff(c, type, c : s).\ntff(o, type, '1' : s).\n"
+        "tff(a, axiom, '1' = c).\n",
+    ],
+)
+def test_emitted_names_read_back_as_themselves(text):
+    """A name that is not a lower word is quoted where it is declared, a
+    name in a term stands bare only where it reads back as itself, and
+    every symbol the reader would not declare alike is declared."""
+    _names_read_back(text)
+
+
+# Names the reader accepts quoted: spaces, quotes and backslashes, a
+# leading $, decimal and other digits.  A name the reader refuses to
+# declare (a builtin sort or symbol, or p) is skipped.
+_ODD_NAMES = st.one_of(
+    st.sampled_from(["1", "07", "\u0663", "\u00b2", "$foo", "$s", "$", "a b", "it's", "a\\b", "Up", "s"]),
+    st.text(alphabet="ab $'\\_Z19\u0663\u00b2", min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ODD_NAMES, _ODD_NAMES)
+def test_any_declared_sort_and_constant_name_reads_back(sort, const):
+    s, c = _quoted(sort), _quoted(const)
+    text = (
+        f"tff(d_s, type, {s} : $tType).\n"
+        f"tff(d_c, type, {c} : {s}).\n"
+        f"tff(d_p, type, p : {s} > $o).\n"
+        f"tff(a, axiom, p({c}) & $ite(p({c}), {c}, {c}) = {c}).\n"
+    )
+    try:
+        parse_problem(text)
+    except ParseError:
+        assume(False)
+    _names_read_back(text)
 
 
 def test_fol_printer_boolean_axioms_exact():

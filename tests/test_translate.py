@@ -385,6 +385,28 @@ def test_driver_on_subset_sorted():
     assert is_syntactically_first_order(state.current).ok
 
 
+@pytest.mark.parametrize(
+    "formula, measure",
+    [
+        # the let, its body, and its scope, which stands in q's argument
+        ("q($let(c : $o, c := a & b, c | d))", 3),
+        # the let and its body; the scope stands in a formula context
+        ("$let(c : $o, c := a & b, c | d)", 2),
+    ],
+)
+def test_redex_measure_reads_a_lets_children_in_their_lifted_contexts(formula, measure):
+    """A let's body stands in a term context and its scope in the let's
+    own context, and the driver applies exactly the measured steps."""
+    sig = Signature()
+    sig.declare_fn("q", TypeSig((BOOL,), BOOL))
+    for name in "abd":
+        sig.declare_fn(name, TypeSig((), BOOL))
+    ctx = TypeContext.of(sig)
+    phi = parse_formula(formula, ctx)
+    assert redex_measure(phi) == measure
+    assert len(run_translation(phi, ctx).steps) == measure
+
+
 def test_driver_step_count_bounded_by_measure():
     """On every pinned input and lowering shape the driver applies at most
     the input's redex measure of steps and leaves a state ``to_fol``
@@ -913,7 +935,7 @@ def test_single_steps_apply_exactly_where_the_classifier_says():
             eligible = not free_fns(occ.term) & occ.lets
             for kind, step in _STEPS.items():
                 state = TranslationState(phi, ctx)
-                if eligible and redex_kind(occ.term, occ.strict) == kind:
+                if eligible and redex_kind(occ.term, occ.context) == kind:
                     step(state, path)
                     assert state.steps == [(kind, "current", path)], name
                 else:
@@ -947,12 +969,12 @@ def _replayed_states():
 
 
 def test_context_walk_agrees_with_occurrences():
-    """``contexts`` yields the subterm, strict and effective context of
-    each occurrence, in the order of ``occurrences``."""
+    """``contexts`` yields the subterm and context of each occurrence, in
+    the order of ``occurrences``."""
     for name, state in _replayed_states():
         for formula in [state.current, *state.defs]:
-            walked = [(id(t), strict, effective) for t, strict, effective in contexts(formula)]
-            expected = [(id(occ.term), occ.strict, occ.effective) for _, occ in occurrences(formula)]
+            walked = [(id(t), context) for t, context in contexts(formula)]
+            expected = [(id(occ.term), occ.context) for _, occ in occurrences(formula)]
             assert walked == expected, name
 
 
@@ -968,7 +990,7 @@ def _first_order_by_occurrences(t):
     """(ok, witness, reason) of the first-order check, as one scan of
     ``occurrences``."""
     for path, occ in occurrences(t):
-        kind = redex_kind(occ.term, occ.strict)
+        kind = redex_kind(occ.term, occ.context)
         if kind is not None:
             return False, path, _REASON_OF[kind]
     return True, None, None
