@@ -155,32 +155,16 @@ _LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 
 
 def _atom_str(name: str, bare: bool = False) -> str:
-    """``name`` bare when it is a lower word, else single-quoted, as a
-    declared name is written; a caller passes ``bare`` for a name that
-    its position reads back as itself (see ``_symbol_str``)."""
+    """``name`` bare when it is a lower word or its position reads it back
+    as itself (``bare``), else single-quoted."""
     if bare or _LOWER_WORD.match(name):
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
 
 
-def _symbol_str(name: str) -> str:
-    """A symbol where the reader reads a term: a decimal numeral and the
-    reader's arithmetic symbols stand bare too."""
-    return _atom_str(name, name.isdecimal() or name in ARITHMETIC_FNS)
-
-
 # the sorts the reader defines itself
 _READER_SORTS = frozenset({BOOL.name, INT.name, INDIVIDUAL.name})
-
-
-def _reader_declares(name: str, sig: TypeSig) -> bool:
-    """The reader gives ``name`` the signature ``sig`` without a
-    declaration: a builtin, an arithmetic symbol, or a numeral of sort
-    $int."""
-    if name.isdecimal():
-        return sig == TypeSig((), INT)
-    return name in BUILTIN_FNS or ARITHMETIC_FNS.get(name) == sig
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +569,24 @@ class _Parser:
         _declare_numbers(sig, self.numbers)
 
         # ctx binds no variables, so an open formula fails the check; its
-        # free variables are looked up only to name them.  The first
-        # failure may come from a constant that is used but not declared:
-        # inference runs once, there, and the formula is checked again.
-        # Inference only adds declarations, so the formulas checked before
-        # it stay checked.
-        ctx = TypeContext.of(sig)
-        inferred = False
+        # free variables are looked up only to name them.  Constants are
+        # inferred once, at the first failure, which is then checked again;
+        # inference only adds declarations, so earlier formulas stay checked.
+        ctx, inferred = TypeContext.of(sig), False
         for af in problem.formulas:
             if not isinstance(af.payload, Term):
                 continue
-            err = _sort_error(ctx, af.payload)
-            if err is not None and not inferred:
-                inferred = True
-                self._infer_undeclared_constants(problem)
-                ctx = TypeContext.of(sig)
-                err = _sort_error(ctx, af.payload)
-            if err is not None:
+            try:
+                try:
+                    check_formula(ctx, af.payload)
+                except SortError:
+                    if inferred:
+                        raise
+                    inferred = True
+                    self._infer_undeclared_constants(problem)
+                    ctx = TypeContext.of(sig)
+                    check_formula(ctx, af.payload)
+            except SortError as err:
                 free = free_vars(af.payload)
                 if free:
                     raise ParseError(
@@ -688,15 +673,6 @@ class _Parser:
                     "in strict mode",
                     af.line,
                 )
-
-
-def _sort_error(ctx: TypeContext, t: Term) -> SortError | None:
-    """Why ``t`` is not a well-sorted formula in ``ctx``, or None."""
-    try:
-        check_formula(ctx, t)
-    except SortError as err:
-        return err
-    return None
 
 
 def _declare_numbers(sig: Signature, numbers: set[str]) -> None:
@@ -793,7 +769,8 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
         if fn in INFIX:
             items = _flatten_chain(fn, t) if fn in (AND, OR) else t.args
             return "(" + f" {INFIX[fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
-        name = _symbol_str(fn)
+        # a term reads a decimal numeral and an arithmetic symbol bare
+        name = _atom_str(fn, fn.isdecimal() or fn in ARITHMETIC_FNS)
         if not t.args:
             return name
         return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
@@ -929,7 +906,10 @@ def print_fol_tff0(fol) -> str:
     emit(_tff_name("decl", false), "type", f"{strict.false} : {strict.sort}")
 
     def declare(name: str, sig: TypeSig) -> None:
-        if _reader_declares(name, sig):
+        # the reader declares the builtins, the arithmetic symbols and a
+        # numeral of sort $int alike itself
+        numeral = name.isdecimal() and sig == TypeSig((), INT)
+        if numeral or name in BUILTIN_FNS or ARITHMETIC_FNS.get(name) == sig:
             return
         predicate = sig.result == BOOL and fol.predicate_split.get(name, "predicate") == "predicate"
         emit(_tff_name("decl", name), "type", f"{_atom_str(name)} : {_typesig_str(sig, strict, predicate)}")
