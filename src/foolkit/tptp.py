@@ -769,8 +769,9 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
         if fn in INFIX:
             items = _flatten_chain(fn, t) if fn in (AND, OR) else t.args
             return "(" + f" {INFIX[fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
-        # a term reads a decimal numeral and an arithmetic symbol bare
-        name = _atom_str(fn, fn.isdecimal() or fn in ARITHMETIC_FNS)
+        # a term reads a decimal numeral and an arithmetic symbol bare too;
+        # most names are lower words, so that test comes first
+        name = fn if _LOWER_WORD.match(fn) else _atom_str(fn, fn.isdecimal() or fn in ARITHMETIC_FNS)
         if not t.args:
             return name
         return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
