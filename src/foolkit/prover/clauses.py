@@ -3,22 +3,33 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
-from ..terms import App, Sort, Term, Var, subterm_positions, term_to_str
+from ..terms import App, Record, Sort, Term, Value, Var, subterm_positions, term_to_str
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """An equation ``lhs = rhs`` or, when rhs is None, a predicate atom.
 
     Predicate atoms keep the symbols that the emission step classified as
     predicates; everything else travels as an equation.
     """
 
-    positive: bool
-    lhs: Term
-    rhs: Term | None = None
+    __slots__ = _fields = ("positive", "lhs", "rhs")
+
+    def __init__(self, positive: bool, lhs: Term, rhs: Term | None = None) -> None:
+        _set(self, "positive", positive)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.positive == other.positive and self.lhs == other.lhs and self.rhs == other.rhs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.positive, self.lhs, self.rhs))
 
     @property
     def is_equation(self) -> bool:
@@ -45,15 +56,21 @@ class Literal:
         return text if self.positive else f"~{text}"
 
 
-@dataclass
-class Clause:
+class Clause(Record):
     """A multiset of literals; the empty clause is the refutation witness."""
 
-    literals: tuple[Literal, ...]
-    var_sorts: dict[str, Sort] = field(default_factory=dict)
-    id: int = -1
-    rule: str = "input"
-    parents: tuple[int, ...] = ()
+    __slots__ = _fields = ("literals", "var_sorts", "id", "rule", "parents")
+
+    def __init__(
+        self,
+        literals: tuple[Literal, ...],
+        var_sorts: dict[str, Sort] | None = None,
+        id: int = -1,
+        rule: str = "input",
+        parents: tuple[int, ...] = (),
+    ) -> None:
+        self.literals, self.id, self.rule, self.parents = literals, id, rule, parents
+        self.var_sorts = {} if var_sorts is None else var_sorts
 
     @property
     def is_empty(self) -> bool:

@@ -14,8 +14,6 @@ not hold, so they never collide with a symbol of the lowered problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..terms import (
     AND,
     App,
@@ -28,6 +26,7 @@ from ..terms import (
     NOT,
     OR,
     FRESH_PREFIX,
+    Record,
     Sort,
     Term,
     TRUE_NAME,
@@ -47,10 +46,11 @@ class ClauseExplosion(Exception):
     """Distribution exceeded the configured clause cap."""
 
 
-@dataclass
-class ClausifyResult:
-    clauses: list[Clause]
-    ctx: TypeContext
+class ClausifyResult(Record):
+    __slots__ = _fields = ("clauses", "ctx")
+
+    def __init__(self, clauses: list[Clause], ctx: TypeContext) -> None:
+        self.clauses, self.ctx = clauses, ctx
 
 
 def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:

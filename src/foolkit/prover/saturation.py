@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..terms import (
@@ -55,6 +54,7 @@ from ..terms import (
     BOOL,
     FALSE,
     FALSE_NAME,
+    Record,
     Sort,
     TRUE,
     Term,
@@ -79,26 +79,37 @@ AXIOM_MODE = "axiom"
 RULE_MODE = "rule"
 
 
-@dataclass
-class ProverConfig:
-    bool_mode: str = RULE_MODE
+class ProverConfig(Record):
+    """The defaults of ``max_clauses`` and ``max_seconds`` are class
+    attributes, so the command line can show them."""
+
+    _fields = ("bool_mode", "max_clauses", "max_seconds", "max_processed")
     # cap on generated clauses, checked before each given clause: the
     # inferences of the last given clause can overshoot it
-    max_clauses: int = 100_000
-    max_seconds: float = 10.0
-    max_processed: int | None = None  # given-clause budget; None = unlimited
+    max_clauses = 100_000
+    max_seconds = 10.0
 
-    def __post_init__(self) -> None:
-        if self.bool_mode not in (AXIOM_MODE, RULE_MODE):
-            raise ValueError(f"bool_mode must be 'axiom' or 'rule', not {self.bool_mode!r}")
+    def __init__(
+        self,
+        bool_mode: str = RULE_MODE,
+        max_clauses: int = max_clauses,
+        max_seconds: float = max_seconds,
+        max_processed: int | None = None,  # given-clause budget; None = unlimited
+    ) -> None:
+        if bool_mode not in (AXIOM_MODE, RULE_MODE):
+            raise ValueError(f"bool_mode must be 'axiom' or 'rule', not {bool_mode!r}")
+        self.bool_mode, self.max_clauses, self.max_seconds = bool_mode, max_clauses, max_seconds
+        self.max_processed = max_processed
 
 
-@dataclass
-class SaturationResult:
-    verdict: str  # refuted | saturated | limit
-    empty_clause: Clause | None
-    clauses: dict[int, Clause]
-    stats: dict[str, float]
+class SaturationResult(Record):
+    __slots__ = _fields = ("verdict", "empty_clause", "clauses", "stats")
+
+    def __init__(
+        self, verdict: str, empty_clause: Clause | None, clauses: dict[int, Clause], stats: dict[str, float]
+    ) -> None:
+        self.verdict = verdict  # refuted | saturated | limit
+        self.empty_clause, self.clauses, self.stats = empty_clause, clauses, stats
 
     def proof(self) -> list[Clause]:
         """Ancestors of the empty clause, parents before children."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from .terms import (
     AND,
@@ -53,6 +52,7 @@ from .terms import (
     Let,
     NOT,
     OR,
+    Record,
     Sort,
     Term,
     TRUE_NAME,
@@ -72,19 +72,18 @@ class EnumerationOverflow(Exception):
         super().__init__(f"more than {cap} {what}")
 
 
-@dataclass
-class DomainSpec:
+class DomainSpec(Record):
     """Carrier sizes per sort; the boolean carrier is always {0, 1}."""
 
-    sizes: dict[Sort, int] = field(default_factory=dict)
+    __slots__ = _fields = ("sizes",)
 
-    def __post_init__(self) -> None:
-        for sort, n in self.sizes.items():
+    def __init__(self, sizes: Mapping[Sort, int] = {}) -> None:
+        for sort, n in sizes.items():
             if n < 1:
                 raise ValueError(f"carrier of {sort} must be nonempty")
             if sort.is_bool and n != 2:
                 raise ValueError("the boolean carrier has exactly two elements")
-        self.sizes = dict(self.sizes)
+        self.sizes = dict(sizes)
         self.sizes[BOOL] = 2
 
     def size(self, sort: Sort) -> int:
@@ -94,13 +93,19 @@ class DomainSpec:
             raise KeyError(f"no carrier size given for sort {sort}") from None
 
 
-@dataclass
-class Interpretation:
+class Interpretation(Record):
     """Carrier sizes, total function tables and a variable assignment."""
 
-    sizes: dict[Sort, int]
-    tables: dict[str, Mapping[tuple[int, ...], int]]
-    assign: dict[str, int] = field(default_factory=dict)
+    __slots__ = _fields = ("sizes", "tables", "assign")
+
+    def __init__(
+        self,
+        sizes: dict[Sort, int],
+        tables: dict[str, Mapping[tuple[int, ...], int]],
+        assign: dict[str, int] | None = None,
+    ) -> None:
+        self.sizes, self.tables = sizes, tables
+        self.assign = {} if assign is None else assign
 
     def with_var(self, name: str, value: int) -> "Interpretation":
         assign = dict(self.assign)
@@ -509,10 +514,14 @@ def _split(steps, cells: _SearchCells, ranges: dict, leaf) -> bool:
 # model preservation
 
 
-@dataclass
-class PreservationReport:
-    checked: int
-    counterexamples: list[tuple[str, Interpretation]] = field(default_factory=list)
+class PreservationReport(Record):
+    __slots__ = _fields = ("checked", "counterexamples")
+
+    def __init__(
+        self, checked: int, counterexamples: list[tuple[str, Interpretation]] | None = None
+    ) -> None:
+        self.checked = checked
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     @property
     def ok(self) -> bool:

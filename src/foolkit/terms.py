@@ -51,25 +51,88 @@ rewrites built on it (``subst_free_vars``, the let lift in
 
 Terms are immutable values.  All operations here are pure and safe to
 call from multiple threads.
+
+The terms, sorts and literals, and every record of the package, are
+plain classes written out by hand, not dataclasses: each command runs in
+a new process, and a ``@dataclass`` generates and compiles its methods
+at import time (250-600 us per class, about 10 ms for the 25 classes,
+plus importing ``dataclasses`` and ``inspect``), several times the work
+of the command on a small problem.  ``Record`` gives field equality and
+a repr from ``_fields``; ``Value`` adds the hash of the field tuple and
+refuses assignment.  ``Var``, ``App``, ``Sort`` and ``prover.Literal``
+spell out their own ``__eq__`` and ``__hash__``: the generic ones read
+the fields through one more call and were 1.4-1.6 times slower.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import is_
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, NamedTuple
+
+
+# ---------------------------------------------------------------------------
+# records and values
+
+_set = object.__setattr__
+
+
+class Record:
+    """Field equality and repr: ``_fields`` names the fields, in
+    constructor order; an instance equals only one of its own class, and
+    is unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Value(Record):
+    """A record that is immutable and hashed on its fields; ``__init__``
+    sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 # ---------------------------------------------------------------------------
 # sorts and types
 
 
-@dataclass(frozen=True)
-class Sort:
+class Sort(Value):
     """A sort.  Exactly one sort in a signature carries the boolean flag."""
 
-    name: str
-    is_bool: bool = False
+    __slots__ = _fields = ("name", "is_bool")
+
+    def __init__(self, name: str, is_bool: bool = False) -> None:
+        _set(self, "name", name)
+        _set(self, "is_bool", is_bool)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.is_bool == other.is_bool
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.is_bool))
 
     def __str__(self) -> str:
         return self.name
@@ -80,12 +143,14 @@ INT = Sort("$int")
 INDIVIDUAL = Sort("$i")
 
 
-@dataclass(frozen=True)
-class TypeSig:
+class TypeSig(Value):
     """Argument sorts and result sort of a function symbol."""
 
-    args: tuple[Sort, ...]
-    result: Sort
+    __slots__ = _fields = ("args", "result")
+
+    def __init__(self, args: tuple[Sort, ...], result: Sort) -> None:
+        _set(self, "args", args)
+        _set(self, "result", result)
 
     @property
     def arity(self) -> int:
@@ -113,6 +178,10 @@ CONNECTIVES = frozenset({NOT, AND, OR, IMPLIES, IFF})
 # the binary connectives as they are written, in the input and the output
 INFIX = {AND: "&", OR: "|", IMPLIES: "=>", IFF: "<=>"}
 BUILTIN_FNS = frozenset(CONNECTIVES | {TRUE_NAME, FALSE_NAME})
+# The arithmetic predicates, over $int, that the reader defines: their
+# applications are atoms, so in a term context step 2 names them.
+ARITHMETIC_PREDICATES = ("$greater", "$greatereq", "$less", "$lesseq")
+_FORMULA_FNS = CONNECTIVES.union(ARITHMETIC_PREDICATES)
 
 # Prefix of the symbols introduced by translation and clausification; each
 # generator skips the names its problem already uses, so input may use it too.
@@ -226,69 +295,93 @@ class TypeContext:
 # terms
 
 
-class Term:
+class Term(Value):
     """Base class of the unified term/formula tree."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fn: str
-    args: tuple[Term, ...] = ()
+    __slots__ = _fields = ("fn", "args")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, fn: str, args: Iterable[Term] = ()) -> None:
+        _set(self, "fn", fn)
+        _set(self, "args", tuple(args))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.fn == other.fn and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.args))
 
 
-@dataclass(frozen=True)
 class Ite(Term):
-    cond: Term
-    then: Term
-    els: Term
+    __slots__ = _fields = ("cond", "then", "els")
+
+    def __init__(self, cond: Term, then: Term, els: Term) -> None:
+        _set(self, "cond", cond)
+        _set(self, "then", then)
+        _set(self, "els", els)
 
 
-@dataclass(frozen=True)
 class Let(Term):
     """Non-recursive local definition of one function symbol."""
 
-    fn: str
-    params: tuple[tuple[str, Sort], ...]
-    body: Term
-    scope: Term
+    __slots__ = _fields = ("fn", "params", "body", "scope")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        names = [x for x, _ in self.params]
+    def __init__(self, fn: str, params: Iterable[tuple[str, Sort]], body: Term, scope: Term) -> None:
+        params = tuple(params)
+        names = [x for x, _ in params]
         if len(set(names)) != len(names):
             raise ValueError("let formal parameters must be pairwise distinct")
-        if self.fn in BUILTIN_FNS:
-            raise ValueError(f"cannot let-bind the reserved symbol {self.fn!r}")
+        if fn in BUILTIN_FNS:
+            raise ValueError(f"cannot let-bind the reserved symbol {fn!r}")
+        _set(self, "fn", fn)
+        _set(self, "params", params)
+        _set(self, "body", body)
+        _set(self, "scope", scope)
 
 
-@dataclass(frozen=True)
 class Eq(Term):
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Forall(Term):
-    var: str
-    sort: Sort
-    body: Term
+class _Quantifier(Term):
+    __slots__ = _fields = ("var", "sort", "body")
+
+    def __init__(self, var: str, sort: Sort, body: Term) -> None:
+        _set(self, "var", var)
+        _set(self, "sort", sort)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Exists(Term):
-    var: str
-    sort: Sort
-    body: Term
+class Forall(_Quantifier):
+    __slots__ = ()
+
+
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 TRUE = App(TRUE_NAME)
@@ -597,12 +690,12 @@ def occurrence_at(t: Term, path: tuple[int, ...]) -> Occurrence:
 def redex_kind(t: Term, context: str) -> str | None:
     """The lowering step for ``t`` in the context, eligible or not: a let, an
     if-then-else, a variable in a formula context (boolean in a
-    well-sorted formula), or a connective application, equality or
-    quantification in a term context.  A bare variable or a truth
-    constant in a term context is a legal first-order term over the
-    boolean sort."""
+    well-sorted formula), or a connective or arithmetic predicate
+    application, equality or quantification in a term context.  A bare
+    variable or a truth constant in a term context is a legal first-order
+    term over the boolean sort."""
     if isinstance(t, App):
-        if context == TERM_CONTEXT and t.fn in CONNECTIVES:
+        if context == TERM_CONTEXT and t.fn in _FORMULA_FNS:
             return "formula-in-term"
         return None
     if isinstance(t, Var):
@@ -615,16 +708,18 @@ def redex_kind(t: Term, context: str) -> str | None:
     return "formula-in-term" if context == TERM_CONTEXT else None
 
 
-@dataclass(frozen=True)
-class OccurrenceClass:
+class OccurrenceClass(Value):
     """Binding kind and context of one subterm occurrence.
 
     ``kind`` is "bound"/"free" for variable occurrences and applications
     (judged on the head symbol) and None for other node kinds.
     """
 
-    kind: str | None
-    context: str
+    __slots__ = _fields = ("kind", "context")
+
+    def __init__(self, kind: str | None, context: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "context", context)
 
 
 def classify_occurrence(t: Term, path: tuple[int, ...]) -> OccurrenceClass:
@@ -640,11 +735,13 @@ def classify_occurrence(t: Term, path: tuple[int, ...]) -> OccurrenceClass:
     return OccurrenceClass("bound" if bound else "free", occ.context)
 
 
-@dataclass(frozen=True)
-class FirstOrderCheck:
-    ok: bool
-    witness: tuple[int, ...] | None = None
-    reason: str | None = None
+class FirstOrderCheck(Value):
+    __slots__ = _fields = ("ok", "witness", "reason")
+
+    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None, reason: str | None = None) -> None:
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
+        _set(self, "reason", reason)
 
 
 _REASONS = {

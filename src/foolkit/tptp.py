@@ -32,11 +32,11 @@ the previous formula's.  ``_name`` is the one place that unquotes a name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .terms import (
     AND,
+    ARITHMETIC_PREDICATES,
     App,
     BOOL,
     BUILTIN_FNS,
@@ -52,6 +52,7 @@ from .terms import (
     Let,
     NOT,
     OR,
+    Record,
     Signature,
     Sort,
     TRUE,
@@ -73,10 +74,7 @@ ARITHMETIC_FNS: dict[str, TypeSig] = {
     "$difference": TypeSig((INT, INT), INT),
     "$product": TypeSig((INT, INT), INT),
     "$uminus": TypeSig((INT,), INT),
-    "$greater": TypeSig((INT, INT), BOOL),
-    "$greatereq": TypeSig((INT, INT), BOOL),
-    "$less": TypeSig((INT, INT), BOOL),
-    "$lesseq": TypeSig((INT, INT), BOOL),
+    **dict.fromkeys(ARITHMETIC_PREDICATES, TypeSig((INT, INT), BOOL)),
 }
 
 ROLES = ("type", "axiom", "hypothesis", "conjecture")
@@ -171,35 +169,41 @@ _READER_SORTS = frozenset({BOOL.name, INT.name, INDIVIDUAL.name})
 # problem structure
 
 
-@dataclass
-class SortDecl:
-    name: str
+class SortDecl(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass
-class SymbolDecl:
-    name: str
-    sig: TypeSig
+class SymbolDecl(Record):
+    __slots__ = _fields = ("name", "sig")
+
+    def __init__(self, name: str, sig: TypeSig) -> None:
+        self.name, self.sig = name, sig
 
 
-@dataclass
-class AnnotatedFormula:
-    name: str
-    role: str
-    payload: SortDecl | SymbolDecl | Term
-    line: int = 0
+class AnnotatedFormula(Record):
+    __slots__ = _fields = ("name", "role", "payload", "line")
+
+    def __init__(self, name: str, role: str, payload: SortDecl | SymbolDecl | Term, line: int = 0) -> None:
+        self.name, self.role, self.payload, self.line = name, role, payload, line
 
 
-@dataclass
-class Problem:
+class Problem(Record):
     """An ordered list of annotated formulas plus the derived signature.
 
     For refutation the goal is the conjunction of axioms and hypotheses
     together with the negated conjecture.
     """
 
-    formulas: list[AnnotatedFormula] = field(default_factory=list)
-    signature: Signature = field(default_factory=Signature)
+    __slots__ = _fields = ("formulas", "signature")
+
+    def __init__(
+        self, formulas: list[AnnotatedFormula] | None = None, signature: Signature | None = None
+    ) -> None:
+        self.formulas = [] if formulas is None else formulas
+        self.signature = Signature() if signature is None else signature
 
     @property
     def ctx(self) -> TypeContext:
@@ -769,9 +773,14 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
         if fn in INFIX:
             items = _flatten_chain(fn, t) if fn in (AND, OR) else t.args
             return "(" + f" {INFIX[fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
-        # a term reads a decimal numeral and an arithmetic symbol bare too;
-        # most names are lower words, so that test comes first
-        name = fn if _LOWER_WORD.match(fn) else _atom_str(fn, fn.isdecimal() or fn in ARITHMETIC_FNS)
+        # a term reads a decimal numeral and an arithmetic symbol bare too,
+        # but not a let-bound numeral in its scope (it would read as a
+        # global $int); most names are lower words, so that test comes first
+        if _LOWER_WORD.match(fn):
+            name = fn
+        else:
+            numeral = fn.isdecimal() and (ctx is None or fn not in ctx.fn_binds)
+            name = _atom_str(fn, numeral or fn in ARITHMETIC_FNS)
         if not t.args:
             return name
         return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"

@@ -59,9 +59,8 @@ that carries the contexts down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_not
-from typing import ClassVar, Union
+from typing import Union
 
 from .terms import (
     App,
@@ -73,6 +72,7 @@ from .terms import (
     Let,
     NO_CONTEXT,
     FRESH_PREFIX,
+    Record,
     Sort,
     TERM_CONTEXT,
     TRUE,
@@ -113,32 +113,31 @@ _Records = dict[int, tuple[Term, frozenset | None]]
 _Applied = tuple[set[str], set[str]]
 
 
-@dataclass
-class TranslationState:
+class TranslationState(Record):
     """The formula being rewritten, the definitions produced so far, and
     the context extended with the fresh symbols.
 
     ``current`` and ``ctx`` are the state's inputs.  The definitions, the
     fresh symbols, the step log and the table of named terms start empty,
     the two name counters at 0, and ``used_names`` starts as every name
-    in ``current``, so fresh variables and symbols avoid them."""
+    in ``current``, so fresh variables and symbols avoid them.  The table
+    of named terms is left out of equality and repr."""
 
-    current: Term
-    ctx: TypeContext
-    defs: list[Term] = field(default_factory=list, init=False)
-    fresh_symbols: list[str] = field(default_factory=list, init=False)
-    steps: list[tuple[str, Target, tuple[int, ...]]] = field(default_factory=list, init=False)
-    fn_counter: int = field(default=0, init=False)
-    var_counter: int = field(default=0, init=False)
-    used_names: set[str] = field(init=False)
-    # each term steps 2 and 3 named, with its free variables and their
-    # sorts in ``free_vars_ordered`` order, to its symbol applied to them
-    named: dict[tuple[Term, tuple[tuple[str, Sort], ...]], App] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    _fields = (
+        "current", "ctx", "defs", "fresh_symbols", "steps", "fn_counter", "var_counter", "used_names"
     )
+    __slots__ = (*_fields, "named")
 
-    def __post_init__(self) -> None:
-        self.used_names = all_names(self.current)
+    def __init__(self, current: Term, ctx: TypeContext) -> None:
+        self.current, self.ctx = current, ctx
+        self.defs: list[Term] = []
+        self.fresh_symbols: list[str] = []
+        self.steps: list[tuple[str, Target, tuple[int, ...]]] = []
+        self.fn_counter = self.var_counter = 0
+        self.used_names = all_names(current)
+        # each term steps 2 and 3 named, with its free variables and their
+        # sorts in ``free_vars_ordered`` order, to its symbol applied to them
+        self.named: dict[tuple[Term, tuple[tuple[str, Sort], ...]], App] = {}
 
     def formula_at(self, target: Target) -> Term:
         if target == "current":
@@ -455,8 +454,7 @@ def run_translation(phi: Term, ctx: TypeContext) -> TranslationState:
 # conversion to a legal first-order problem
 
 
-@dataclass
-class FolProblem:
+class FolProblem(Record):
     """A syntactically first-order problem with explicit boolean axioms.
 
     Truth constants standing in a formula context are the always-true /
@@ -469,13 +467,14 @@ class FolProblem:
     appends them to the definitions.
     """
 
-    definitions: tuple[Term, ...]
-    goal: Term
-    ctx: TypeContext
-    predicate_split: dict[str, str]
+    __slots__ = _fields = ("definitions", "goal", "ctx", "predicate_split")
+    domain_axiom = Forall("X", BOOL, lor(Eq(Var("X"), TRUE), Eq(Var("X"), FALSE)))
+    distinct_axiom = lnot(Eq(TRUE, FALSE))
 
-    domain_axiom: ClassVar[Term] = Forall("X", BOOL, lor(Eq(Var("X"), TRUE), Eq(Var("X"), FALSE)))
-    distinct_axiom: ClassVar[Term] = lnot(Eq(TRUE, FALSE))
+    def __init__(
+        self, definitions: tuple[Term, ...], goal: Term, ctx: TypeContext, predicate_split: dict[str, str]
+    ) -> None:
+        self.definitions, self.goal, self.ctx, self.predicate_split = definitions, goal, ctx, predicate_split
 
     @property
     def axioms(self) -> tuple[Term, ...]:

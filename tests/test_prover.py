@@ -20,6 +20,7 @@ from foolkit import (
     BOOL,
     DomainSpec,
     Eq,
+    FolProblem,
     Signature,
     TypeContext,
     TypeSig,
@@ -199,8 +200,6 @@ tff(c1, conjecture, p(c)).
 
 
 def test_clausify_splits_equivalence_definitions():
-    import dataclasses
-
     text = """\
 tff(s_s, type, s : $tType).
 tff(d_w, type, w : $o > s).
@@ -212,9 +211,7 @@ tff(a, axiom, ![X : s] : (w(~p(X)) = c)).
     assert len(fol.definitions) == 1
     # clausify the (forall X)(p(X) <=> g(X) = true) definition alone: the
     # equivalence splits into exactly two clauses
-    alone = dataclasses.replace(
-        fol, definitions=(fol.definitions[0],), goal=TRUE
-    )
+    alone = FolProblem((fol.definitions[0],), TRUE, fol.ctx, fol.predicate_split)
     result = clausify(alone)
     def_clauses = [c for c in result.clauses if not is_bool_domain_clause(c)]
     def_clauses = [c for c in def_clauses if c.render() != "$true != $false"]

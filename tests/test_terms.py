@@ -1,6 +1,10 @@
 """Occurrence analysis, renaming and the first-order fragment check."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foolkit import (
     App,
@@ -35,6 +39,8 @@ from foolkit.terms import (
 )
 
 from fixtures import SUBSET_SORTED, VERIFICATION_LISTING
+from foolkit.prover import Literal
+from generate import TermGen
 
 S = Sort("s")
 
@@ -220,3 +226,27 @@ def test_subst_free_vars_returns_untouched_subtrees():
     assert got.args[0].args[1] is untouched
     assert got.args[1] is shadowed
     assert subst_free_vars(t, {"W": Var("Z")}) is t
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32), st.integers(1, 4))
+def test_terms_and_literals_are_values(seed, depth):
+    """Every subterm of a random formula, its sorts and literals over it:
+    a copy rebuilt from the fields is equal with an equal hash, a node of
+    another class with the same fields is unequal, and no field can be
+    assigned or deleted."""
+    gen = TermGen(random.Random(seed), max_depth=depth)
+    phi, psi = gen.formula(), gen.formula()
+    nodes = [t for _, t in subterm_positions(phi)]
+    nodes += [Literal(True, phi), Literal(False, phi, psi), TypeSig((S, BOOL), S)]
+    for node in nodes:
+        if isinstance(node, (Forall, Exists)):
+            nodes.append(node.sort)
+            other = (Exists if type(node) is Forall else Forall)(node.var, node.sort, node.body)
+            assert node != other and not node == other
+        copy = type(node)(*(getattr(node, f) for f in node._fields))
+        assert copy is not node and copy == node and hash(copy) == hash(node)
+        with pytest.raises(AttributeError):
+            setattr(node, node._fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(node, node._fields[-1])

@@ -1,6 +1,5 @@
 """Dialect parsing, both printers, and the strict-mode checks."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -16,6 +15,7 @@ from hypothesis import strategies as st
 from foolkit import (
     BOOL,
     Eq,
+    FolProblem,
     Ite,
     Let,
     ParseError,
@@ -497,6 +497,9 @@ def _names_read_back(text):
         "tff(s, type, '$s' : $tType).\ntff(c, type, c : '$s').\ntff(a, axiom, c = c).\n",
         "tff(s, type, s : $tType).\ntff(c, type, c : s).\ntff(o, type, '1' : s).\n"
         "tff(a, axiom, '1' = c).\n",
+        # a let-bound numeral is quoted in its scope, so no global 1 : $int
+        "tff(s, type, s : $tType).\ntff(c, type, c : s).\n"
+        "tff(a, axiom, $let('1' : s, '1' := c, '1' = c)).\n",
     ],
 )
 def test_emitted_names_read_back_as_themselves(text):
@@ -665,7 +668,8 @@ def test_strict_printer_refuses_ite_and_let(goal, message):
     sig.declare_fn("c", TypeSig((), s))
     sig.declare_fn("p", TypeSig((s,), BOOL))
     sig.declare_fn("q", TypeSig((), BOOL))
-    fol = dataclasses.replace(to_fol(TranslationState(current=TRUE, ctx=TypeContext.of(sig))), goal=goal)
+    empty = to_fol(TranslationState(current=TRUE, ctx=TypeContext.of(sig)))
+    fol = FolProblem(empty.definitions, goal, empty.ctx, empty.predicate_split)
     with pytest.raises(ValueError) as err:
         print_fol_tff0(fol)
     assert str(err.value) == message

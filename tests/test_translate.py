@@ -51,6 +51,7 @@ from foolkit.prover import clausify
 from foolkit.semantics import DEFAULT_CAP, EnumerationOverflow, table_count
 from foolkit.tptp import print_fol_tff0
 from foolkit.terms import (
+    ARITHMETIC_PREDICATES,
     FALSE,
     FORMULA_CONTEXT,
     NO_CONTEXT,
@@ -560,6 +561,20 @@ def _lowered(text):
     spec = DomainSpec({sort: 2 for sort in problem.signature.sorts.values()})
     assert check_model_preservation(phi, state, spec).ok
     return state
+
+
+@pytest.mark.parametrize("predicate", ARITHMETIC_PREDICATES)
+def test_an_arithmetic_predicate_in_a_term_context_is_named(predicate):
+    """An arithmetic predicate application is a formula, so as the argument
+    of ``q : $o > $o`` step 2 names it; the split cannot make the reader's
+    predicate a function, and the output reads back under the strict
+    grammar."""
+    state = _lowered(f"tff(q, type, q : $o > $o). tff(a, axiom, q({predicate}(1, 2))).")
+    assert state.step_counts() == {"formula-in-term": 1}
+    assert state.current == App("q", (App("sk_fool_0"),))
+    fol = to_fol(state)
+    assert fol.predicate_split[predicate] == "predicate"
+    assert parse_problem(print_fol_tff0(fol), strict=True).formulas
 
 
 def test_a_repeated_formula_in_a_term_context_is_named_once(ctx):
