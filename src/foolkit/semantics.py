@@ -517,9 +517,7 @@ def _split(steps, cells: _SearchCells, ranges: dict, leaf) -> bool:
 class PreservationReport(Record):
     __slots__ = _fields = ("checked", "counterexamples")
 
-    def __init__(
-        self, checked: int, counterexamples: list[tuple[str, Interpretation]] | None = None
-    ) -> None:
+    def __init__(self, checked: int, counterexamples: list[tuple[str, Interpretation]] | None = None) -> None:
         self.checked = checked
         self.counterexamples = [] if counterexamples is None else counterexamples
 

@@ -53,15 +53,17 @@ Terms are immutable values.  All operations here are pure and safe to
 call from multiple threads.
 
 The terms, sorts and literals, and every record of the package, are
-plain classes written out by hand, not dataclasses: each command runs in
-a new process, and a ``@dataclass`` generates and compiles its methods
-at import time (250-600 us per class, about 10 ms for the 25 classes,
-plus importing ``dataclasses`` and ``inspect``), several times the work
-of the command on a small problem.  ``Record`` gives field equality and
-a repr from ``_fields``; ``Value`` adds the hash of the field tuple and
-refuses assignment.  ``Var``, ``App``, ``Sort`` and ``prover.Literal``
-spell out their own ``__eq__`` and ``__hash__``: the generic ones read
-the fields through one more call and were 1.4-1.6 times slower.
+plain classes whose methods are written out once, with no class
+decorator that generates them: each command runs in a new process, and
+the standard library's record decorator execs 4-6 generated methods
+per class at import time (250-600 us per class, about 10 ms for the 25
+classes, plus importing its module and ``inspect``), several times the
+work of the command on a small problem.  ``Record`` gives field
+equality and a repr from ``_fields``; ``Value`` adds the hash of the
+field tuple and refuses assignment.  ``Var``, ``App``, ``Sort`` and
+``prover.Literal`` spell out their own ``__eq__`` and ``__hash__``: the
+generic ones read the fields through one more call and were 1.4-1.6
+times slower.
 """
 
 from __future__ import annotations
@@ -111,6 +113,10 @@ class Value(Record):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor, which sets the fields
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
 # ---------------------------------------------------------------------------

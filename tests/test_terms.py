@@ -1,5 +1,6 @@
 """Occurrence analysis, renaming and the first-order fragment check."""
 
+import pickle
 import random
 
 import pytest
@@ -232,9 +233,9 @@ def test_subst_free_vars_returns_untouched_subtrees():
 @given(st.integers(0, 2**32), st.integers(1, 4))
 def test_terms_and_literals_are_values(seed, depth):
     """Every subterm of a random formula, its sorts and literals over it:
-    a copy rebuilt from the fields is equal with an equal hash, a node of
-    another class with the same fields is unequal, and no field can be
-    assigned or deleted."""
+    a copy rebuilt from the fields is equal with an equal hash, and so is
+    a pickled one; a node of another class with the same fields is
+    unequal, and no field can be assigned or deleted."""
     gen = TermGen(random.Random(seed), max_depth=depth)
     phi, psi = gen.formula(), gen.formula()
     nodes = [t for _, t in subterm_positions(phi)]
@@ -246,6 +247,8 @@ def test_terms_and_literals_are_values(seed, depth):
             assert node != other and not node == other
         copy = type(node)(*(getattr(node, f) for f in node._fields))
         assert copy is not node and copy == node and hash(copy) == hash(node)
+        pickled = pickle.loads(pickle.dumps(node))
+        assert pickled == node and hash(pickled) == hash(node)
         with pytest.raises(AttributeError):
             setattr(node, node._fields[0], None)
         with pytest.raises(AttributeError):
