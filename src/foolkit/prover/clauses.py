@@ -23,14 +23,6 @@ class Literal(Value):
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.positive == other.positive and self.lhs == other.lhs and self.rhs == other.rhs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.positive, self.lhs, self.rhs))
-
     @property
     def is_equation(self) -> bool:
         return self.rhs is not None

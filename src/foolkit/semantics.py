@@ -94,7 +94,9 @@ class DomainSpec(Record):
 
 
 class Interpretation(Record):
-    """Carrier sizes, total function tables and a variable assignment."""
+    """Carrier sizes, a total table per function symbol (argument tuple
+    to value) and a variable assignment; the enumerations store every
+    entry of every table, one-valued ones too."""
 
     __slots__ = _fields = ("sizes", "tables", "assign")
 
@@ -150,13 +152,11 @@ class _Program:
     ``cells[(k, *point)]`` is its entry at the point.  A closure returns
     the value its term has under what the slots and cells hold, so a term
     compiled once is re-evaluated by refilling them, not by walking it
-    again.  Symbols in ``zero`` map into a one-element carrier: they are
-    compiled to 0 and own no cells.
+    again.
     """
 
-    def __init__(self, sizes: dict[Sort, int], zero: frozenset[str] = frozenset()) -> None:
+    def __init__(self, sizes: dict[Sort, int]) -> None:
         self.sizes = sizes
-        self.zero = zero
         self.assign: list[int] = []
         self.cells: dict[tuple[int, ...], int] = {}
         self.free_vars: dict[str, int] = {}
@@ -211,8 +211,6 @@ class _Program:
             if t.fn == TRUE_NAME:
                 return lambda: 1
             if t.fn == FALSE_NAME:
-                return lambda: 0
-            if t.fn in self.zero and t.fn not in lets:
                 return lambda: 0
             args = []
             for a in t.args:  # a comprehension would take a second frame per level
@@ -328,29 +326,12 @@ def _signature(ctx: TypeContext, fn: str):
     return sig
 
 
-class _ZeroTable(Mapping):
-    """The one table of a symbol into a one-element carrier: it stores
-    nothing, answers 0 for every lookup, and lists the same entries as a
-    stored table would."""
-
-    def __init__(self, sizes: list[int]) -> None:
-        self.sizes = sizes
-
-    def __getitem__(self, args: tuple[int, ...]) -> int:
-        return 0
-
-    def __iter__(self):
-        return itertools.product(*map(range, self.sizes))
-
-    def __len__(self) -> int:
-        return math.prod(self.sizes)
-
-
 def _shape(ctx: TypeContext, spec: DomainSpec, fn: str, cap: int):
     """The carrier sizes of the symbol's arguments and of its result.
 
     A symbol into a one-element carrier has one table however many
-    entries it has, so the interpretation count does not bound those.
+    entries it has, so the interpretation count does not bound those;
+    the cap does, because listing a failing block stores every entry.
     """
     sig = _signature(ctx, fn)
     sizes = [spec.size(s) for s in sig.args]
@@ -394,19 +375,13 @@ def _tables(layout, fixed: dict):
     shapes = []
     ranges = []
     for fn, slot, sizes, rng in layout:
-        if rng == 1:
-            shapes.append((fn, _ZeroTable(sizes), None))
-            continue
         points = list(itertools.product(*map(range, sizes)))
-        shapes.append((fn, None, points))
+        shapes.append((fn, points))
         cells = [(slot, *point) for point in points]
         ranges.extend((fixed[cell],) if cell in fixed else range(rng) for cell in cells)
     for entries in itertools.product(*ranges):
         values = iter(entries)  # each table takes its entries off the front
-        yield entries, {
-            fn: zero if points is None else dict(zip(points, values))
-            for fn, zero, points in shapes
-        }
+        yield entries, {fn: dict(zip(points, values)) for fn, points in shapes}
 
 
 def enumerate_interpretations(
@@ -575,19 +550,19 @@ def check_model_preservation(
     shape = {fn: _shape(ctx, spec, fn, cap) for fn in base + fresh}
 
     sizes = dict(spec.sizes)
-    program = _Program(sizes, frozenset(fn for fn, (_, rng) in shape.items() if rng == 1))
+    program = _Program(sizes)
     cells = program.cells = _SearchCells()
+    # every symbol owns a table slot, also a fresh one that no check reads
+    base_ranges, fresh_ranges = (
+        {program.fn_slot(fn): range(shape[fn][1]) for fn in names} for names in (base, fresh)
+    )
     phi_holds = program.compile(phi)
     # each check runs as one step per point of its leading universal
     # quantifiers, so a new cell value resumes at the point that read it; a
     # check gets no more steps than the fresh tables have cells
-    fresh_cells = sum(math.prod(args) for args, rng in map(shape.get, fresh) if rng > 1)
+    fresh_cells = sum(math.prod(args) for args, _ in map(shape.get, fresh))
     translation = [step for d in checks for step in program.compile_points(d, fresh_cells)]
     _fill(program.free_vars, {}, program.assign, "variable")  # all are closed
-    base_ranges, fresh_ranges = (
-        {program.fns[fn]: range(shape[fn][1]) for fn in names if fn in program.fns}
-        for names in (base, fresh)
-    )
 
     def read(ranges) -> dict:
         return {cell: value for cell, value in cells.items() if cell[0] in ranges}
@@ -605,7 +580,7 @@ def check_model_preservation(
         return holds, blocks
 
     base_layout, fresh_layout = (
-        [(fn, program.fns.get(fn), *shape[fn]) for fn in names] for names in (base, fresh)
+        [(fn, program.fns[fn], *shape[fn]) for fn in names] for names in (base, fresh)
     )
     found = []  # (entries, direction, interpretation) of each failing member
 

@@ -60,10 +60,10 @@ per class at import time (250-600 us per class, about 10 ms for the 25
 classes, plus importing its module and ``inspect``), several times the
 work of the command on a small problem.  ``Record`` gives field
 equality and a repr from ``_fields``; ``Value`` adds the hash of the
-field tuple and refuses assignment.  ``Var``, ``App``, ``Sort`` and
-``prover.Literal`` spell out their own ``__eq__`` and ``__hash__``: the
-generic ones read the fields through one more call and were 1.4-1.6
-times slower.
+field tuple and refuses assignment.  ``Var``, ``App`` and ``Sort``,
+compared and hashed on every hot path, spell out their own ``__eq__``
+and ``__hash__``: the generic ones read the fields through one more
+call and were 1.4-1.6 times slower.
 """
 
 from __future__ import annotations

@@ -508,7 +508,10 @@ class _Parser:
 
     def parse_let(self, word: str, where: Token) -> Term:
         self.expect("(")
+        fn_tok = self.peek()
         fn = self.parse_symbol("let-bound symbol")
+        if fn in BUILTIN_FNS:
+            raise self.error(f"cannot let-bind the reserved symbol {fn!r}", fn_tok)
         if word == "$let":
             self.expect(":")
             sig = self.parse_type()

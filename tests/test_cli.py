@@ -134,6 +134,19 @@ def test_main_never_raises(text, mutations, seed, junk, command):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize(
+    "let, column",
+    [("$let('$true' : $o, '$true' := $false, '$true')", 20), ("$let_tt('$true', $false, '$true')", 23)],
+    ids=["unified", "legacy"],
+)
+def test_let_binding_a_reserved_symbol_is_one_error_line(tmp_path, capsys, let, column):
+    path = tmp_path / "p.p"
+    path.write_text(f"tff(a, axiom, {let}).\n")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: 1:{column}: cannot let-bind the reserved symbol '$true'\n"
+
+
 def test_translate_writes_strict_output(listing, tmp_path, capsys):
     out = tmp_path / "out.tff0"
     assert main(["translate", listing, "--out", str(out)]) == 0
@@ -316,9 +329,10 @@ def test_verify_overflow_of_a_huge_table_is_prompt(tmp_path):
 
 
 def test_verify_of_a_big_one_valued_table_builds_no_entries(tmp_path):
-    # The single table of a symbol into a one-element carrier answers 0
-    # everywhere, so its 4 * 10 ** 6 entries are never built.  The child
-    # times itself and reports its own peak RSS (kilobytes on Linux).
+    # The search reads only the 2,000 diagonal cells of the one table of a
+    # symbol into a one-element carrier, each decided to 0, and never
+    # builds its 4 * 10 ** 6 entries.  The child times itself and reports
+    # its own peak RSS (kilobytes on Linux).
     path = tmp_path / "p.p"
     path.write_text(
         "tff(s_one, type, one : $tType).\n"

@@ -616,13 +616,25 @@ SHORT_CIRCUIT = (
 )
 
 
+# the short circuit and a last conjunct on u, into a one-element carrier,
+# whose if-then-else becomes a fresh symbol into it; every other cell the
+# conjunct and its definitions read, phi has read before
+ONE_VALUED = (
+    "tff(s_s, type, s : $tType).\ntff(s_one, type, one : $tType).\n"
+    "tff(d_f, type, f : $o > s).\ntff(d_u, type, u : $o > one).\n"
+    "tff(d_aa, type, aa : $o).\ntff(d_bb, type, bb : $o).\ntff(d_cc, type, cc : $o).\n"
+    "tff(f1, axiom, aa & f(bb & cc) = f($false) & $ite(aa, u(bb), u(aa)) = u($true)).\n"
+)
+
+
 @pytest.mark.parametrize(
     "text, counts",
     [
         (SHORT_CIRCUIT, {"phi": 11, 0: 18, 1: 11, "split": 12}),
         (MUTATION_FIXTURES["step2-pair"], {"phi": 12, 0: 18, 1: 22, 2: 12, "split": 13}),
+        (ONE_VALUED, {"phi": 11, 0: 18, 1: 11, 2: 11, 3: 11, "split": 12}),
     ],
-    ids=["short-circuit", "step2-pair"],
+    ids=["short-circuit", "step2-pair", "one-valued"],
 )
 def test_each_step_runs_once_per_leaf_of_its_search(runs, text, counts):
     """Each base block runs phi once and searches the fresh cells once.
@@ -632,10 +644,46 @@ def test_each_step_runs_once_per_leaf_of_its_search(runs, text, counts):
 
     In the short circuit, 11 blocks run the definition once per value of
     the fresh cell it reads, 18 times, and the rewritten formula once per
-    run where the definition holds."""
+    run where the definition holds.  A cell into a one-element carrier
+    is decided to 0 and never branched on: the one-valued case runs phi
+    and searches as often as the short circuit, and its two if-then-else
+    definitions run where the rewritten formula does."""
     problem, phi, state = translate_problem(text)
-    assert check_model_preservation(phi, state, helpers.domain_spec_for(problem)).ok
+    spec = helpers.domain_spec_for(problem, {"one": 1})
+    assert check_model_preservation(phi, state, spec).ok
     assert runs == counts
+
+
+@pytest.mark.parametrize(
+    "mutate, directions",
+    [(None, set()), (helpers.mutate_drop, {"reduct"}), (helpers.mutate_negate_named, {"extension", "reduct"})],
+)
+def test_one_valued_tables_agree_with_brute_force(mutate, directions):
+    """The tables of u and of the fresh symbol into the one-element
+    carrier are listed entry by entry in each counterexample, as brute
+    force lists them."""
+    problem, phi, state = translate_problem(ONE_VALUED)
+    translated = mutate(state, 0) if mutate else state
+    spec = helpers.domain_spec_for(problem, {"one": 1})
+    report = check_model_preservation(phi, translated, spec)
+    lines = [line for line in report.render().split("\n") if line.startswith("COUNTEREXAMPLE")]
+    assert {line.split()[1] for line in lines} == directions
+    assert all(" u{0->0,1->0}" in line for line in lines)
+    assert (report.checked, report.render()) == brute_force_report(phi, translated, spec)
+
+
+def test_a_fresh_symbol_no_check_reads_still_has_its_tables():
+    """Without its one definition, the fresh constant of an unused let is
+    read by no check; it still owns a table slot, and its two tables count."""
+    problem, phi, state = translate_problem(
+        "tff(s_s, type, s : $tType).\ntff(d_c, type, c : s).\ntff(d_d, type, d : s).\n"
+        "tff(d_p, type, p : s > $o).\ntff(f1, axiom, $let(e : s, e := d, p(c))).\n"
+    )
+    dropped = helpers.mutate_drop(state, 0)
+    spec = helpers.domain_spec_for(problem)
+    report = check_model_preservation(phi, dropped, spec)
+    assert report.render() == "OK 32"
+    assert (report.checked, report.render()) == brute_force_report(phi, dropped, spec)
 
 
 @pytest.mark.parametrize(
