@@ -9,7 +9,10 @@ then review the diff:
     python3 tests/record_prover_search.py
     git diff --stat -- tests/golden/prover_search*.json
 
-On an unchanged search the three files are rewritten byte for byte.
+Before it writes, it prints one line per search whose verdict,
+``generated`` or ``processed`` count differs from the committed golden,
+as ``file name/mode: before -> after``. On an unchanged search it prints
+nothing and the three files are rewritten byte for byte.
 """
 
 import json
@@ -30,6 +33,33 @@ from test_prover import (  # noqa: E402
 )
 
 
+def _outcome(entry) -> str:
+    if entry is None:
+        return "none"
+    verdict, stats = entry[0], entry[1]
+    return f"{verdict}, {stats['generated']} generated, {stats['processed']} processed"
+
+
+def _by_mode(search: dict) -> dict:
+    """The counters of ``prover_search.json`` keyed ``name/mode``."""
+    out = {f"{name}/{AXIOM_MODE}": entry for name, entry in search.get("stats", {}).items()}
+    out.update((f"{name}/{RULE_MODE}", entry) for name, entry in search.get("rule_stats", {}).items())
+    return out
+
+
+def record(name: str, searches: dict, text: str, keyed=lambda searches: searches) -> None:
+    """Print each search, keyed ``name/mode`` by ``keyed``, whose outcome
+    differs from the golden file ``name``, then write ``text`` there."""
+    path = GOLDEN / name
+    before = keyed(json.loads(path.read_text())) if path.exists() else {}
+    after = keyed(searches)
+    for key in {**before, **after}:
+        was, now = _outcome(before.get(key)), _outcome(after.get(key))
+        if was != now:
+            print(f"{name} {key}: {was} -> {now}")
+    path.write_text(text)
+
+
 def main() -> None:
     axiom = pinned_counters(AXIOM_MODE, corpus.SATISFIABLE)
     search = {
@@ -41,12 +71,12 @@ def main() -> None:
         # in corpus order, each stats dict in the order the prover fills it
         "rule_stats": pinned_counters(RULE_MODE, corpus.SATISFIABLE + corpus.REFUTATION),
     }
-    (GOLDEN / "prover_search.json").write_text(json.dumps(search, indent=1))
+    record("prover_search.json", search, json.dumps(search, indent=1), _by_mode)
     for name, searches in (
         ("prover_search_capped.json", capped_searches()),
         ("prover_search_refutation.json", refutation_searches()),
     ):
-        (GOLDEN / name).write_text(json.dumps(searches, indent=1, sort_keys=True) + "\n")
+        record(name, searches, json.dumps(searches, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
