@@ -9,12 +9,15 @@ Two ways to handle the two-element boolean domain:
     containing a non-variable boolean subterm s other than a truth
     constant, the clause ``C[true] | s = false``.
 
-``record_new`` judges a conclusion before it builds anything for it: one
-pass over its literals drops repeats and finds a tautology, and only a
-non-tautology becomes a ``Clause`` for the subsumption query.  Each kept
-clause's literal data is derived once, when it is kept: its variable
-sorts trimmed to the variables that occur, its eligible literals, its
-sorted variable names and, in the index, its literal shapes.
+The loop is the DISCOUNT loop (Denzinger, Kronenburg and Schulz, JAR
+1997): a clause is judged when it is selected, not when it is generated.
+``record_new`` counts a conclusion and, in one pass over its literals,
+drops repeats and finds a tautology; any other clause but the empty one
+goes onto the passive heap with its id, unjudged.  ``activate`` tests a
+popped clause against the active clauses only.  A survivor's literal
+data is derived once, there: its variable sorts trimmed to the variables
+that occur, its eligible literals, its sorted variable names and, in the
+index, its literal shapes.
 
 The given-clause loop alone renames premises apart, from those variable
 names: each given clause to ``V0, V1, ...``, and per pair a copy of the
@@ -29,7 +32,7 @@ walks no term.
 
 Literal selection is select-nothing: all maximal literals are eligible.
 The renamed copies the binary rules work on have the same ones as the
-kept clause, because the ordering does not change under an injective
+active clause, because the ordering does not change under an injective
 renaming of variables.
 
 Unification is sort-free.  Without subsorts, well-sorted terms unify
@@ -37,10 +40,12 @@ ill-sortedly only at a root pair of a variable and a term of another
 sort, so ``_Saturation.sort_of`` compares sorts there alone: a variable
 paramodulation source with its target, and two paired equations.
 
-Redundancy handling is tautology deletion plus forward subsumption by
-variable renaming, nothing stronger.  The subsumption candidates come
-from an index over literal shapes (``VariantIndex``), so a new clause is
-tested only against kept clauses whose literal shapes it contains.
+Redundancy handling is tautology deletion plus subsumption by variable
+renaming at selection, nothing stronger.  The heap pops the fewest
+literals, then the lowest id, so a subsumer is selected before what it
+subsumes, and a passive clause that a shorter later one subsumes is
+dropped too.  Candidates come from an index over the active clauses'
+literal shapes (``VariantIndex``).
 """
 
 from __future__ import annotations
@@ -175,7 +180,7 @@ def _replace_in_literal(lit: Literal, side: int, path: tuple[int, ...], new: Ter
 
 
 class _Copy(NamedTuple):
-    """A renamed copy of a kept clause and its paramodulation data."""
+    """A renamed copy of an active clause and its paramodulation data."""
 
     clause: Clause
     # (fi, l, r): the eligible positive equation fi read as l -> r, both ways
@@ -206,6 +211,12 @@ def _make_copy(clause: Clause, eligible: list[int]) -> _Copy:
 class _Saturation:
     """One given-clause run.
 
+    Counters: ``generated`` counts every input clause and conclusion, each
+    also under its rule; ``tautologies`` the ones dropped as such;
+    ``subsumed`` the selected clauses an active clause subsumes; and
+    ``kept`` the others, which become active and are processed at once,
+    so ``kept`` equals ``processed``.
+
     ``copies`` holds each renamed copy the loop asks for, by clause id and
     first V number, so a copy is made once per run. That bounds it to one
     copy per processed clause and offset, an offset being 0 or the
@@ -219,13 +230,14 @@ class _Saturation:
         self.ctx = ctx
         self.config = config
         self.clauses: dict[int, Clause] = {}
-        self.kept = VariantIndex()
-        # maximal-literal indices and sorted variable names of each kept
+        self.active = VariantIndex()
+        # maximal-literal indices and sorted variable names of each active
         # clause, by clause id
         self.eligible: dict[int, list[int]] = {}
         self.variables: dict[int, list[str]] = {}
-        self.passive: list[tuple[int, int]] = []
-        # renamed copies of kept clauses, by (clause id, first V number)
+        # unjudged conclusions by literal count, then id
+        self.passive: list[tuple[int, int, Clause]] = []
+        # renamed copies of active clauses, by (clause id, first V number)
         self.copies: dict[tuple[int, int], _Copy] = {}
         # each processed clause renamed to V0, V1, ... with its variable count
         self.processed: list[tuple[_Copy, int]] = []
@@ -269,22 +281,26 @@ class _Saturation:
         if tautology:
             self.stats["tautologies"] += 1
             return
-        # var_sorts is the caller's dict until the clause is kept
-        clause = Clause(literals, var_sorts, rule=rule, parents=parents)
-        if self.kept.find_or_add(clause) is not None:
-            self.stats["subsumed"] += 1
-            return
-        clause.var_sorts = clause.trimmed_var_sorts()
-        clause.id = self.next_id
+        # var_sorts is the caller's dict until the clause is activated
+        clause = Clause(literals, var_sorts, self.next_id, rule, parents)
         self.next_id += 1
+        heapq.heappush(self.passive, (len(literals), clause.id, clause))
+
+    def activate(self, clause: Clause) -> bool:
+        """Index a selected clause among the active ones and derive its
+        literal data, or count it subsumed by an active clause."""
+        if self.active.find_or_add(clause) is not None:
+            self.stats["subsumed"] += 1
+            return False
+        clause.var_sorts = clause.trimmed_var_sorts()
         self.clauses[clause.id] = clause
         self.eligible[clause.id] = maximal_literal_indices(clause)
         self.variables[clause.id] = sorted(clause.var_sorts)
         self.stats["kept"] += 1
-        heapq.heappush(self.passive, (len(clause.literals), clause.id))
+        return True
 
     def renamed_copy(self, cid: int, start: int) -> _Copy:
-        """Kept clause ``cid`` with its sorted variables renamed to
+        """Active clause ``cid`` with its sorted variables renamed to
         ``V<start>, V<start+1>, ...``, with its paramodulation data, made
         once per run."""
         key = (cid, start)
@@ -407,8 +423,9 @@ class _Saturation:
                 return self.result("limit")
             if time.monotonic() > deadline:
                 return self.result("limit")
-            _, cid = heapq.heappop(self.passive)
-            given = self.clauses[cid]
+            _, cid, given = heapq.heappop(self.passive)
+            if not self.activate(given):
+                continue
             renamed, count = self.renamed_copy(cid, 0), len(self.variables[cid])
             self.processed.append((renamed, count))
             self.stats["processed"] += 1
@@ -420,7 +437,7 @@ class _Saturation:
             for partner, partner_count in self.processed:
                 if time.monotonic() > deadline:
                     return self.result("limit")
-                # a V0 copy against the other kept clause shifted past it
+                # a V0 copy against the other active clause shifted past it
                 # (renaming a V copy again would number V10 before V2)
                 pid = partner.clause.id
                 shifted = self.renamed_copy(pid, count)
