@@ -528,6 +528,26 @@ def test_limit_verdict():
     assert result.verdict == "limit"
 
 
+def test_a_shorter_later_clause_subsumes_a_passive_one():
+    """p(X) | fb(X) enters the passive set first; p(Y), rewritten from
+    p(f(Y)) by f(X) = X, is generated later and selected before it, so
+    the longer clause is dropped at selection and never processed."""
+    longer = Clause(
+        (Literal(True, App("p", (Var("X"),))), Literal(True, App("fb", (Var("X"),)))), {"X": S}
+    )
+    clauses = [
+        longer,
+        Clause((Literal(True, App("f", (Var("X"),)), Var("X")),), {"X": S}),
+        Clause((Literal(True, App("p", (App("f", (Var("Y"),)),))),), {"Y": S}),
+    ]
+    result = run_clauses(clauses, AXIOM_MODE)
+    kept = [c.render() for c in result.clauses.values()]
+    assert kept == ["f(X) = X", "p(f(Y))", "p(V1)"]
+    assert result.verdict == "saturated"
+    assert (result.stats["subsumed"], result.stats["processed"]) == (1, 3)
+    assert longer.id not in result.clauses
+
+
 def test_rule_mode_drops_domain_clause_keeps_distinctness():
     clause4 = Clause(
         (Literal(True, Var("X"), TRUE), Literal(True, Var("X"), FALSE)), {"X": BOOL}
@@ -771,24 +791,29 @@ def _searches_at_the_cap(problems_of) -> dict:
     return out
 
 
+def _capped_problems(mode):
+    """The satisfiable problems and bench k = 1, 2, 3."""
+    problems = _clausified(corpus.SATISFIABLE)
+    for k in (1, 2, 3):
+        clauses, ctx = bench_fixture(k)
+        problems.append((f"bench-k{k}", clauses + _support_clauses(mode), ctx))
+    return problems
+
+
+def _refutation_problems(mode):
+    return _clausified(corpus.REFUTATION)
+
+
 def capped_searches() -> dict:
     """The satisfiable problems and bench k = 1, 2, 3 in both modes, at the
     benchmark's 2000-clause cap."""
-
-    def problems_of(mode):
-        problems = _clausified(corpus.SATISFIABLE)
-        for k in (1, 2, 3):
-            clauses, ctx = bench_fixture(k)
-            problems.append((f"bench-k{k}", clauses + _support_clauses(mode), ctx))
-        return problems
-
-    return _searches_at_the_cap(problems_of)
+    return _searches_at_the_cap(_capped_problems)
 
 
 def refutation_searches() -> dict:
     """The refutation problems in both modes, at the benchmark's
     2000-clause cap: axiom mode's counters are pinned nowhere else."""
-    return _searches_at_the_cap(lambda mode: _clausified(corpus.REFUTATION))
+    return _searches_at_the_cap(_refutation_problems)
 
 
 def test_capped_searches_are_pinned():
@@ -798,6 +823,27 @@ def test_capped_searches_are_pinned():
 def test_refutation_searches_are_pinned():
     golden = json.loads((GOLDEN / "prover_search_refutation.json").read_text())
     assert refutation_searches() == golden
+
+
+@pytest.mark.parametrize("problems_of", [_capped_problems, _refutation_problems])
+def test_activation_is_exact(problems_of):
+    """Each pinned search processes exactly the clauses it keeps, and no
+    processed clause is subsumed by one processed before it."""
+    for mode in (AXIOM_MODE, RULE_MODE):
+        config = ProverConfig(bool_mode=mode, max_clauses=2000, max_seconds=600)
+        for name, clauses, ctx in problems_of(mode):
+            engine = saturation._Saturation(ctx, config)
+            outcome = engine.run(clauses)
+            processed = [copy.clause.id for copy, _ in engine.processed]
+            assert len(set(processed)) == len(processed)
+            assert set(outcome.clauses) == set(processed), (name, mode)
+            earlier = []
+            for cid in processed:
+                clause = outcome.clauses[cid]
+                assert not any(subsumes_by_variant(d, clause) for d in earlier), (
+                    name, mode, clause.render()
+                )
+                earlier.append(clause)
 
 
 class _Forgetful(dict):
