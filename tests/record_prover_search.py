@@ -42,8 +42,8 @@ def _outcome(entry) -> str:
 
 def _by_mode(search: dict) -> dict:
     """The counters of ``prover_search.json`` keyed ``name/mode``."""
-    out = {f"{name}/{AXIOM_MODE}": entry for name, entry in search.get("stats", {}).items()}
-    out.update((f"{name}/{RULE_MODE}", entry) for name, entry in search.get("rule_stats", {}).items())
+    out = {f"{name}/{AXIOM_MODE}": entry for name, entry in search["stats"].items()}
+    out.update((f"{name}/{RULE_MODE}", entry) for name, entry in search["rule_stats"].items())
     return out
 
 
