@@ -287,8 +287,7 @@ class _Saturation:
         heapq.heappush(self.passive, (len(literals), clause.id, clause))
 
     def activate(self, clause: Clause) -> bool:
-        """Index a selected clause among the active ones and derive its
-        literal data, or count it subsumed by an active clause."""
+        """Make a selected clause active, or count it subsumed."""
         if self.active.find_or_add(clause) is not None:
             self.stats["subsumed"] += 1
             return False
