@@ -35,11 +35,6 @@ class Literal(Value):
             return (self.lhs,)
         return (self.lhs, self.rhs)
 
-    def atom(self) -> Term | frozenset[Term]:
-        """The predicate term, or the set of the two equation sides: the
-        one key under which literals have the same atom."""
-        return self.lhs if self.rhs is None else frozenset((self.lhs, self.rhs))
-
     def render(self) -> str:
         if self.is_equation:
             op = "=" if self.positive else "!="
@@ -120,20 +115,25 @@ def judge_literals(literals: Iterable[Literal]) -> tuple[tuple[Literal, ...], bo
     whether they form a tautology: some literal is ``t = t``, or some atom
     occurs with both signs.
 
-    One pass with one ``atom()`` per literal; ``t = t`` is the equation
-    whose atom holds one term.
+    Atoms are the same when their predicate terms, or their equation sides
+    either way round, are equal.  A literal is compared only with kept ones
+    of its head symbols, a variable's being its name: no term is hashed.
     """
-    signs: dict = {}
-    kept = []
+    kept, out = [], []  # (head symbols, literal) pairs, and the literals
     tautology = False
     for lit in literals:
-        atom = lit.atom()
-        sign = 1 if lit.positive else 2
-        seen = signs.get(atom, 0)
-        if seen & sign:
-            continue
-        if seen or (lit.positive and lit.rhs is not None and len(atom) == 1):
-            tautology = True
-        signs[atom] = seen | sign
-        kept.append(lit)
-    return tuple(kept), tautology
+        lhs, rhs = lit.lhs, lit.rhs
+        a = lhs.name if lhs.__class__ is Var else lhs.fn
+        b = None if rhs is None else rhs.name if rhs.__class__ is Var else rhs.fn
+        head = (a, b) if b is None or a <= b else (b, a)
+        for other_head, other in kept:
+            if other_head == head and (other.lhs, other.rhs) in ((lhs, rhs), (rhs, lhs)):
+                if other.positive == lit.positive:
+                    break
+                tautology = True
+        else:
+            if lit.positive and rhs is not None and (lhs is rhs or lhs == rhs):
+                tautology = True
+            kept.append((head, lit))
+            out.append(lit)
+    return tuple(out), tautology

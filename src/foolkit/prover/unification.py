@@ -5,10 +5,8 @@ Clause terms are variables and applications; unification is sort-free.
 
 Substitution returns a subterm in which it binds no variable as the same
 object, so ground and untouched arguments are shared, not rebuilt.  The
-index stores each clause with its literal shapes and computes a query's
-shapes once per lookup; the variant search pairs a literal only with
-literals of equal shape, which is necessary for one to map onto the
-other, so the subsumption answers are those of trying every literal.
+kernels every conclusion pays for are plain loops with exact-class tests
+that walk nothing under an empty substitution.
 """
 
 from __future__ import annotations
@@ -23,15 +21,17 @@ def apply_subst(t: Term, subst: Subst) -> Term:
     """t under subst.  A subterm in which subst binds no variable comes
     back as the same object, so ground and untouched arguments are shared,
     not rebuilt."""
+    if t.__class__ is Var:
+        return subst.get(t.name, t)
     if not subst:
         return t
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    args = tuple(apply_subst(a, subst) for a in t.args)
-    for new, old in zip(args, t.args):
-        if new is not old:
-            return App(t.fn, args)
-    return t
+    args = None
+    for k, a in enumerate(t.args):
+        new = subst.get(a.name, a) if a.__class__ is Var else apply_subst(a, subst)
+        if new is not a:
+            args = args or list(t.args)
+            args[k] = new
+    return t if args is None else App(t.fn, args)
 
 
 def apply_subst_literal(lit: Literal, subst: Subst) -> Literal:
@@ -43,9 +43,12 @@ def apply_subst_literal(lit: Literal, subst: Subst) -> Literal:
 
 
 def occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return t.name == name
-    return any(occurs(name, a) for a in t.args)
+    for a in t.args:
+        if occurs(name, a):
+            return True
+    return False
 
 
 def unify(pairs: list[tuple[Term, Term]]) -> Subst | None:
@@ -59,23 +62,22 @@ def unify(pairs: list[tuple[Term, Term]]) -> Subst | None:
     stack = pairs[::-1]
     while stack:
         a, b = stack.pop()
-        a = apply_subst(a, subst)
-        b = apply_subst(b, subst)
-        if a == b:
-            continue
-        if isinstance(b, Var) and not isinstance(a, Var):
+        if subst:
+            a, b = apply_subst(a, subst), apply_subst(b, subst)
+        if a.__class__ is not Var:
+            if b.__class__ is not Var:
+                if a.fn != b.fn or len(a.args) != len(b.args):
+                    return None
+                stack.extend(zip(a.args, b.args))
+                continue
             a, b = b, a
-        if isinstance(a, Var):
-            if occurs(a.name, b):
-                return None
-            single = {a.name: b}
-            for key in list(subst):
-                subst[key] = apply_subst(subst[key], single)
-            subst[a.name] = b
+        elif b.__class__ is Var and a.name == b.name:
             continue
-        if a.fn != b.fn or len(a.args) != len(b.args):
+        if occurs(a.name, b):
             return None
-        stack.extend(zip(a.args, b.args))
+        for key, value in subst.items():
+            subst[key] = apply_subst(value, {a.name: b})
+        subst[a.name] = b
     return subst
 
 
@@ -131,9 +133,7 @@ def _match_term(x: Term, y: Term, ren: dict[str, str]) -> dict[str, str] | None:
             return ren if bound == y.name else None
         if y.name in ren.values():
             return None
-        out = dict(ren)
-        out[x.name] = y.name
-        return out
+        return {**ren, x.name: y.name}
     if not isinstance(y, App) or x.fn != y.fn or len(x.args) != len(y.args):
         return None
     for xa, ya in zip(x.args, y.args):

@@ -49,11 +49,12 @@ from foolkit.prover import (
 from foolkit.bench import _support_clauses, bench_fixture
 from foolkit.prover import saturation
 from foolkit.prover.ordering import literal_greater, maximal_literal_indices
-from foolkit.prover.clauses import judge_literals
+from foolkit.prover.clauses import judge_literals, term_vars
 from foolkit.prover.unification import (
     VariantIndex,
     apply_subst,
     apply_subst_literal,
+    occurs,
     rename_clause,
     subsumes_by_variant,
     unify_atoms,
@@ -1097,6 +1098,52 @@ def test_apply_subst_returns_unbound_subterms_unchanged():
     assert apply_subst_literal(lit, {"X": App("a")}).lhs is ground
 
 
+def _naive_subst(t, subst):
+    """t under subst, every application rebuilt."""
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    return App(t.fn, [_naive_subst(a, subst) for a in t.args])
+
+
+def _assert_unbound_shared(t, got, subst):
+    """Every subterm of t holding no variable that subst binds is, in got,
+    the same object."""
+    if not any(name in subst for name in term_vars(t, [])):
+        assert got is t
+    elif isinstance(t, App):
+        for a, b in zip(t.args, got.args):
+            _assert_unbound_shared(a, b, subst)
+
+
+# W is never bound, so results also hold variables the substitution leaves
+_subst_terms = st.recursive(
+    st.sampled_from([Var("X"), Var("Y"), Var("Z"), Var("W"), App("a"), App("b")]),
+    lambda sub: st.one_of(
+        st.builds(lambda t: App("f", (t,)), sub),
+        st.builds(lambda x, y: App("g2", (x, y)), sub, sub),
+    ),
+    max_leaves=10,
+)
+_substs = st.dictionaries(st.sampled_from(["X", "Y", "Z"]), _subst_terms, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_subst_terms, _subst_terms, st.booleans(), st.booleans(), _substs)
+def test_apply_subst_agrees_with_a_naive_reference(s, t, positive, equation, subst):
+    got = apply_subst(s, subst)
+    assert got == _naive_subst(s, subst)
+    _assert_unbound_shared(s, got, subst)
+    lit = Literal(positive, s, t) if equation else Literal(positive, App("p", (s,)))
+    got = apply_subst_literal(lit, subst)
+    assert got == Literal(positive, *(_naive_subst(side, subst) for side in lit.terms()))
+    if not any(name in subst for side in lit.terms() for name in term_vars(side, [])):
+        assert got is lit
+    for side, new in zip(lit.terms(), got.terms()):
+        _assert_unbound_shared(side, new, subst)
+    for name in ("X", "Y", "Z", "W"):
+        assert occurs(name, s) == (name in term_vars(s, []))
+
+
 def test_rename_clause_numbers_only_occurring_variables_in_sorted_order():
     # B is listed but does not occur; the variables are numbered A, Y
     clause = Clause(
@@ -1172,7 +1219,15 @@ def _echo(lit, how):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_tautology_and_dedup_agree_with_pairwise_definitions(data):
-    literals = data.draw(st.lists(_judged_literals, max_size=4))
+    # up to 12 literals; the pooled ones share their predicate symbol and
+    # their equation sides, drawn from a few terms, so atoms often meet
+    pool = data.draw(st.lists(_terms, min_size=1, max_size=3))
+    side = st.sampled_from(pool)
+    pooled = st.one_of(
+        st.builds(Literal, st.booleans(), side, side),
+        st.builds(lambda positive, t: Literal(positive, App("p", (t,))), st.booleans(), side),
+    )
+    literals = data.draw(st.lists(st.one_of(_judged_literals, pooled), max_size=9))
     if literals:
         kinds = st.sampled_from(["same", "complement", "swapped"])
         echoes = st.tuples(st.sampled_from(literals), kinds)
@@ -1193,6 +1248,16 @@ def test_tautology_and_dedup_agree_with_pairwise_definitions(data):
         for x in literals
     )
     assert var_var == saturation.has_var_var_equation(Clause(tuple(kept)))
+
+
+def test_judge_literals_keeps_the_first_of_a_swapped_repeat():
+    first = Literal(True, App("a"), Var("X"))
+    middle = Literal(False, App("p", (Var("X"),)))
+    swapped = Literal(True, Var("X"), App("a"))
+    kept, tautology = judge_literals([first, middle, swapped])
+    assert kept == (first, middle) and kept[0] is first and not tautology
+    kept, tautology = judge_literals([swapped, middle, first, first.negated()])
+    assert kept == (swapped, middle, first.negated()) and tautology
 
 
 def _domain_shaped(clause):
