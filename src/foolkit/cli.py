@@ -169,8 +169,8 @@ def _sizes(text: str) -> list[int]:
 
 
 MAX_CLAUSES_HELP = (
-    "cap on generated clauses; it is checked before each given clause, so "
-    "the last given clause's inferences can overshoot it"
+    "cap on generated clauses, input clauses included; the search stops "
+    "at the clause that reaches it"
 )
 
 

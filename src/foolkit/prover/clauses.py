@@ -6,22 +6,23 @@ from collections.abc import Iterable
 
 from ..terms import App, Record, Sort, Term, Value, Var, subterm_positions, term_to_str
 
-_set = object.__setattr__
-
 
 class Literal(Value):
     """An equation ``lhs = rhs`` or, when rhs is None, a predicate atom.
 
     Predicate atoms keep the symbols that the emission step classified as
-    predicates; everything else travels as an equation.
+    predicates; everything else travels as an equation.  ``__init__`` sets
+    the slots through their descriptors, which ``Value.__setattr__`` does
+    not guard, so a literal is built without an ``object.__setattr__``
+    call per field and is still immutable.
     """
 
     __slots__ = _fields = ("positive", "lhs", "rhs")
 
     def __init__(self, positive: bool, lhs: Term, rhs: Term | None = None) -> None:
-        _set(self, "positive", positive)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
+        _set_positive(self, positive)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
 
     @property
     def is_equation(self) -> bool:
@@ -41,6 +42,9 @@ class Literal(Value):
             return f"{term_to_str(self.lhs)} {op} {term_to_str(self.rhs)}"
         text = term_to_str(self.lhs)
         return text if self.positive else f"~{text}"
+
+
+_set_positive, _set_lhs, _set_rhs = (getattr(Literal, f).__set__ for f in Literal._fields)
 
 
 class Clause(Record):
@@ -110,30 +114,42 @@ def term_positions(lit: Literal):
                 yield side, path, sub
 
 
-def judge_literals(literals: Iterable[Literal]) -> tuple[tuple[Literal, ...], bool]:
-    """The literals without repeats of a sign and atom, first kept, and
-    whether they form a tautology: some literal is ``t = t``, or some atom
-    occurs with both signs.
+def judge_literals(literals: Iterable[Literal]) -> tuple[tuple[Literal, ...], bool, bool]:
+    """The literals without repeats of a sign and atom, first kept; whether
+    they form a tautology: some literal is ``t = t``, or some atom occurs
+    with both signs; and whether some literal equates two distinct
+    variables.
 
     Atoms are the same when their predicate terms, or their equation sides
     either way round, are equal.  A literal is compared only with kept ones
     of its head symbols, a variable's being its name: no term is hashed.
+    A dropped repeat has the sides of a kept literal, so the last flag
+    reads the same on the kept literals as on all of them.
     """
     kept, out = [], []  # (head symbols, literal) pairs, and the literals
-    tautology = False
+    tautology = var_var = False
     for lit in literals:
         lhs, rhs = lit.lhs, lit.rhs
         a = lhs.name if lhs.__class__ is Var else lhs.fn
-        b = None if rhs is None else rhs.name if rhs.__class__ is Var else rhs.fn
-        head = (a, b) if b is None or a <= b else (b, a)
+        if rhs is None:
+            head = (a, None)
+        else:
+            if rhs.__class__ is Var:
+                b = rhs.name
+                if lhs.__class__ is Var and a != b:
+                    var_var = True
+            else:
+                b = rhs.fn
+            head = (a, b) if a <= b else (b, a)
         for other_head, other in kept:
             if other_head == head and (other.lhs, other.rhs) in ((lhs, rhs), (rhs, lhs)):
                 if other.positive == lit.positive:
                     break
                 tautology = True
         else:
-            if lit.positive and rhs is not None and (lhs is rhs or lhs == rhs):
+            # sides of different head symbols differ
+            if lit.positive and rhs is not None and a == b and (lhs is rhs or lhs == rhs):
                 tautology = True
             kept.append((head, lit))
             out.append(lit)
-    return tuple(out), tautology
+    return tuple(out), tautology, var_var

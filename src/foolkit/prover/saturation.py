@@ -12,12 +12,22 @@ Two ways to handle the two-element boolean domain:
 The loop is the DISCOUNT loop (Denzinger, Kronenburg and Schulz, JAR
 1997): a clause is judged when it is selected, not when it is generated.
 ``record_new`` counts a conclusion and, in one pass over its literals,
-drops repeats and finds a tautology; any other clause but the empty one
-goes onto the passive heap with its id, unjudged.  ``activate`` tests a
-popped clause against the active clauses only.  A survivor's literal
-data is derived once, there: its variable sorts trimmed to the variables
-that occur, its eligible literals, its sorted variable names and, in the
-index, its literal shapes.
+drops repeats and finds a tautology and a variable-variable equation;
+any other clause but the empty one goes onto the passive heap with its
+id, unjudged.  The cap ``max_clauses`` is checked there, on every
+conclusion counted, so a capped search ends with exactly that many
+generated; an empty clause counted by then still wins.  ``activate``
+tests a popped clause against the active clauses only.  A survivor's
+literal data is derived once, there: its variable sorts trimmed to the
+variables that occur, its eligible literals, its sorted variable names
+and, in the index, its literal shapes.
+
+Each conclusion is built in one pass.  A paramodulant's rewritten
+literal is the target literal under the unifier with the instance of
+the rewriting side, made once for the ordering check, put at the
+rewritten position (``_rewritten``).  The other literals of a premise
+are taken as they are when the unifier binds none of its variables
+(``_add_rest``); premises are renamed apart, so that is often the case.
 
 The given-clause loop alone renames premises apart, from those variable
 names: each given clause to ``V0, V1, ...``, and per pair a copy of the
@@ -66,17 +76,18 @@ from ..terms import (
     TRUE_NAME,
     TypeContext,
     Var,
-    replace_at,
 )
 from .clauses import Clause, Literal, judge_literals, term_positions
 from .ordering import kbo_greater_or_equal, maximal_literal_indices
 from .unification import (
+    Subst,
     VariantIndex,
     apply_subst,
     apply_subst_literal,
     is_variant,
     mgu,
     rename_variables,
+    unify,
     unify_atoms,
 )
 
@@ -89,8 +100,8 @@ class ProverConfig(Record):
     attributes, so the command line can show them."""
 
     _fields = ("bool_mode", "max_clauses", "max_seconds", "max_processed")
-    # cap on generated clauses, checked before each given clause: the
-    # inferences of the last given clause can overshoot it
+    # cap on generated clauses, input clauses included, checked on each
+    # one counted: a capped search ends with exactly this many generated
     max_clauses = 100_000
     max_seconds = 10.0
 
@@ -154,29 +165,50 @@ def is_bool_domain_clause(clause: Clause) -> bool:
 
 
 def has_var_var_equation(clause: Clause) -> bool:
-    return _has_var_var_equation(clause.literals)
-
-
-def _has_var_var_equation(literals: tuple[Literal, ...]) -> bool:
-    for lit in literals:
-        if isinstance(lit.lhs, Var) and isinstance(lit.rhs, Var) and lit.lhs != lit.rhs:
-            return True
-    return False
+    return judge_literals(clause.literals)[2]
 
 
 # ---------------------------------------------------------------------------
 # the parts of a conclusion
 
 
-def _rest(literals: tuple[Literal, ...], skip: int, theta: dict[str, Term]) -> list[Literal]:
-    """The literals other than ``literals[skip]``, under theta."""
-    return [apply_subst_literal(x, theta) for k, x in enumerate(literals) if k != skip]
+def _add_rest(out: list[Literal], clause: Clause, skip: int, theta: Subst) -> None:
+    """Append the literals of clause other than ``literals[skip]`` to out,
+    under theta: as they are when theta binds none of the clause's
+    variables, which for a copy renamed apart is when it binds only the
+    other premise's."""
+    var_sorts = clause.var_sorts
+    for name in theta:
+        if name in var_sorts:
+            for k, lit in enumerate(clause.literals):
+                if k != skip:
+                    out.append(apply_subst_literal(lit, theta))
+            return
+    for k, lit in enumerate(clause.literals):
+        if k != skip:
+            out.append(lit)
 
 
-def _replace_in_literal(lit: Literal, side: int, path: tuple[int, ...], new: Term) -> Literal:
-    if side == 0:
-        return Literal(lit.positive, replace_at(lit.lhs, path, new), lit.rhs)
-    return Literal(lit.positive, lit.lhs, replace_at(lit.rhs, path, new))
+def _rewritten(lit: Literal, side: int, path: tuple[int, ...], new: Term, theta: Subst) -> Literal:
+    """lit under theta, with new, taken as it is, at the position (side,
+    path): the terms along the path are rebuilt once, and only the terms
+    beside it are substituted."""
+    top = lit.rhs if side else lit.lhs
+    nodes = []
+    for i in path:
+        nodes.append(top)
+        top = top.args[i]
+    for node, i in zip(reversed(nodes), reversed(path)):
+        args = list(node.args)
+        for k, a in enumerate(args):
+            if k != i:
+                args[k] = theta.get(a.name, a) if a.__class__ is Var else apply_subst(a, theta)
+        args[i] = new
+        new = App(node.fn, args)
+    if side:
+        return Literal(lit.positive, apply_subst(lit.lhs, theta), new)
+    rhs = lit.rhs
+    return Literal(lit.positive, new, rhs if rhs is None else apply_subst(rhs, theta))
 
 
 class _Copy(NamedTuple):
@@ -206,6 +238,10 @@ def _make_copy(clause: Clause, eligible: list[int]) -> _Copy:
 
 # ---------------------------------------------------------------------------
 # the saturation engine
+
+
+class _CapReached(Exception):
+    """``record_new`` has counted ``max_clauses`` clauses."""
 
 
 class _Saturation:
@@ -270,21 +306,25 @@ class _Saturation:
         return sig.result
 
     def record_new(self, literals, var_sorts, rule: str, parents: tuple[int, ...]) -> None:
-        self.stats["generated"] += 1
-        self.stats[rule] += 1
-        literals, tautology = judge_literals(literals)
-        if _has_var_var_equation(literals):
-            self.stats["var_var_equation_clauses"] += 1
+        """Count a conclusion and keep it, unless it is empty or a
+        tautology; raise ``_CapReached`` once ``max_clauses`` are counted."""
+        stats = self.stats
+        stats["generated"] += 1
+        stats[rule] += 1
+        literals, tautology, var_var = judge_literals(literals)
+        if var_var:
+            stats["var_var_equation_clauses"] += 1
         if not literals:
             self.empty = Clause((), {}, 0, rule, parents)
-            return
-        if tautology:
-            self.stats["tautologies"] += 1
-            return
-        # var_sorts is the caller's dict until the clause is activated
-        clause = Clause(literals, var_sorts, self.next_id, rule, parents)
-        self.next_id += 1
-        heapq.heappush(self.passive, (len(literals), clause.id, clause))
+        elif tautology:
+            stats["tautologies"] += 1
+        else:
+            # var_sorts is the caller's dict until the clause is activated
+            clause = Clause(literals, var_sorts, self.next_id, rule, parents)
+            self.next_id += 1
+            heapq.heappush(self.passive, (len(literals), clause.id, clause))
+        if stats["generated"] >= self.config.max_clauses:
+            raise _CapReached
 
     def activate(self, clause: Clause) -> bool:
         """Make a selected clause active, or count it subsumed."""
@@ -323,24 +363,22 @@ class _Saturation:
         into non-variable subterm positions of the second, renamed apart."""
         if not first.sources or not second.targets:
             return
-        firsts, seconds = first.clause.literals, second.clause.literals
-        merged = {**first.clause.var_sorts, **second.clause.var_sorts}
-        parents = (first.clause.id, second.clause.id)
+        fc, sc = first.clause, second.clause
+        merged = {**fc.var_sorts, **sc.var_sorts}
+        parents = (fc.id, sc.id)
         for fi, l, r in first.sources:
             for ii, ilit, side, path, sub in second.targets:
-                if isinstance(l, Var) and self.sort_of(l, merged) != self.sort_of(sub, merged):
+                if l.__class__ is Var and self.sort_of(l, merged) != self.sort_of(sub, merged):
                     continue
-                theta = mgu(l, sub)
+                theta = unify([(l, sub)])
                 if theta is None:
                     continue
-                if kbo_greater_or_equal(apply_subst(r, theta), apply_subst(l, theta)):
+                r_theta = apply_subst(r, theta)
+                if kbo_greater_or_equal(r_theta, apply_subst(l, theta)):
                     continue
-                rewritten = _replace_in_literal(ilit, side, path, r)
-                literals = [
-                    apply_subst_literal(rewritten, theta),
-                    *_rest(firsts, fi, theta),
-                    *_rest(seconds, ii, theta),
-                ]
+                literals = [_rewritten(ilit, side, path, r_theta, theta)]
+                _add_rest(literals, fc, fi, theta)
+                _add_rest(literals, sc, ii, theta)
                 self.record_new(literals, merged, "paramodulation", parents)
 
     def fool_paramodulate(self, clause: Clause) -> None:
@@ -353,11 +391,9 @@ class _Saturation:
                     continue
                 if self.sort_of(sub, clause.var_sorts) != BOOL:
                     continue
-                literals = [
-                    _replace_in_literal(lit, side, path, TRUE),
-                    *_rest(clause.literals, ii, {}),
-                    Literal(True, sub, FALSE),
-                ]
+                literals = [_rewritten(lit, side, path, TRUE, {})]
+                _add_rest(literals, clause, ii, {})
+                literals.append(Literal(True, sub, FALSE))
                 self.record_new(
                     literals, clause.var_sorts, "fool_paramodulation", (clause.id,)
                 )
@@ -371,7 +407,9 @@ class _Saturation:
                 if l1.positive == l2.positive:
                     continue
                 for theta in self.atom_unifiers(l1, l2, merged):
-                    literals = _rest(first.literals, i, theta) + _rest(second.literals, j, theta)
+                    literals = []
+                    _add_rest(literals, first, i, theta)
+                    _add_rest(literals, second, j, theta)
                     self.record_new(literals, merged, "resolution", (first.id, second.id))
 
     def factor(self, clause: Clause) -> None:
@@ -383,7 +421,8 @@ class _Saturation:
                 if not (lit.positive and other.positive):
                     continue
                 for theta in self.atom_unifiers(lit, other, clause.var_sorts):
-                    literals = _rest(clause.literals, j, theta)
+                    literals = []
+                    _add_rest(literals, clause, j, theta)
                     self.record_new(literals, clause.var_sorts, "factoring", (clause.id,))
 
     def equality_resolve(self, clause: Clause) -> None:
@@ -394,12 +433,20 @@ class _Saturation:
             theta = mgu(lit.lhs, lit.rhs)
             if theta is None:
                 continue
-            literals = _rest(clause.literals, i, theta)
+            literals = []
+            _add_rest(literals, clause, i, theta)
             self.record_new(literals, clause.var_sorts, "equality_resolution", (clause.id,))
 
     # -- the loop ------------------------------------------------------------
 
     def run(self, inputs: list[Clause]) -> SaturationResult:
+        try:
+            return self.search(inputs)
+        except _CapReached:
+            # an empty clause counted before the cap was reached still wins
+            return self.result("limit" if self.empty is None else "refuted")
+
+    def search(self, inputs: list[Clause]) -> SaturationResult:
         deadline = time.monotonic() + self.config.max_seconds
         for clause in inputs:
             if (
@@ -413,8 +460,6 @@ class _Saturation:
                 return self.result("refuted")
 
         while self.passive:
-            if self.stats["generated"] >= self.config.max_clauses:
-                return self.result("limit")
             if (
                 self.config.max_processed is not None
                 and self.stats["processed"] >= self.config.max_processed

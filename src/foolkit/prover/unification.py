@@ -6,7 +6,12 @@ Clause terms are variables and applications; unification is sort-free.
 Substitution returns a subterm in which it binds no variable as the same
 object, so ground and untouched arguments are shared, not rebuilt.  The
 kernels every conclusion pays for are plain loops with exact-class tests
-that walk nothing under an empty substitution.
+that walk nothing under an empty substitution; ``unify_atoms`` hands
+each orientation's pairs to ``unify`` itself.
+
+The variant test backtracks over both orientations of an equation: a
+literal ``Y != X`` maps onto ``U != V`` as ``Y -> U, X -> V`` or as
+``Y -> V, X -> U``, and the other literals decide which.
 """
 
 from __future__ import annotations
@@ -89,15 +94,20 @@ def mgu(s: Term, t: Term) -> Subst | None:
 def unify_atoms(l1: Literal, l2: Literal) -> list[Subst]:
     """Unifiers of two atoms, ignoring polarity; equations try both
     orientations."""
-    if l1.is_equation != l2.is_equation:
+    if l1.rhs is None:
+        if l2.rhs is not None or l1.lhs.fn != l2.lhs.fn:
+            return []
+        tries = (list(zip(l1.lhs.args, l2.lhs.args)),)
+    elif l2.rhs is None:
         return []
-    if l1.is_equation:
-        tries = [[(l1.lhs, l2.lhs), (l1.rhs, l2.rhs)], [(l1.lhs, l2.rhs), (l1.rhs, l2.lhs)]]
-    elif l1.lhs.fn == l2.lhs.fn:
-        tries = [list(zip(l1.lhs.args, l2.lhs.args))]
     else:
-        return []
-    return [theta for pairs in tries if (theta := unify(pairs)) is not None]
+        tries = ([(l1.lhs, l2.lhs), (l1.rhs, l2.rhs)], [(l1.lhs, l2.rhs), (l1.rhs, l2.lhs)])
+    out = []
+    for pairs in tries:
+        theta = unify(pairs)
+        if theta is not None:
+            out.append(theta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +154,23 @@ def _match_term(x: Term, y: Term, ren: dict[str, str]) -> dict[str, str] | None:
     return ren
 
 
-def _match_literal(a: Literal, b: Literal, renaming: dict[str, str]) -> dict[str, str] | None:
-    """Extend an injective variable renaming so a maps onto b exactly."""
+def _match_literal(a: Literal, b: Literal, renaming: dict[str, str]) -> list[dict[str, str]]:
+    """Every extension of an injective variable renaming that maps a onto
+    b exactly: one at most for a predicate atom, one per orientation of
+    b for an equation."""
     if a.positive != b.positive or a.is_equation != b.is_equation:
-        return None
+        return []
     if not a.is_equation:
-        return _match_term(a.lhs, b.lhs, renaming)
+        ren = _match_term(a.lhs, b.lhs, renaming)
+        return [] if ren is None else [ren]
+    out = []
     for left, right in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
         ren = _match_term(a.lhs, left, renaming)
         if ren is not None:
             ren = _match_term(a.rhs, right, ren)
             if ren is not None:
-                return ren
-    return None
+                out.append(ren)
+    return out
 
 
 def _renames_into(
@@ -166,7 +180,7 @@ def _renames_into(
     d.  ``shapes`` are the shapes of c's literals, ``slots`` the positions
     of d's literals by shape: a literal is tried only against the
     literals of its own shape, the only ones ``_match_literal`` can map
-    it onto, in their order in d."""
+    it onto, in their order in d, and an equation both ways round."""
 
     def assign(i: int, used: frozenset[int], renaming: dict[str, str]) -> bool:
         if i == len(c):
@@ -174,9 +188,9 @@ def _renames_into(
         for j in slots.get(shapes[i], ()):
             if j in used:
                 continue
-            got = _match_literal(c[i], d[j], renaming)
-            if got is not None and assign(i + 1, used | {j}, got):
-                return True
+            for got in _match_literal(c[i], d[j], renaming):
+                if assign(i + 1, used | {j}, got):
+                    return True
         return False
 
     return assign(0, frozenset(), {})

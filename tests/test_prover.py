@@ -49,7 +49,7 @@ from foolkit.prover import (
 from foolkit.bench import _support_clauses, bench_fixture
 from foolkit.prover import saturation
 from foolkit.prover.ordering import literal_greater, maximal_literal_indices
-from foolkit.prover.clauses import judge_literals, term_vars
+from foolkit.prover.clauses import judge_literals, term_positions, term_vars
 from foolkit.prover.unification import (
     VariantIndex,
     apply_subst,
@@ -76,6 +76,7 @@ from foolkit.terms import (
     land,
     lnot,
     lor,
+    replace_at,
     subst_free_vars,
 )
 
@@ -824,6 +825,65 @@ def test_refutation_searches_are_pinned():
     assert refutation_searches() == golden
 
 
+def test_pinned_capped_searches_end_at_their_cap():
+    """The cap is checked on every counted conclusion, so a search that
+    hits it has generated exactly ``max_clauses``, never more."""
+    refutation = json.loads((GOLDEN / "prover_search_refutation.json").read_text())
+    pins = [
+        (PINNED_CAP[AXIOM_MODE], SEARCH["stats"].values()),
+        (PINNED_CAP[RULE_MODE], SEARCH["rule_stats"].values()),
+        (2000, [entry[:2] for entry in CAPPED.values()]),
+        (2000, [entry[:2] for entry in refutation.values()]),
+    ]
+    capped = 0
+    for cap, entries in pins:
+        for verdict, stats in entries:
+            assert (verdict == "limit") == (stats["generated"] == cap), (verdict, stats)
+            capped += verdict == "limit"
+    assert capped >= 12
+
+
+def test_a_capped_search_stops_at_its_cap_whatever_the_last_conclusion():
+    """At each cap from 2 to 150, bench k = 1 in axiom mode stops with
+    exactly the cap generated, whether its last conclusion was a
+    tautology or went to the passive set."""
+    clauses, ctx = bench_fixture(1)
+    inputs = clauses + _support_clauses(AXIOM_MODE)
+    last_fates = set()
+    tautologies = None
+    for cap in range(2, 151):
+        outcome = run_clauses(inputs, AXIOM_MODE, ctx=ctx, max_clauses=cap)
+        assert (outcome.verdict, outcome.stats["generated"]) == ("limit", cap)
+        if tautologies is not None:
+            last_fates.add(outcome.stats["tautologies"] - tautologies)
+        tautologies = outcome.stats["tautologies"]
+    assert last_fates == {0, 1}
+
+
+def test_an_empty_clause_counted_at_the_cap_still_refutes():
+    """``a != b`` and ``X = Y`` resolve to the empty clause as the 7th and,
+    with ``X = Y`` read the other way round, the 8th conclusion: a cap of
+    7 ends the search with the first of them, and a larger cap with the
+    round that found it."""
+    inputs = [
+        Clause((Literal(False, App("a"), App("b")),), {}),
+        Clause((Literal(True, Var("X"), Var("Y")),), {"X": S, "Y": S}),
+    ]
+    for cap in range(1, 11):
+        outcome = run_clauses(inputs, AXIOM_MODE, max_clauses=cap)
+        want = ("limit", cap) if cap < 7 else ("refuted", min(cap, 8))
+        assert (outcome.verdict, outcome.stats["generated"]) == want, cap
+    # each pinned refutation refutes with its last conclusion: at a cap of
+    # that many conclusions it still does, and one fewer is a limit
+    golden = json.loads((GOLDEN / "prover_search_refutation.json").read_text())
+    for name, clauses, ctx in _refutation_problems(None):
+        for mode in (AXIOM_MODE, RULE_MODE):
+            generated = golden[f"{name}/{mode}"][1]["generated"]
+            for cap, verdict in ((generated, "refuted"), (generated - 1, "limit")):
+                outcome = run_clauses(clauses, mode, ctx=ctx, max_clauses=cap)
+                assert (outcome.verdict, outcome.stats["generated"]) == (verdict, cap), name
+
+
 @pytest.mark.parametrize("problems_of", [_capped_problems, _refutation_problems])
 def test_activation_is_exact(problems_of):
     """Each pinned search processes exactly the clauses it keeps, and no
@@ -965,9 +1025,10 @@ def test_variant_index_agrees_with_scan(data):
 
 
 def _reference_match_literal(a, b, renaming):
-    """Extend an injective variable renaming so a maps onto b exactly."""
+    """Every extension of an injective variable renaming that maps a onto
+    b exactly, an equation's sides either way round."""
     if a.positive != b.positive or a.is_equation != b.is_equation:
-        return None
+        return []
 
     def match_term(x, y, ren):
         if isinstance(x, Var):
@@ -987,15 +1048,15 @@ def _reference_match_literal(a, b, renaming):
                 return None
         return ren
 
-    if not a.is_equation:
-        return match_term(a.lhs, b.lhs, renaming)
-    for left, right in ((b.lhs, b.rhs), (b.rhs, b.lhs)):
+    orientations = [(b.lhs, b.rhs), (b.rhs, b.lhs)] if a.is_equation else [(b.lhs, b.rhs)]
+    out = []
+    for left, right in orientations:
         ren = match_term(a.lhs, left, renaming)
-        if ren is not None:
+        if ren is not None and a.is_equation:
             ren = match_term(a.rhs, right, ren)
-            if ren is not None:
-                return ren
-    return None
+        if ren is not None:
+            out.append(ren)
+    return out
 
 
 def _reference_subsumes(c, d):
@@ -1010,12 +1071,23 @@ def _reference_subsumes(c, d):
         for j, target in enumerate(d.literals):
             if j in used:
                 continue
-            got = _reference_match_literal(c.literals[i], target, renaming)
-            if got is not None and assign(i + 1, used | {j}, got):
-                return True
+            for got in _reference_match_literal(c.literals[i], target, renaming):
+                if assign(i + 1, used | {j}, got):
+                    return True
         return False
 
     return assign(0, set(), {})
+
+
+def test_variant_test_tries_both_orientations_of_an_equation():
+    """``Y != X`` maps onto ``U != V`` only as ``X -> U, Y -> V``, which the
+    second literal needs; the first orientation that matches is not it."""
+    c = Clause((Literal(False, Var("Y"), Var("X")), Literal(False, App("p", (Var("X"),)))))
+    d = Clause((Literal(False, Var("U"), Var("V")), Literal(False, App("p", (Var("U"),)))))
+    assert subsumes_by_variant(c, d) and subsumes_by_variant(d, c) and is_variant(c, d)
+    index = VariantIndex()
+    index.add(c)
+    assert index.find(d) is c
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1144,6 +1216,72 @@ def test_apply_subst_agrees_with_a_naive_reference(s, t, positive, equation, sub
         assert occurs(name, s) == (name in term_vars(s, []))
 
 
+def _reference_replace_in_literal(lit, side, path, new):
+    if side == 0:
+        return Literal(lit.positive, replace_at(lit.lhs, path, new), lit.rhs)
+    return Literal(lit.positive, lit.lhs, replace_at(lit.rhs, path, new))
+
+
+def _reference_rest(literals, skip, theta):
+    return [apply_subst_literal(x, theta) for k, x in enumerate(literals) if k != skip]
+
+
+def _terms_over(names):
+    leaves = [App("a"), App("b"), *(Var(name) for name in names)]
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            st.builds(lambda t: App("f", (t,)), sub),
+            st.builds(lambda x, y: App("g2", (x, y)), sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+_sorted_clauses = _clauses.map(lambda c: Clause(c.literals, {v: S for v in "XYZ"}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_pass_conclusions_agree_with_substituting_afterwards(data):
+    """A paramodulant built as ``paramodulate`` builds it, in one pass with
+    ``r`` substituted once, equals the target literal with ``r`` put in
+    and then substituted, beside the other literals of both premises
+    substituted; resolvents and the rest are the last two parts alone.
+    Every literal that theta leaves unchanged comes back as itself."""
+    first, count = rename_clause(data.draw(_sorted_clauses), 0)
+    second, _ = rename_clause(data.draw(_sorted_clauses), count)
+    names = sorted({**first.var_sorts, **second.var_sorts})
+    fi = data.draw(st.integers(0, len(first.literals) - 1))
+    ii = data.draw(st.integers(0, len(second.literals) - 1))
+    ilit = second.literals[ii]
+    side, path, sub = data.draw(st.sampled_from(list(term_positions(ilit))))
+    source = first.literals[fi]
+    l, r = (source.lhs, source.rhs) if source.is_equation else (source.lhs, data.draw(_terms_over(names)))
+    thetas = [{}]
+    if names:
+        thetas.append(data.draw(st.dictionaries(st.sampled_from(names), _terms_over(names), max_size=3)))
+    unifier = mgu(l, sub)
+    if unifier is not None:
+        thetas.append(unifier)
+    theta = data.draw(st.sampled_from(thetas))
+
+    got = [saturation._rewritten(ilit, side, path, apply_subst(r, theta), theta)]
+    saturation._add_rest(got, first, fi, theta)
+    saturation._add_rest(got, second, ii, theta)
+    want = [
+        apply_subst_literal(_reference_replace_in_literal(ilit, side, path, r), theta),
+        *_reference_rest(first.literals, fi, theta),
+        *_reference_rest(second.literals, ii, theta),
+    ]
+    assert got == want
+    others = [x for k, x in enumerate(first.literals) if k != fi]
+    others += [x for k, x in enumerate(second.literals) if k != ii]
+    for lit, new in zip(others, got[1:]):
+        if not any(name in theta for t in lit.terms() for name in term_vars(t, [])):
+            assert new is lit
+
+
 def test_rename_clause_numbers_only_occurring_variables_in_sorted_order():
     # B is listed but does not occur; the variables are numbered A, Y
     clause = Clause(
@@ -1242,11 +1380,11 @@ def test_tautology_and_dedup_agree_with_pairwise_definitions(data):
     for x in literals:
         if not any(x.positive == y.positive and _equal_atoms(x, y) for y in kept):
             kept.append(x)
-    assert judge_literals(literals) == (tuple(kept), reflexive or complementary)
     var_var = any(
         x.is_equation and isinstance(x.lhs, Var) and isinstance(x.rhs, Var) and x.lhs != x.rhs
         for x in literals
     )
+    assert judge_literals(literals) == (tuple(kept), reflexive or complementary, var_var)
     assert var_var == saturation.has_var_var_equation(Clause(tuple(kept)))
 
 
@@ -1254,9 +1392,9 @@ def test_judge_literals_keeps_the_first_of_a_swapped_repeat():
     first = Literal(True, App("a"), Var("X"))
     middle = Literal(False, App("p", (Var("X"),)))
     swapped = Literal(True, Var("X"), App("a"))
-    kept, tautology = judge_literals([first, middle, swapped])
-    assert kept == (first, middle) and kept[0] is first and not tautology
-    kept, tautology = judge_literals([swapped, middle, first, first.negated()])
+    kept, tautology, var_var = judge_literals([first, middle, swapped])
+    assert kept == (first, middle) and kept[0] is first and not tautology and not var_var
+    kept, tautology, _ = judge_literals([swapped, middle, first, first.negated()])
     assert kept == (swapped, middle, first.negated()) and tautology
 
 
