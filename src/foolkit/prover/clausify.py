@@ -55,7 +55,9 @@ class ClausifyResult(Record):
 
 def clausify(problem: FolProblem, max_clauses: int = 10_000) -> ClausifyResult:
     """Clauses for the problem's axioms and goal, with the extended
-    context covering the introduced skolem symbols."""
+    context covering the introduced skolem symbols.  Every formula must
+    be closed, as a lowered problem's are: a free variable, which has no
+    sort, raises ``ValueError``."""
     state = _Clausifier(problem.ctx, max_clauses)
     clauses: list[Clause] = []
     for formula in [*problem.axioms, problem.goal]:
@@ -105,10 +107,11 @@ class _Clausifier:
         it is built.  An equivalence's sides are visited twice, once per
         polarity."""
         while True:
-            if isinstance(t, App) and t.fn == NOT:
+            kind = type(t)
+            if kind is App and t.fn == NOT:
                 t, positive = t.args[0], not positive
-            elif isinstance(t, (Forall, Exists)):
-                if isinstance(t, Forall) == positive:
+            elif kind is Forall or kind is Exists:
+                if (kind is Forall) == positive:
                     fresh = self.fresh_var(t.sort)
                     subst = {**subst, t.var: Var(fresh)}
                     univ = univ + [(fresh, t.sort)]
@@ -119,14 +122,14 @@ class _Clausifier:
                 t = t.body
             else:
                 break
-        if isinstance(t, App) and t.fn == IFF:
+        if kind is App and t.fn == IFF:
             a, b = t.args
             out = self.disjoin(self.cnf(a, not positive, univ, subst), self.cnf(b, True, univ, subst))
             self.check(len(out))
             out += self.disjoin(self.cnf(a, positive, univ, subst), self.cnf(b, False, univ, subst))
             self.check(len(out))
             return out
-        if isinstance(t, App) and t.fn in (AND, OR, IMPLIES):
+        if kind is App and t.fn in (AND, OR, IMPLIES):
             a, b = t.args
             left = self.cnf(a, positive != (t.fn == IMPLIES), univ, subst)
             if (t.fn == AND) != positive:
@@ -135,7 +138,7 @@ class _Clausifier:
             left += self.cnf(b, positive, univ, subst)
             self.check(len(left))
             return left
-        if isinstance(t, (Eq, App)):
+        if kind is Eq or kind is App:
             # an atom: predicate application, equation or truth constant (a
             # boolean variable in formula context is a redex translation removes)
             return [[(positive, t, subst)]]
@@ -155,10 +158,10 @@ class _Clausifier:
         sorts: dict[str, Sort] = {}
         literals: list[Literal] = []
         for positive, atom, subst in leaves:
-            if isinstance(atom, Eq):
+            if type(atom) is Eq:
                 left = self.rename(atom.left, subst, names, sorts)
                 literals.append(Literal(positive, left, self.rename(atom.right, subst, names, sorts)))
-            elif not isinstance(atom, App):
+            elif type(atom) is not App:
                 raise TypeError(f"unexpected clause atom {atom!r}")
             elif atom.fn == TRUE_NAME or atom.fn == FALSE_NAME:
                 if positive == (atom.fn == TRUE_NAME):
@@ -175,19 +178,25 @@ class _Clausifier:
         names, which gains the next ``X<i>`` for a variable met first.  A
         substituted value is renamed, not substituted again; a ground
         subterm comes back as the same object."""
-        if isinstance(t, Var):
+        kind = type(t)
+        if kind is Var:
             value = subst.get(t.name)
             if value is not None:
                 return self.rename(value, {}, names, sorts)
             new = names.get(t.name)
             if new is None:
                 new = names[t.name] = Var(f"X{len(names)}")
-                sorts[new.name] = self.var_sorts[t.name]
+                try:
+                    sorts[new.name] = self.var_sorts[t.name]
+                except KeyError:
+                    raise ValueError(f"free variable {t.name!r}: clausify takes closed formulas") from None
             return new
-        if not isinstance(t, App):
+        if kind is not App:
             raise TypeError("clause terms contain only variables and applications")
-        args = [self.rename(a, subst, names, sorts) for a in t.args]
-        for new, old in zip(args, t.args):
-            if new is not old:
-                return App(t.fn, tuple(args))
-        return t
+        args = None
+        for k, a in enumerate(t.args):
+            new = self.rename(a, subst, names, sorts)
+            if new is not a:
+                args = args or list(t.args)
+                args[k] = new
+        return t if args is None else App(t.fn, args)

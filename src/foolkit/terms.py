@@ -102,7 +102,7 @@ class Record:
 
 class Value(Record):
     """A record that is immutable and hashed on its fields; ``__init__``
-    sets them with ``object.__setattr__``."""
+    sets them with ``object.__setattr__``, a term's through ``__set__``."""
 
     __slots__ = ()
 
@@ -294,7 +294,7 @@ class TypeContext:
         got = self.fn_binds.get(name)
         if got is not None:
             return got
-        return self.sig.fn_sig(name)
+        return self.sig.fns.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ class Var(Term):
     __slots__ = _fields = ("name",)
 
     def __init__(self, name: str) -> None:
-        _set(self, "name", name)
+        _set_var_name(self, name)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -326,8 +326,8 @@ class App(Term):
     __slots__ = _fields = ("fn", "args")
 
     def __init__(self, fn: str, args: Iterable[Term] = ()) -> None:
-        _set(self, "fn", fn)
-        _set(self, "args", tuple(args))
+        _set_app_fn(self, fn)
+        _set_app_args(self, tuple(args))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -342,9 +342,9 @@ class Ite(Term):
     __slots__ = _fields = ("cond", "then", "els")
 
     def __init__(self, cond: Term, then: Term, els: Term) -> None:
-        _set(self, "cond", cond)
-        _set(self, "then", then)
-        _set(self, "els", els)
+        _set_cond(self, cond)
+        _set_then(self, then)
+        _set_els(self, els)
 
 
 class Let(Term):
@@ -359,27 +359,27 @@ class Let(Term):
             raise ValueError("let formal parameters must be pairwise distinct")
         if fn in BUILTIN_FNS:
             raise ValueError(f"cannot let-bind the reserved symbol {fn!r}")
-        _set(self, "fn", fn)
-        _set(self, "params", params)
-        _set(self, "body", body)
-        _set(self, "scope", scope)
+        _set_let_fn(self, fn)
+        _set_params(self, params)
+        _set_let_body(self, body)
+        _set_scope(self, scope)
 
 
 class Eq(Term):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class _Quantifier(Term):
     __slots__ = _fields = ("var", "sort", "body")
 
     def __init__(self, var: str, sort: Sort, body: Term) -> None:
-        _set(self, "var", var)
-        _set(self, "sort", sort)
-        _set(self, "body", body)
+        _set_var(self, var)
+        _set_sort(self, sort)
+        _set_body(self, body)
 
 
 class Forall(_Quantifier):
@@ -389,6 +389,15 @@ class Forall(_Quantifier):
 class Exists(_Quantifier):
     __slots__ = ()
 
+
+# the term constructors set each slot through its descriptor's __set__,
+# with no object.__setattr__ call
+(_set_var_name,) = (getattr(Var, f).__set__ for f in Var._fields)
+_set_app_fn, _set_app_args = (getattr(App, f).__set__ for f in App._fields)
+_set_cond, _set_then, _set_els = (getattr(Ite, f).__set__ for f in Ite._fields)
+_set_let_fn, _set_params, _set_let_body, _set_scope = (getattr(Let, f).__set__ for f in Let._fields)
+_set_left, _set_right = (getattr(Eq, f).__set__ for f in Eq._fields)
+_set_var, _set_sort, _set_body = (getattr(_Quantifier, f).__set__ for f in _Quantifier._fields)
 
 TRUE = App(TRUE_NAME)
 FALSE = App(FALSE_NAME)
@@ -617,6 +626,9 @@ class Occurrence(NamedTuple):
     lets: frozenset[str] = frozenset()
 
 
+_new_tuple = tuple.__new__  # an Occurrence without the NamedTuple's Python-level __new__
+
+
 def child_context(t: Term, i: int) -> str:
     """The context that ``t`` puts its child ``i`` in."""
     if isinstance(t, App):
@@ -631,17 +643,20 @@ def child_context(t: Term, i: int) -> str:
 def child_occurrence(occ: Occurrence, i: int, kid: Term) -> Occurrence:
     """``kid``, child ``i`` of the occurrence, with its context and
     binders."""
-    t = occ.term
-    variables, fn = binders(t, i)
-    lets = occ.lets if fn is None else occ.lets | {fn}
-    return Occurrence(kid, child_context(t, i), occ.variables + variables, lets)
+    t, _, variables, lets = occ
+    if type(t) is App:  # binds nothing; a copy of child_context's rule
+        context = FORMULA_CONTEXT if t.fn in CONNECTIVES else TERM_CONTEXT
+        return _new_tuple(Occurrence, (kid, context, variables, lets))
+    bound, fn = binders(t, i)
+    lets = lets if fn is None else lets | {fn}
+    return _new_tuple(Occurrence, (kid, child_context(t, i), variables + bound, lets))
 
 
 def contexts(t: Term) -> Iterator[tuple[Term, str]]:
     """Every subterm of ``t`` with its context, in the order of
     ``occurrences``; iterative, with no paths and no binders.  One
-    dispatch per node pushes all the children with their contexts, so
-    this is a second copy of ``child_context``'s rule: change both."""
+    dispatch per node pushes all the children with their contexts, so this
+    copies ``child_context``'s rule, as ``child_occurrence`` does: change all."""
     stack = [(t, NO_CONTEXT)]
     push, pop = stack.append, stack.pop
     while stack:

@@ -775,7 +775,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
             return f"~{inner}"
         if fn in INFIX:
             items = _flatten_chain(fn, t) if fn in (AND, OR) else t.args
-            return "(" + f" {INFIX[fn]} ".join(_render(x, ctx, strict, True) for x in items) + ")"
+            return "(" + f" {INFIX[fn]} ".join([_render(x, ctx, strict, True) for x in items]) + ")"
         # a term reads a decimal numeral and an arithmetic symbol bare too,
         # but not a let-bound numeral in its scope (it would read as a
         # global $int); most names are lower words, so that test comes first
@@ -786,7 +786,7 @@ def _render(t: Term, ctx: TypeContext | None, strict: _BoolNames | None, in_form
             name = _atom_str(fn, numeral or fn in ARITHMETIC_FNS)
         if not t.args:
             return name
-        return f"{name}(" + ", ".join(_render(a, ctx, strict, False) for a in t.args) + ")"
+        return f"{name}(" + ", ".join([_render(a, ctx, strict, False) for a in t.args]) + ")"
 
     if kind is Var:
         return t.name

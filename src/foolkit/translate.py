@@ -108,6 +108,7 @@ Target = Union[str, int]  # "current" or an index into defs
 # and its clash set, or None for a term returned at two places with
 # different clash sets (see ``_Pass``)
 _Records = dict[int, tuple[Term, frozenset | None]]
+_new_tuple = tuple.__new__  # an Occurrence without the NamedTuple's Python-level __new__
 # the symbols a first-order formula applies in formula contexts, and in
 # term contexts
 _Applied = tuple[set[str], set[str]]
@@ -396,7 +397,7 @@ class _Pass:
         if isinstance(t, App) and t.fn in occ.lets:
             clash |= {t.fn}
         if any(map(is_not, new, kids)):  # untouched subtrees are kept
-            occ = occ._replace(term=with_children(t, tuple(new)))
+            occ = _new_tuple(Occurrence, (with_children(t, tuple(new)), *occ[1:]))
         kind = redex_kind(occ.term, occ.context)
         if kind is None or clash:
             return self.note(occ, clash)
@@ -404,13 +405,13 @@ class _Pass:
             lowered = _CORES[kind](self.state, occ)
             self.state.steps.append((kind, self.target, path))
             # nothing clashed, and the replacement adds only a fresh symbol
-            return self.note(occ._replace(term=lowered), frozenset())
+            return self.note(_new_tuple(Occurrence, (lowered, *occ[1:])), frozenset())
         lowered = _let(self.state, occ, self.returned)
         self.state.steps.append((kind, self.target, path))
         self.targets.append(len(self.state.defs) - 1)
         # the let's symbol no longer binds anything, so redexes in the
         # scope that mention it are eligible now, in the let's own context
-        return self.lower(occ._replace(term=lowered), path, again=True)
+        return self.lower(_new_tuple(Occurrence, (lowered, *occ[1:])), path, again=True)
 
     def note(self, occ: Occurrence, clash: frozenset) -> tuple[Term, frozenset[str]]:
         """Return the occurrence's term and clash set, recorded if it lies

@@ -85,12 +85,14 @@ def test_non_utf8_input_is_an_io_error(tmp_path, command):
 def test_importing_the_program_leaves_dataclasses_out():
     """The package, the prover and the command line import without
     ``dataclasses``: every class is written out, so no import generates
-    code (``-I -S``: no environment, no site packages)."""
+    code (``-I -S``: no environment, no site packages; ``-B``: no
+    bytecode caches written, which ``-I`` would otherwise allow whatever
+    ``PYTHONDONTWRITEBYTECODE`` says)."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         "import foolkit, foolkit.prover, foolkit.cli; print('dataclasses' in sys.modules)"
     )
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-500:]
     assert done.stdout == "False\n"
 

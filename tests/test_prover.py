@@ -221,6 +221,15 @@ tff(a, axiom, ![X : s] : (w(~p(X)) = c)).
     assert {len(c.literals) for c in def_clauses} == {2}
 
 
+def test_clausify_names_a_free_variable():
+    """``clausify`` takes closed formulas: a hand-built problem with a
+    free variable is refused by the variable's name."""
+    fol = translate_text("tff(s_s, type, s : $tType).\ntff(d_p, type, p : s > $o).\n")
+    open_goal = FolProblem(fol.definitions, App("p", (Var("X"),)), fol.ctx, fol.predicate_split)
+    with pytest.raises(ValueError, match="free variable 'X'"):
+        clausify(open_goal)
+
+
 def test_clausify_skolemizes_existentials():
     text = """\
 tff(s_s, type, s : $tType).

@@ -57,6 +57,10 @@ from foolkit.terms import (
     NO_CONTEXT,
     TERM_CONTEXT,
     TRUE,
+    Occurrence,
+    binders,
+    child_context,
+    child_occurrence,
     children,
     classify_occurrence,
     contexts,
@@ -991,6 +995,31 @@ def test_context_walk_agrees_with_occurrences():
             walked = [(id(t), context) for t, context in contexts(formula)]
             expected = [(id(occ.term), occ.context) for _, occ in occurrences(formula)]
             assert walked == expected, name
+
+
+def _check_child_occurrences(phi):
+    """Every child of every occurrence in ``phi``: ``child_occurrence``
+    builds the record that ``child_context`` and ``binders`` spell."""
+    for _, occ in occurrences(phi):
+        t = occ.term
+        for i, kid in enumerate(children(t)):
+            variables, fn = binders(t, i)
+            lets = occ.lets if fn is None else occ.lets | {fn}
+            expected = Occurrence(kid, child_context(t, i), occ.variables + variables, lets)
+            got = child_occurrence(occ, i, kid)
+            assert type(got) is Occurrence and got == expected
+            assert got.term is kid
+
+
+def test_child_occurrence_agrees_with_the_classifier_on_the_pinned_inputs():
+    for _, phi, _ in _translation_inputs():
+        _check_child_occurrences(phi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), depth=st.integers(1, 5))
+def test_child_occurrence_agrees_with_the_classifier(seed, depth):
+    _check_child_occurrences(TermGen(random.Random(seed), max_depth=depth).formula())
 
 
 _REASON_OF = {
